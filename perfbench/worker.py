@@ -42,7 +42,7 @@ CLOCK = time.perf_counter_ns
 BLOCK = {"sweep": 1, "transport": 1, "point": 2000, "cli": 1}
 # calls per second of --seconds that a traced run replays three times
 # (untraced, traced, untraced); sized to take about half of --seconds at the seed
-TRACE_RATE = {"sweep": 1.2, "transport": 1.6, "point": 2000.0, "cli": 0.6}
+TRACE_RATE = {"sweep": 1.2, "transport": 1.6, "point": 1200.0, "cli": 0.6}
 
 POINT_HEADER = ("T_L,T_R,gamma_L,gamma_R,bath,epsilon,kappa,"
                 "P1,P2,P3,P4,J_L,concurrence,discord,mutual_info,classical_corr")
