@@ -5,10 +5,10 @@
 
 Run from the root of a source checkout; qjunction is imported from ./src.
 Each workload runs in a fresh interpreter with one thread (BLAS pinned to 1)
-and a closed loop with one caller. With --trace 0 the last line of output is
-a JSON object whose metrics are the end-to-end metrics; with --trace 1 a
-traced replay of the same inputs gives the per-layer metrics instead. The
-lines before it are a report for people: the environment, the input hash,
+and a closed loop with one caller, in whole passes over its seeded inputs.
+With --trace 0 the last line of output is a JSON object whose metrics are
+the end-to-end metrics; with --trace 1 a traced replay of the same inputs
+gives the per-layer metrics instead. The lines before it are a report for people: the environment, the input hash,
 every metric with its unit and sample count, and the failures by kind.
 Times are rescaled by an interleaved machine-speed probe (see speed.py);
 the report shows the raw values beside them.
@@ -116,8 +116,9 @@ def run_workload(workload: str, seed: int, seconds: float, trace: int) -> dict:
 
     print(f"perfbench workload={workload} seed={seed} seconds={seconds} trace={trace}")
     print("env " + json.dumps(_environment(res["numpy"], load_start)))
-    print(f"inputs sha256={workloads.digest(inputs)} calls={res['calls']} "
-          f"distinct={len(inputs)}")
+    passes = f" passes={res['passes']}" if "passes" in res else ""
+    print(f"inputs sha256={workloads.digest(inputs)} distinct={len(inputs)} "
+          f"attempted={res['attempted']} calls={res['calls']}{passes}")
     probe_sets = (
         ("speed probe", res["probes_ms"], speed.REFERENCE_MS),
         ("process probe", res.get("process_probes_ms", []) + probes_setup,
@@ -128,7 +129,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace: int) -> dict:
             print(f"{name} ms: median {statistics.median(probes):.4g}, min {min(probes):.4g}, "
                   f"max {max(probes):.4g} over {len(probes)}; times are rescaled to "
                   f"{reference} ms; raw values follow \"raw\"")
-    calls, failed = res["calls"], res["failed"]
+    calls, attempted, failed = res["calls"], res["attempted"], res["failed"]
     if trace:
         metrics = res["per_layer"]
         units = dict(spans.PER_LAYER)
@@ -144,10 +145,10 @@ def run_workload(workload: str, seed: int, seconds: float, trace: int) -> dict:
         notes = {
             "points_per_s": f"answers={res['answers']} over all {calls} calls; "
                             f"raw {res['raw_points_per_s']:.6g}",
-            "latency_p50_ms": f"samples={res['timed']} calls that did not fail; "
-                              f"raw {res['raw_p50_ms']:.6g}",
+            "latency_p50_ms": f"samples={res['timed']} {res['samples']} that did not fail; "
+                              f"raw per call {res['raw_p50_ms']:.6g}",
             "latency_p90_ms": f"samples={res['timed']}, {res['beyond_p90']} beyond p90; "
-                              f"raw {res['raw_p90_ms']:.6g}",
+                              f"raw per call {res['raw_p90_ms']:.6g}",
             "setup_s": f"median of {len(setups)} fresh interpreters; raw "
                        f"{statistics.median(raw_setups):.6g}",
             "peak_rss_mb": "CLI child processes" if workload == "cli" else "worker process",
@@ -155,8 +156,9 @@ def run_workload(workload: str, seed: int, seconds: float, trace: int) -> dict:
     for name, value in metrics.items():
         note = "" if trace else f"  ({notes[name]})"
         print(f"  {name:<52} {value:>14.6g} {units[name]}{note}")
-    rate = failed / calls if calls else 0.0
-    print(f"  {'error_rate':<52} {rate:>14.6g} 1  (failed={failed} of calls={calls})")
+    rate = failed / attempted if attempted else 0.0
+    print(f"  {'error_rate':<52} {rate:>14.6g} 1  (failed={failed} of attempted={attempted}; "
+          f"each input once)")
     for reason, count in sorted(res["failures"].items()):
         print(f"  failure: {reason}: {count}")
     correct = res["wrong"] == 0 and res["nondeterministic"] == 0
@@ -165,7 +167,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace: int) -> dict:
               f"nondeterministic outputs={res['nondeterministic']}")
     return {
         "correct": correct,
-        "attempted": calls,
+        "attempted": attempted,
         "failed": failed,
         "metrics": {name: {"value": value, "unit": units[name]} for name, value in metrics.items()},
     }

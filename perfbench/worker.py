@@ -40,6 +40,12 @@ CLOCK = time.perf_counter_ns
 # calls between two speed probes: each sweep, scan or CLI call, or some
 # 0.1 s of single points at the seed
 BLOCK = {"sweep": 1, "transport": 1, "point": 2000, "cli": 1}
+# Single points repeat their list some 80 times a run, and the tail of a
+# 30 us call is mostly the scheduler's jitter, not the query. For them a
+# query's latency is the median of its last Blocks.REPEATS repeats, and p50
+# and p90 are taken over queries; other workloads make one to three passes
+# and take them over calls.
+PER_INPUT = {"point"}
 # calls per second of --seconds that a traced run replays three times
 # (untraced, traced, untraced); sized to take about half of --seconds at the seed
 TRACE_RATE = {"sweep": 1.2, "transport": 1.6, "point": 1200.0, "cli": 0.6}
@@ -289,12 +295,14 @@ class Blocks:
     fast answer. Throughput counts every call's time. With ``env`` (CLI
     processes) a process probe is also taken every PROCESS_BLOCKS blocks, and
     ``start_hist`` holds the latencies rescaled by it, for the start-up-bound
-    median.
+    median. With ``inputs`` the last REPEATS times of each input are kept,
+    in constant memory, for ``median_hist``.
     """
 
     PROCESS_BLOCKS = 5
+    REPEATS = 32
 
-    def __init__(self, size: int, keep_calls: bool, env: dict | None = None):
+    def __init__(self, size: int, keep_calls: bool, env: dict | None = None, inputs: int = 0):
         self.size = size
         self.hist, self.raw_hist, self.start_hist = Histogram(), Histogram(), Histogram()
         self.ns = self.raw_ns = 0.0
@@ -305,9 +313,11 @@ class Blocks:
         self.process_probes = [speed.process_probe_ms(env)] if env else []
         self._pending = []
         self._start_pending = []
+        self.recent = np.full((inputs, self.REPEATS), np.nan, dtype=np.float32)
+        self.repeats = np.zeros(inputs, dtype=np.int64)
 
-    def add(self, ns: int, failed: bool, paired_ns: int | None = None) -> None:
-        self._pending.append((ns, failed, paired_ns))
+    def add(self, ns: int, failed: bool, paired_ns: int | None = None, idx: int = 0) -> None:
+        self._pending.append((ns, failed, paired_ns, idx))
         if len(self._pending) == self.size:
             self.flush()
 
@@ -315,13 +325,16 @@ class Blocks:
         if self._pending:
             self.probes.append(speed.probe_ms())
             k = speed.scale(self.probes[-2], self.probes[-1])
-            for ns, failed, paired in self._pending:
+            for ns, failed, paired, idx in self._pending:
                 self.ns += ns * k
                 self.raw_ns += ns
                 if not failed:
                     self.hist.add(ns * k)
                     self.raw_hist.add(ns)
                     self._start_pending.append(ns)
+                    if len(self.repeats):
+                        self.recent[idx, self.repeats[idx] % self.REPEATS] = ns * k
+                        self.repeats[idx] += 1
                 if self.calls is not None:
                     self.calls.append(ns * k)
                     self.paired.append(None if paired is None else paired * k)
@@ -335,34 +348,63 @@ class Blocks:
                 self.start_hist.add(ns * k_start)
             self._start_pending.clear()
 
+    def median_hist(self) -> Histogram:
+        """Each input's median over its last REPEATS times, one sample per input."""
+        hist = Histogram()
+        for row in self.recent[self.repeats > 0]:
+            hist.add(float(np.nanmedian(row)))
+        return hist
+
 
 def measure(workload: str, inputs: list, seconds: float) -> dict:
-    """Closed loop for ``seconds`` of wall time; latency and throughput exclude checks."""
+    """Closed loop of whole passes over the inputs for about ``seconds`` of wall time.
+
+    Latency and throughput exclude the checks. Every pass makes the same
+    calls in the same order, so each run of a seed times the same mix
+    however many passes fit. The loop stops once another pass would end more
+    than half a pass after ``seconds``, but never before the first pass has
+    ended: ``attempted`` (the length of the list) and ``failed`` (the inputs
+    that failed in the first pass) are fixed by the seed. A repeat whose
+    outcome differs from the first pass counts as nondeterministic.
+    """
     judge, env = Judge(), _cli_env()
-    blocks = Blocks(BLOCK[workload], keep_calls=False, env=env if workload == "cli" else None)
-    calls = failed = answers = 0
-    deadline = time.perf_counter() + seconds
-    while time.perf_counter() < deadline:
-        idx = calls % len(inputs)
-        ns, got, bad, _ = _one(workload, idx, inputs[idx], judge, env)
-        calls += 1
-        failed += bad
-        answers += got
-        blocks.add(ns, bad)
+    per_input = workload in PER_INPUT
+    blocks = Blocks(BLOCK[workload], keep_calls=False, env=env if workload == "cli" else None,
+                    inputs=len(inputs) if per_input else 0)
+    answers = passes = 0
+    first_pass = []  # failed or not, per input
+    start = time.perf_counter()
+    while True:
+        for idx, inp in enumerate(inputs):
+            ns, got, bad, _ = _one(workload, idx, inp, judge, env)
+            if not passes:
+                first_pass.append(bad)
+            elif first_pass[idx] != bad:
+                judge.nondeterministic += 1
+            answers += got
+            blocks.add(ns, bad, idx=idx)
+        if not passes:
+            reasons = dict(judge.failures)
+        passes += 1
+        elapsed = time.perf_counter() - start
+        if elapsed * (passes + 0.5) / passes >= seconds:
+            break
+    calls = passes * len(inputs)
     blocks.flush(last=True)
     who = resource.RUSAGE_CHILDREN if workload == "cli" else resource.RUSAGE_SELF
     # a CLI call's median is start-up, which the process probe tracks; its
     # tail is bulk solving and formatting, which the in-process probe tracks
-    p50, _ = (blocks.start_hist if workload == "cli" else blocks.hist).quantile(0.5)
-    p90, beyond = blocks.hist.quantile(0.9)
+    hist = blocks.median_hist() if per_input else blocks.hist
+    p50, _ = (blocks.start_hist if workload == "cli" else hist).quantile(0.5)
+    p90, beyond = hist.quantile(0.9)
     return {
-        "calls": calls, "failed": failed, "answers": answers,
-        "failures": judge.failures, "wrong": judge.wrong,
+        "attempted": len(inputs), "failed": sum(first_pass), "calls": calls, "passes": passes,
+        "answers": answers, "failures": reasons, "wrong": judge.wrong,
         "nondeterministic": judge.nondeterministic,
         "points_per_s": answers / blocks.ns * 1e9 if blocks.ns else 0.0,
         "raw_points_per_s": answers / blocks.raw_ns * 1e9 if blocks.raw_ns else 0.0,
         "probes_ms": blocks.probes, "process_probes_ms": blocks.process_probes,
-        "timed": blocks.hist.count,
+        "timed": hist.count, "samples": "inputs" if per_input else "calls",
         "p50_ms": p50 * 1e-6, "p90_ms": p90 * 1e-6, "beyond_p90": beyond,
         "raw_p50_ms": blocks.raw_hist.quantile(0.5)[0] * 1e-6,
         "raw_p90_ms": blocks.raw_hist.quantile(0.9)[0] * 1e-6,
@@ -457,7 +499,7 @@ def traced(workload: str, inputs: list, seconds: float, seed: int) -> dict:
         extra["cli.bytes_per_row"] = out_bytes / answers if answers else 0.0
     time_scale = speed.REFERENCE_MS / statistics.median(mid.probes)
     return {
-        "calls": count, "failed": failed, "answers": answers,
+        "attempted": count, "failed": failed, "calls": count, "answers": answers,
         "failures": failures, "wrong": judge.wrong,
         # tracing must not change an outcome
         "nondeterministic": judge.nondeterministic + (failed != first_failed),

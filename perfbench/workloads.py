@@ -1,14 +1,16 @@
 """Seeded inputs for the four workloads.
 
 Each workload is a closed loop with one caller: the next call starts when the
-previous one has returned. The same seed gives the same list of inputs; a run
-walks the list from the start (and wraps around if it reaches the end).
+previous one has returned. The same seed gives the same list of inputs. A run
+makes whole passes over the list, at least one, so every input is attempted
+and the number of inputs that fail is fixed by the seed. Each list is sized
+so that one pass takes at most about half of a 25 s run.
 
-A run makes only a few hundred sweep or scan calls, or a few dozen CLI
-processes, so those workloads draw their parameters from low-discrepancy
-sequences with seeded offsets, and bath kind, channel orientation and sweep
-variable cycle: any stretch of consecutive calls then carries nearly the
-same mix, and the same share of failing inputs, whatever the seed. The
+A list holds only 120 sweep or scan calls, or 25 CLI processes, so those
+workloads draw their parameters from low-discrepancy sequences with seeded
+offsets, and bath kind, channel orientation and sweep variable cycle: the
+list then carries nearly the same mix, and the same share of failing
+inputs, whatever the seed. The
 single-point workload, whose run repeats its whole list many times, and the
 small CLI calls draw pseudo-randomly.
 
@@ -79,6 +81,25 @@ class _Draw:
         return (eps, kap, _KINDS[k % 2], scale * asym, scale / asym)
 
 
+def _grid_sizes(d: _Draw, count: int, period: int) -> list:
+    """Grid sizes log-uniform over 64..16384, stratified rather than drawn.
+
+    Each call gets the middle of one of the five quintiles of the log range
+    (111, 338, 1024, 3104 or 9410 points), each quintile a fifth of the calls,
+    so every seed times the same set of sizes. The latency median and 90th
+    percentile then fall in the middle of the calls of one size (the third
+    and the fifth), and which handful of calls fail, which depends on the
+    seed, does not move them across sizes. The calls k with the same
+    k % ``period`` (same kind, orientation and variable) get every size
+    equally often; the seed only rotates which call of such a class gets
+    which size.
+    """
+    per = count // period
+    shifts = [d.rng.randrange(per) for _ in range(period)]
+    return [int(round(64 * 256 ** ((((k // period + shifts[k % period]) % per) % 5 + 0.5) / 5)))
+            for k in range(count)]
+
+
 def _temperature_grid(d: _Draw) -> tuple[float, float]:
     lo = d.log_uniform(0.005, 0.5)
     return lo, lo * d.log_uniform(4.0, 200.0)
@@ -89,14 +110,16 @@ def _temperature_grid(d: _Draw) -> tuple[float, float]:
 # per-call overhead is amortized over 64..16384 points, so this is where an
 # array kernel shows. Inverted systems at low T reach the ZeroDivisionError
 # in correlations; those calls are counted as failures, not removed. Draws
-# are low-discrepancy so that a run of ~150 calls sees the same mix, and
-# the same failing share, whatever the seed.
+# are low-discrepancy and grid sizes stratified so that a list of 120 calls
+# (ten times the 12-call cycle of variable, kind and orientation, two of each
+# size per class) sees the same mix, and the same failing share, whatever the
+# seed.
 def _sweep(seed: int, count: int) -> list:
     d = _Draw(seed, "sweep", quasi=True)
+    sizes = _grid_sizes(d, count, 12)
     out = []
-    for k in range(count):
-        n = int(round(d.at(k).log_uniform(64, 16384)))
-        q = d.system(k)
+    for k, n in enumerate(sizes):
+        q = d.at(k).system(k)
         var = ("ta", "tr", "dt")[(k // 4) % 3]
         fixed = None
         if var == "dt":
@@ -114,13 +137,13 @@ def _sweep(seed: int, count: int) -> list:
 # transport: rectification_scan over bias grids. It runs baths, model and
 # solver.channel_rates / heat_current but never steady_populations or the
 # correlation measures, so a change confined to correlations must show no
-# change here.
+# change here. Grid sizes are stratified like the sweep's.
 def _transport(seed: int, count: int) -> list:
     d = _Draw(seed, "transport", quasi=True)
+    sizes = _grid_sizes(d, count, 4)
     out = []
-    for k in range(count):
-        n = int(round(d.at(k).log_uniform(64, 16384)))
-        q = d.system(k)
+    for k, n in enumerate(sizes):
+        q = d.at(k).system(k)
         t_avg = d.uniform(0.2, 3.0)
         lo = t_avg * d.log_uniform(1e-3, 0.1)
         hi = t_avg * d.uniform(0.5, 0.99)
@@ -190,15 +213,14 @@ def _point(seed: int, count: int) -> list:
 # every fifth is a bulk sweep or rect with n log-uniform in [5e3, 5e4],
 # dominated by solving and CSV formatting, so p90 measures bulk cost. Every
 # tenth small call repeats an earlier one, to check byte-identical output.
-# A run makes only about fifteen bulk calls, and p90, most of the rows and
-# the peak memory rest on them, so the bulk calls are the same for every
-# seed; the seed draws the small calls. Bulk sizes cycle through the ten
-# deciles of the log-uniform range, a sweep and a rect per decile, in an
-# order whose every even prefix is symmetric about the middle: the median
-# bulk size then does not depend on how many calls a run reaches, and the
-# largest size comes first, so peak memory does not either. The other bulk
-# parameters are low-discrepancy draws with fixed offsets.
-_BULK_DECILES = (9, 0, 4, 5, 3, 6, 2, 7, 1, 8)
+# The list of 25 holds five bulk calls, and p90, most of the rows and the
+# peak memory rest on them, so they are the same for every seed; the seed
+# draws the small calls. The bulk sizes are the midpoints of the five
+# quintiles of the log-uniform range, three sweeps and two rects. Each bulk
+# call is 4% of the calls of a pass, so p90 falls in the middle of the
+# third-slowest one's repeats rather than between two bulk calls. The other
+# bulk parameters are low-discrepancy draws with fixed offsets.
+_BULK_QUINTILES = (4, 1, 0, 3, 2)
 
 
 def _cli(seed: int, count: int) -> list:
@@ -210,8 +232,7 @@ def _cli(seed: int, count: int) -> list:
         if k % 5 == 4:
             m = k // 5
             q = bulk.at(m).system(k)
-            # consecutive bulk calls are a sweep and a rect of the same decile
-            n = int(round(5000 * 10 ** ((_BULK_DECILES[(m // 2) % 10] + 0.5) / 10)))
+            n = int(round(5000 * 10 ** ((_BULK_QUINTILES[m % 5] + 0.5) / 5)))
             if m % 2:
                 t_avg = bulk.uniform(0.2, 3.0)
                 extra = (t_avg, t_avg * bulk.log_uniform(1e-3, 0.1),
@@ -246,8 +267,9 @@ def _cli(seed: int, count: int) -> list:
 
 
 _GENERATORS = {"sweep": _sweep, "transport": _transport, "point": _point, "cli": _cli}
-# more inputs than a run at the seed consumes; a run wraps around if it gets through
-_COUNTS = {"sweep": 4000, "transport": 4000, "point": 4000, "cli": 1000}
+# inputs per list: on a two-core Xeon at the seed one pass takes some 10 to
+# 14 s (point 0.3 s)
+_COUNTS = {"sweep": 120, "transport": 120, "point": 4000, "cli": 25}
 
 
 def generate(workload: str, seed: int) -> list:
