@@ -25,7 +25,7 @@ class BathSpec:
     """One reservoir: statistics ``kind``, coupling ``gamma``, ``temperature``.
 
     gamma is a rate (energy-flat), temperature is in energy units (k_B = 1);
-    both must be nonnegative.
+    both must be nonnegative, and the temperature finite.
     """
 
     kind: BathKind
@@ -35,8 +35,10 @@ class BathSpec:
     def __post_init__(self):
         if not self.gamma >= 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if not self.temperature >= 0.0:
-            raise ValueError(f"temperature must be >= 0, got {self.temperature}")
+        if not 0.0 <= self.temperature < math.inf:
+            raise ValueError(
+                f"temperature must be finite and >= 0, got {self.temperature}"
+            )
 
 
 def occupation(kind: BathKind, omega: float, temperature: float) -> float:
@@ -50,9 +52,9 @@ def occupation(kind: BathKind, omega: float, temperature: float) -> float:
     omega : float
         Transition frequency, strictly positive.
     temperature : float
-        Reservoir temperature, >= 0. At T = 0 the limit value 0 is returned
-        for either kind, and omega/T beyond the floating-point exponent
-        range clamps to the same limit.
+        Reservoir temperature, finite and >= 0. At T = 0 the limit value 0
+        is returned for either kind, and omega/T beyond the floating-point
+        exponent range clamps to the same limit.
 
     Returns
     -------
@@ -61,14 +63,18 @@ def occupation(kind: BathKind, omega: float, temperature: float) -> float:
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
-    if not temperature >= 0.0:
-        raise ValueError(f"temperature must be >= 0, got {temperature}")
+    if not 0.0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
     if temperature == 0.0:
         return 0.0
     x = omega / temperature
     if x > _X_CLAMP:
         return 0.0
     if kind is BathKind.BOSON:
+        if x == 0.0:
+            raise ValueError(
+                f"omega/T underflows to 0 at omega = {omega}, T = {temperature}"
+            )
         return 1.0 / math.expm1(x)
     return 1.0 / (math.exp(x) + 1.0)
 

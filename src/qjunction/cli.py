@@ -106,6 +106,8 @@ def _check_domain(args) -> None:
             raise _ConfigError("--var tr requires --tl")
         if args.var == "dt" and args.ta is None:
             raise _ConfigError("--var dt requires --ta")
+    if getattr(args, "command", None) == "rect" and args.n < 1:
+        raise _ConfigError(f"--n must be at least 1, got {args.n}")
 
 
 class _ConfigError(ValueError):
@@ -116,15 +118,16 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _row_line(args, row) -> str:
-    fields = (
-        [_fmt(row.t_left), _fmt(row.t_right), _fmt(args.gl), _fmt(args.gr),
-         args.bath, _fmt(args.epsilon), _fmt(args.kappa)]
-        + [_fmt(v) for v in (row.p1, row.p2, row.p3, row.p4)]
-        + [_fmt(v) for v in (row.heat_current, row.concurrence, row.discord,
-                             row.mutual_information, row.classical_correlation)]
-    )
-    return ",".join(fields)
+def _row_template(args) -> str:
+    """``str.format`` template of one point row, the echoed flags filled in.
+
+    SweepRow fields are plain floats in CSV column order: T_L and T_R, then
+    the five echoed flags, then the nine results. ``{!r}`` is ``repr``, the
+    shortest round-trip form; the echoed text holds no braces.
+    """
+    echo = ",".join((_fmt(args.gl), _fmt(args.gr), args.bath,
+                     _fmt(args.epsilon), _fmt(args.kappa)))
+    return "{!r},{!r}," + echo + ",{!r}" * 9
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
@@ -142,7 +145,7 @@ def _run(args) -> list[str]:
 
     if args.command == "point":
         row = solve_point(params, kind, args.gl, args.gr, args.tl, args.tr)
-        return [POINT_HEADER, _row_line(args, row)]
+        return [POINT_HEADER, _row_template(args).format(*row)]
 
     if args.command == "sweep":
         spec = SweepSpec(
@@ -150,15 +153,13 @@ def _run(args) -> list[str]:
             variable=_SWEEP_VARIABLES[args.var], lo=args.lo, hi=args.hi,
             count=args.n, t_left=args.tl, t_avg=args.ta,
         )
-        return [POINT_HEADER] + [_row_line(args, row) for row in run_sweep(spec)]
+        template = _row_template(args)
+        return [POINT_HEADER] + [template.format(*row) for row in run_sweep(spec)]
 
     if args.command == "rect":
         grid = np.linspace(args.lo, args.hi, args.n)
         points = rectification_scan(params, kind, args.gl, args.gr, args.ta, grid)
-        return [RECT_HEADER] + [
-            ",".join((_fmt(p.delta_t), _fmt(p.j_forward), _fmt(p.j_reverse)))
-            for p in points
-        ]
+        return [RECT_HEADER] + ["{!r},{!r},{!r}".format(*p) for p in points]
 
     td = sudden_death_temperature(params, kind, args.gl, args.gr)
     return [f"T_death,{_fmt(td)}"]

@@ -7,6 +7,8 @@ forms in the four eigenstate populations. Entropies are in bits, with the
 brute-force counterpart (:func:`wootters_concurrence`,
 :func:`classical_correlation_grid`) computed from the density matrix
 itself, kept deliberately independent of the fast path.
+:func:`correlation_kernel` evaluates the same closed forms over a whole
+grid of rate sets at once.
 
 The measured side of the classical correlation follows the X-state
 prescription: the optimum over projective measurements is taken as the
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import density_matrix_uncoupled
+from .solver import NonUniqueSteadyStateError
 
 
 @dataclass(frozen=True)
@@ -59,15 +62,17 @@ def concurrence(pops) -> float:
 def mutual_information(pops) -> float:
     """Quantum mutual information I = S(A) + S(B) - S(AB), in bits.
 
-    Both marginals are diagonal with eigenvalues (1 +- (P2 - P3))/2, and the
-    joint spectrum is the populations themselves, which gives
+    Both marginals are diagonal with eigenvalues u/2 and v/2, where
+    u = P1 + P4 + 2 P2 and v = P1 + P4 + 2 P3 (that is, 1 +- (P2 - P3)),
+    and the joint spectrum is the populations themselves, which gives
 
-        I = 2 - log2[(1-P2+P3)^(1-P2+P3) (1+P2-P3)^(1+P2-P3)]
-              + sum_n P_n log2 P_n.
+        I = 2 - log2[u^u v^v] + sum_n P_n log2 P_n.
+
+    u and v are formed as sums of populations, never as 1 - P2 + P3, so a
+    side that carries weight never rounds to zero.
     """
     p1, p2, p3, p4 = _four(pops)
-    u = 1.0 + p2 - p3
-    v = 1.0 - p2 + p3
+    u, v = _marginals(p1, p2, p3, p4)
     return (
         2.0
         - _xlog2x(u)
@@ -79,16 +84,20 @@ def mutual_information(pops) -> float:
     )
 
 
-def _marginal_entropy(p2: float, p3: float) -> float:
-    u = 1.0 + p2 - p3
-    v = 1.0 - p2 + p3
+def _marginals(p1, p2, p3, p4):
+    # twice the marginal eigenvalues, (1 + P2 - P3) and (1 - P2 + P3)
+    s14 = p1 + p4
+    return s14 + 2.0 * p2, s14 + 2.0 * p3
+
+
+def _marginal_entropy(p1: float, p2: float, p3: float, p4: float) -> float:
+    u, v = _marginals(p1, p2, p3, p4)
     return 1.0 - 0.5 * (_xlog2x(u) + _xlog2x(v))
 
 
 def _conditional_entropy_z(p1: float, p2: float, p3: float, p4: float) -> float:
     # measurement along z: outcome weights u/2 and v/2, diagonal conditional states
-    u = 1.0 + p2 - p3
-    v = 1.0 - p2 + p3
+    u, v = _marginals(p1, p2, p3, p4)
     half = 0.5 * (p1 + p4)
 
     def term(w: float, num: float, den: float) -> float:
@@ -123,7 +132,7 @@ def classical_correlation(pops) -> float:
     p1, p2, p3, p4 = _four(pops)
     s1 = _conditional_entropy_z(p1, p2, p3, p4)
     s2 = _conditional_entropy_x(k_coefficient(pops))
-    return max(_marginal_entropy(p2, p3) - min(s1, s2), 0.0)
+    return max(_marginal_entropy(p1, p2, p3, p4) - min(s1, s2), 0.0)
 
 
 def discord(pops) -> float:
@@ -148,6 +157,85 @@ def correlation_report(pops) -> CorrelationReport:
         discord=q,
         k_coefficient=k_coefficient(pops),
     )
+
+
+# --------------------------------------------------------------------------
+# array kernel: the closed forms above over a whole grid at once
+
+
+def _xlog2x_arr(x: np.ndarray) -> np.ndarray:
+    return x * np.log2(x, out=np.zeros_like(x), where=x > 0.0)
+
+
+def _conditional_term_arr(w, num, den) -> np.ndarray:
+    # -w log2(num/den) where w > 0, else 0; as the inner term of
+    # _conditional_entropy_z
+    return -w * np.log2(num / den, out=np.zeros_like(w), where=w > 0.0)
+
+
+def correlation_kernel(rates, a_inverted: bool) -> np.ndarray:
+    """Steady-state populations and correlation measures over a grid.
+
+    ``rates`` is the tuple of eight rate arrays returned by
+    ``solver.transport_kernel``; ``a_inverted`` is True when epsilon >
+    kappa. Returns an (8, n) array with rows P1, P2, P3, P4, concurrence,
+    discord, mutual information and classical correlation, each by the
+    closed form that ``solver.steady_populations`` and
+    :func:`correlation_report` use for one point. Raises
+    ``NonUniqueSteadyStateError`` where a channel carries no rates and
+    ``ValueError`` where a value is not finite.
+    """
+    ld_a, lu_a, rd_a, ru_a, ld_b, lu_b, rd_b, ru_b = rates
+    down_a, up_a = ld_a + rd_a, lu_a + ru_a
+    w12, w21 = (up_a, down_a) if a_inverted else (down_a, up_a)
+    w13, w31 = ld_b + rd_b, lu_b + ru_b
+    da, db = w12 + w21, w13 + w31
+    stuck = (da == 0.0) | (db == 0.0)
+    if stuck.any():
+        raise NonUniqueSteadyStateError(
+            f"a channel carries no rates at grid point {int(np.argmax(stuck))}; "
+            "the stationary state is not unique"
+        )
+    out = np.empty((8, da.size))
+    p1, p2, p3, p4, conc, disc, mi, ccl = out
+    with np.errstate(all="ignore"):
+        fa, fb = w12 / da, w13 / db
+        np.multiply(fa, fb, out=p1)
+        np.multiply(1.0 - fa, fb, out=p2)
+        np.multiply(fa, 1.0 - fb, out=p3)
+        np.multiply(1.0 - fa, 1.0 - fb, out=p4)
+
+        root = np.sqrt(p2 * p3)
+        top = np.maximum(np.maximum(p1, p4), root)
+        np.maximum(2.0 * top - p1 - p4 - 2.0 * root, 0.0, out=conc)
+
+        u, v = _marginals(p1, p2, p3, p4)
+        xu, xv = _xlog2x_arr(u), _xlog2x_arr(v)
+        mi[:] = (
+            2.0 - xu - xv
+            + _xlog2x_arr(p1) + _xlog2x_arr(p2) + _xlog2x_arr(p3) + _xlog2x_arr(p4)
+        )
+
+        s14 = p1 + p4
+        half = 0.5 * s14
+        s_z = (
+            _conditional_term_arr(p2, 2.0 * p2, u)
+            + _conditional_term_arr(half, s14, u)
+            + _conditional_term_arr(half, s14, v)
+            + _conditional_term_arr(p3, 2.0 * p3, v)
+        )
+        k = np.hypot(p2 - p3, p1 - p4)
+        s_x = 1.0 - 0.5 * (_xlog2x_arr(1.0 - k) + _xlog2x_arr(1.0 + k))
+        marginal = 1.0 - 0.5 * (xu + xv)
+        np.maximum(marginal - np.minimum(s_z, s_x), 0.0, out=ccl)
+
+        np.subtract(mi, ccl, out=disc)
+        disc[(disc < 0.0) & (disc > -1e-12)] = 0.0
+    bad = ~np.isfinite(out).all(axis=0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"populations or correlations not finite at grid point {i}")
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -183,13 +271,6 @@ def concurrence_brute_force(pops) -> float:
     return wootters_concurrence(density_matrix_uncoupled(pops))
 
 
-def _xlog2x_arr(x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    mask = x > 0.0
-    out[mask] = x[mask] * np.log2(x[mask])
-    return out
-
-
 def classical_correlation_grid(pops, n_theta: int = 200, n_phi: int = 200) -> float:
     """Classical correlation by grid search over projective measurements.
 
@@ -219,4 +300,4 @@ def classical_correlation_grid(pops, n_theta: int = 200, n_phi: int = 200) -> fl
         lam_hi = np.clip(0.5 * (weight + radius), 0.0, None)
         lam_lo = np.clip(0.5 * (weight - radius), 0.0, None)
         cond += _xlog2x_arr(weight) - _xlog2x_arr(lam_hi) - _xlog2x_arr(lam_lo)
-    return _marginal_entropy(p2, p3) - float(cond.min())
+    return _marginal_entropy(p1, p2, p3, p4) - float(cond.min())

@@ -1,15 +1,26 @@
 """Parameter-sweep drivers: equilibrium scans, bias sweeps, rectification,
-and the entanglement sudden-death threshold."""
+and the entanglement sudden-death threshold.
+
+A single point (:func:`solve_point`, and each probe of
+:func:`sudden_death_temperature`) takes the scalar path through
+``channel_rates``, ``steady_populations``, ``heat_current`` and
+``correlation_report``. A grid (:func:`run_sweep`,
+:func:`rectification_scan`) is solved in one array pass by
+``solver.transport_kernel`` and ``correlations.correlation_kernel``, which
+compute the same closed forms.
+"""
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .baths import BathKind, BathSpec
-from .correlations import concurrence, correlation_report
+from .correlations import concurrence, correlation_kernel, correlation_report
 from .model import DegeneratePhysicsError, SystemParams
-from .solver import channel_rates, heat_current, steady_populations
+from .solver import channel_rates, heat_current, steady_populations, transport_kernel
 
 #: points in the coarse scan that brackets the sudden-death bisection
 _SCAN_POINTS = 64
@@ -26,8 +37,9 @@ class SweepSpec:
     """One sweep: system, reservoir kind and couplings, grid definition.
 
     ``t_left`` fixes T_L for T_RIGHT sweeps; ``t_avg`` fixes T_a for DELTA_T
-    sweeps. Grids are uniform and closed at both ends; DELTA_T grids must
-    stay strictly inside (-T_a, T_a) so both temperatures remain positive.
+    sweeps. Grids are uniform and closed at both ends, and every temperature
+    must be finite; DELTA_T grids must stay strictly inside (-T_a, T_a) so
+    both temperatures remain positive.
     """
 
     params: SystemParams
@@ -42,23 +54,25 @@ class SweepSpec:
     t_avg: float | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.lo) or not math.isfinite(self.hi):
+            raise ValueError(f"grid ends must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.count < 2:
             raise ValueError(f"need at least 2 grid points, got {self.count}")
-        if self.gamma_left < 0.0 or self.gamma_right < 0.0:
+        if not (self.gamma_left >= 0.0 and self.gamma_right >= 0.0):
             raise ValueError("couplings must be nonnegative")
         if self.variable is SweepVariable.DELTA_T:
-            if self.t_avg is None or self.t_avg <= 0.0:
-                raise ValueError("DELTA_T sweeps need a positive t_avg")
+            if self.t_avg is None or not 0.0 < self.t_avg < math.inf:
+                raise ValueError("DELTA_T sweeps need a positive, finite t_avg")
             if self.lo <= -self.t_avg or self.hi >= self.t_avg:
                 raise ValueError(
                     f"bias grid [{self.lo}, {self.hi}] leaves (-T_a, T_a) "
                     f"for T_a = {self.t_avg}"
                 )
         elif self.variable is SweepVariable.T_RIGHT:
-            if self.t_left is None or self.t_left < 0.0:
-                raise ValueError("T_RIGHT sweeps need a nonnegative t_left")
+            if self.t_left is None or not 0.0 <= self.t_left < math.inf:
+                raise ValueError("T_RIGHT sweeps need a nonnegative, finite t_left")
             if self.lo < 0.0:
                 raise ValueError("temperatures must be nonnegative")
         else:
@@ -66,8 +80,7 @@ class SweepSpec:
                 raise ValueError("temperatures must be nonnegative")
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One sweep point: temperatures, populations, current, correlations."""
 
     t_left: float
@@ -83,8 +96,7 @@ class SweepRow:
     classical_correlation: float
 
 
-@dataclass(frozen=True)
-class RectificationPoint:
+class RectificationPoint(NamedTuple):
     """Currents under a bias and its reversal at the same mean temperature."""
 
     delta_t: float
@@ -100,13 +112,22 @@ def solve_point(
     t_left: float,
     t_right: float,
 ) -> SweepRow:
-    """Full steady-state solution for a single pair of bath temperatures."""
+    """Full steady-state solution for a single pair of bath temperatures.
+
+    Raises ``ValueError`` when the rates overflow, so that the populations
+    or the heat current would not be finite.
+    """
     rates = channel_rates(
         params,
         BathSpec(kind, gamma_left, t_left),
         BathSpec(kind, gamma_right, t_right),
     )
     pops = steady_populations(rates)
+    current = heat_current(params, rates)
+    if not math.isfinite(current):
+        raise ValueError(
+            f"heat current is not finite at T_L = {t_left}, T_R = {t_right}"
+        )
     rep = correlation_report(pops)
     return SweepRow(
         t_left=float(t_left),
@@ -115,7 +136,7 @@ def solve_point(
         p2=pops.p2,
         p3=pops.p3,
         p4=pops.p4,
-        heat_current=heat_current(params, rates),
+        heat_current=current,
         concurrence=rep.concurrence,
         discord=rep.discord,
         mutual_information=rep.mutual_information,
@@ -123,40 +144,26 @@ def solve_point(
     )
 
 
-def _temperatures(spec: SweepSpec, value: float) -> tuple[float, float]:
-    if spec.variable is SweepVariable.T_COMMON:
-        return value, value
-    if spec.variable is SweepVariable.T_RIGHT:
-        return spec.t_left, value
-    return spec.t_avg + value, spec.t_avg - value
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the sweep grid in ascending order of the sweep variable."""
-    rows = []
-    for value in np.linspace(spec.lo, spec.hi, spec.count):
-        t_left, t_right = _temperatures(spec, float(value))
-        try:
-            rows.append(
-                solve_point(
-                    spec.params, spec.kind, spec.gamma_left, spec.gamma_right,
-                    t_left, t_right,
-                )
-            )
-        except DegeneratePhysicsError as exc:
-            raise DegeneratePhysicsError(
-                f"sweep aborted at {spec.variable.value} = {value}: {exc}"
-            ) from exc
-    return rows
-
-
-def _current_at(params, kind, gamma_left, gamma_right, t_left, t_right) -> float:
-    rates = channel_rates(
-        params,
-        BathSpec(kind, gamma_left, t_left),
-        BathSpec(kind, gamma_right, t_right),
-    )
-    return heat_current(params, rates)
+    values = np.linspace(spec.lo, spec.hi, spec.count)
+    if spec.variable is SweepVariable.T_COMMON:
+        t_left = t_right = values
+    elif spec.variable is SweepVariable.T_RIGHT:
+        t_left, t_right = np.full(spec.count, float(spec.t_left)), values
+    else:
+        t_left, t_right = spec.t_avg + values, spec.t_avg - values
+    try:
+        rates, j = transport_kernel(
+            spec.params, spec.kind, spec.gamma_left, spec.gamma_right, t_left, t_right
+        )
+        state = correlation_kernel(rates, spec.params.epsilon > spec.params.kappa)
+    except DegeneratePhysicsError as exc:
+        raise DegeneratePhysicsError(
+            f"sweep aborted on the {spec.variable.value} grid: {exc}"
+        ) from exc
+    columns = np.vstack((t_left, t_right, state[:4], j, state[4:]))
+    return list(map(SweepRow._make, zip(*columns.tolist())))
 
 
 def rectification_scan(
@@ -172,25 +179,23 @@ def rectification_scan(
     The junction rectifies when |j_reverse| differs from |j_forward|; with
     equal couplings the two magnitudes coincide identically.
     """
-    if t_avg <= 0.0:
-        raise ValueError(f"t_avg must be positive, got {t_avg}")
-    points = []
-    for dt in delta_ts:
-        dt = float(dt)
-        if not 0.0 < dt < t_avg:
-            raise ValueError(f"bias {dt} outside (0, {t_avg})")
-        points.append(
-            RectificationPoint(
-                delta_t=dt,
-                j_forward=_current_at(
-                    params, kind, gamma_left, gamma_right, t_avg + dt, t_avg - dt
-                ),
-                j_reverse=_current_at(
-                    params, kind, gamma_left, gamma_right, t_avg - dt, t_avg + dt
-                ),
-            )
-        )
-    return points
+    if not 0.0 < t_avg < math.inf:
+        raise ValueError(f"t_avg must be positive and finite, got {t_avg}")
+    if not (gamma_left >= 0.0 and gamma_right >= 0.0):
+        raise ValueError("couplings must be nonnegative")
+    dts = np.asarray(delta_ts, dtype=float)
+    outside = ~((dts > 0.0) & (dts < t_avg))
+    if outside.any():
+        raise ValueError(f"bias {float(dts[np.argmax(outside)])} outside (0, {t_avg})")
+    # forward biases (hot left) first, then the same biases reversed
+    hot, cold = t_avg + dts, t_avg - dts
+    _, j = transport_kernel(
+        params, kind, gamma_left, gamma_right,
+        np.concatenate((hot, cold)), np.concatenate((cold, hot)),
+    )
+    n = dts.size
+    columns = zip(dts.tolist(), j[:n].tolist(), j[n:].tolist())
+    return list(map(RectificationPoint._make, columns))
 
 
 def _equilibrium_concurrence(params, kind, gamma_left, gamma_right, t) -> float:

@@ -14,13 +14,17 @@ weights). The steady-state heat current out of the left reservoir is the
 second-order two-channel expression implemented in :func:`heat_current`;
 the variant written in terms of bath-system coherences has no closed
 evaluation route here and is not provided.
+
+:func:`transport_kernel` is the array form of :func:`channel_rates` plus
+:func:`heat_current` over whole temperature grids; the scalar functions
+remain the reference it is tested against.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import BathSpec, rate_pair
+from .baths import _X_CLAMP, BathKind, BathSpec, rate_pair
 from .model import DegeneratePhysicsError, SystemParams, eigensystem
 
 
@@ -91,9 +95,10 @@ class Populations:
 
     def __post_init__(self):
         vals = (self.p1, self.p2, self.p3, self.p4)
-        if any(p < -1e-9 or p > 1.0 + 1e-9 for p in vals):
+        # written so that NaN fails both tests
+        if not all(-1e-9 <= p <= 1.0 + 1e-9 for p in vals):
             raise ValueError(f"populations outside [0, 1]: {vals}")
-        if abs(sum(vals) - 1.0) > 1e-9:
+        if not abs(sum(vals) - 1.0) <= 1e-9:
             raise ValueError(f"populations do not sum to 1: {vals}")
 
     def __iter__(self):
@@ -209,3 +214,64 @@ def heat_current(params: SystemParams, rates: RateSet) -> float:
             / (2.0 * denom)
         )
     return total
+
+
+def _rate_arrays(kind: BathKind, gamma: float, omega: float, t: np.ndarray):
+    # rate_pair over an array of temperatures, with the same limits: T = 0
+    # gives omega/T = inf, which takes the clamp branch (n = 0, down = gamma)
+    if gamma == 0.0:
+        zero = np.zeros_like(t)
+        return zero, zero
+    x = omega / t
+    cold = x > _X_CLAMP
+    if kind is BathKind.BOSON:
+        n = 1.0 / np.expm1(x)
+        n[cold] = 0.0
+        return gamma * (n + 1.0), gamma * n
+    n = 1.0 / (np.exp(x) + 1.0)
+    n[cold] = 0.0
+    return gamma / (np.exp(-x) + 1.0), gamma * n
+
+
+def _channel_current(omega: float, ld, lu, rd, ru) -> np.ndarray:
+    # one channel's term of heat_current; a channel with no rates gives 0
+    denom = lu + rd + ld + ru
+    j = omega * (lu * rd - ld * ru) / (2.0 * denom)
+    j[denom == 0.0] = 0.0
+    return j
+
+
+def transport_kernel(
+    params: SystemParams,
+    kind: BathKind,
+    gamma_left: float,
+    gamma_right: float,
+    t_left: np.ndarray,
+    t_right: np.ndarray,
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Rates and heat current over a grid of temperature pairs.
+
+    ``t_left`` and ``t_right`` are equal-length float arrays of validated
+    temperatures (finite, >= 0). Returns ``(rates, j_left)``: ``rates`` is
+    a tuple of eight arrays, the :class:`ChannelRates` fields (left_down,
+    left_up, right_down, right_up) of channel a, then of channel b, and
+    ``j_left`` is :func:`heat_current` at each point. Raises ``ValueError``
+    where the current is not finite.
+    """
+    es = eigensystem(params)
+    rates = ()
+    j = np.zeros(t_left.size)
+    with np.errstate(all="ignore"):
+        for omega in (abs(es.omega21), es.omega31):
+            ld, lu = _rate_arrays(kind, gamma_left, omega, t_left)
+            rd, ru = _rate_arrays(kind, gamma_right, omega, t_right)
+            rates += (ld, lu, rd, ru)
+            j += _channel_current(omega, ld, lu, rd, ru)
+    bad = ~np.isfinite(j)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"heat current is not finite at T_L = {float(t_left[i])}, "
+            f"T_R = {float(t_right[i])}"
+        )
+    return rates, j

@@ -147,6 +147,25 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("point", "--tl", "inf", "--tr", "0.5"),
+        ("point", "--tl", "1e308", "--tr", "0.5", "--gl", "1e200"),
+        ("point", "--tl", "1.5", "--tr", "0.5", "--gl", "1e300", "--gr", "1e300"),
+        ("sweep", "--var", "ta", "--lo", "0.1", "--hi", "inf", "--n", "5"),
+        ("rect", "--ta", "1.0", "--lo", "0.1", "--hi", "0.9", "--n", "5",
+         "--gl", "1e300", "--gr", "1e300"),
+    ])
+    def test_non_finite_values_exit_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == "" and err.startswith("qjunction: ")
+
+    def test_empty_rect_grid_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "rect", "--ta", "1.0", "--lo", "0.1",
+                                 "--hi", "0.9", "--n", "0")
+        assert code == 2 and out == ""
+        assert "--n" in err
+
 
 class TestLimitPoints:
     def test_zero_temperature_point(self, capsys):
