@@ -40,12 +40,82 @@ class CorrelationReport:
 
 
 def _four(pops) -> tuple[float, float, float, float]:
-    p1, p2, p3, p4 = (float(x) for x in pops)
+    p1, p2, p3, p4 = map(float, pops)
     return p1, p2, p3, p4
 
 
 def _xlog2x(x: float) -> float:
     return x * math.log2(x) if x > 0.0 else 0.0
+
+
+# Each closed form is written once, on plain floats, for the public functions
+# and correlation_report alike; ``m`` is (u, v, u log2 u, v log2 v), the
+# marginal terms they share.
+
+
+def _marginals(p1, p2, p3, p4):
+    # twice the marginal eigenvalues, (1 + P2 - P3) and (1 - P2 + P3)
+    s14 = p1 + p4
+    return s14 + 2.0 * p2, s14 + 2.0 * p3
+
+
+def _marginal_terms(p1: float, p2: float, p3: float, p4: float):
+    u, v = _marginals(p1, p2, p3, p4)
+    return u, v, _xlog2x(u), _xlog2x(v)
+
+
+def _concurrence(p1: float, p2: float, p3: float, p4: float) -> float:
+    root = math.sqrt(p2 * p3)
+    return max(2.0 * max(p1, p4, root) - p1 - p4 - 2.0 * root, 0.0)
+
+
+def _k(p1: float, p2: float, p3: float, p4: float) -> float:
+    return math.hypot(p2 - p3, p1 - p4)
+
+
+def _mutual_information(p1: float, p2: float, p3: float, p4: float, m) -> float:
+    _, _, xu, xv = m
+    return (
+        2.0
+        - xu
+        - xv
+        + _xlog2x(p1)
+        + _xlog2x(p2)
+        + _xlog2x(p3)
+        + _xlog2x(p4)
+    )
+
+
+def _marginal_entropy(m) -> float:
+    _, _, xu, xv = m
+    return 1.0 - 0.5 * (xu + xv)
+
+
+def _conditional_term(w: float, num: float, den: float) -> float:
+    return -w * math.log2(num / den) if w > 0.0 else 0.0
+
+
+def _conditional_entropy_z(p1: float, p2: float, p3: float, p4: float, m) -> float:
+    # measurement along z: outcome weights u/2 and v/2, diagonal conditional states
+    u, v, _, _ = m
+    half = 0.5 * (p1 + p4)
+    return (
+        _conditional_term(p2, 2.0 * p2, u)
+        + _conditional_term(half, p1 + p4, u)
+        + _conditional_term(half, p1 + p4, v)
+        + _conditional_term(p3, 2.0 * p3, v)
+    )
+
+
+def _conditional_entropy_x(k: float) -> float:
+    # equatorial measurement: both outcomes yield spectrum (1 +- K)/2
+    return 1.0 - 0.5 * (_xlog2x(1.0 - k) + _xlog2x(1.0 + k))
+
+
+def _classical_correlation(p1: float, p2: float, p3: float, p4: float, m, k) -> float:
+    s_z = _conditional_entropy_z(p1, p2, p3, p4, m)
+    s_x = _conditional_entropy_x(k)
+    return max(_marginal_entropy(m) - min(s_z, s_x), 0.0)
 
 
 def concurrence(pops) -> float:
@@ -54,9 +124,7 @@ def concurrence(pops) -> float:
     C = max(2 P_max - P1 - P4 - 2 sqrt(P2 P3), 0) with
     P_max = max(P1, P4, sqrt(P2 P3)); zero exactly for separable states.
     """
-    p1, p2, p3, p4 = _four(pops)
-    root = math.sqrt(p2 * p3)
-    return max(2.0 * max(p1, p4, root) - p1 - p4 - 2.0 * root, 0.0)
+    return _concurrence(*_four(pops))
 
 
 def mutual_information(pops) -> float:
@@ -71,55 +139,13 @@ def mutual_information(pops) -> float:
     u and v are formed as sums of populations, never as 1 - P2 + P3, so a
     side that carries weight never rounds to zero.
     """
-    p1, p2, p3, p4 = _four(pops)
-    u, v = _marginals(p1, p2, p3, p4)
-    return (
-        2.0
-        - _xlog2x(u)
-        - _xlog2x(v)
-        + _xlog2x(p1)
-        + _xlog2x(p2)
-        + _xlog2x(p3)
-        + _xlog2x(p4)
-    )
-
-
-def _marginals(p1, p2, p3, p4):
-    # twice the marginal eigenvalues, (1 + P2 - P3) and (1 - P2 + P3)
-    s14 = p1 + p4
-    return s14 + 2.0 * p2, s14 + 2.0 * p3
-
-
-def _marginal_entropy(p1: float, p2: float, p3: float, p4: float) -> float:
-    u, v = _marginals(p1, p2, p3, p4)
-    return 1.0 - 0.5 * (_xlog2x(u) + _xlog2x(v))
-
-
-def _conditional_entropy_z(p1: float, p2: float, p3: float, p4: float) -> float:
-    # measurement along z: outcome weights u/2 and v/2, diagonal conditional states
-    u, v = _marginals(p1, p2, p3, p4)
-    half = 0.5 * (p1 + p4)
-
-    def term(w: float, num: float, den: float) -> float:
-        return -w * math.log2(num / den) if w > 0.0 else 0.0
-
-    return (
-        term(p2, 2.0 * p2, u)
-        + term(half, p1 + p4, u)
-        + term(half, p1 + p4, v)
-        + term(p3, 2.0 * p3, v)
-    )
+    p = _four(pops)
+    return _mutual_information(*p, _marginal_terms(*p))
 
 
 def k_coefficient(pops) -> float:
     """K = sqrt((P2 - P3)^2 + (P1 - P4)^2), in [0, 1]."""
-    p1, p2, p3, p4 = _four(pops)
-    return math.hypot(p2 - p3, p1 - p4)
-
-
-def _conditional_entropy_x(k: float) -> float:
-    # equatorial measurement: both outcomes yield spectrum (1 +- K)/2
-    return 1.0 - 0.5 * (_xlog2x(1.0 - k) + _xlog2x(1.0 + k))
+    return _k(*_four(pops))
 
 
 def classical_correlation(pops) -> float:
@@ -129,33 +155,31 @@ def classical_correlation(pops) -> float:
     projective measurements, the two candidates that are optimal for this
     state family.
     """
-    p1, p2, p3, p4 = _four(pops)
-    s1 = _conditional_entropy_z(p1, p2, p3, p4)
-    s2 = _conditional_entropy_x(k_coefficient(pops))
-    return max(_marginal_entropy(p1, p2, p3, p4) - min(s1, s2), 0.0)
+    p = _four(pops)
+    return _classical_correlation(*p, _marginal_terms(*p), _k(*p))
 
 
 def discord(pops) -> float:
     """Quantum discord Q = I - C_cl, clamped at zero within rounding noise."""
-    q = mutual_information(pops) - classical_correlation(pops)
-    if q < 0.0 and q > -1e-12:
-        return 0.0
-    return q
+    return correlation_report(pops).discord
 
 
 def correlation_report(pops) -> CorrelationReport:
     """Bundle all four correlation measures for one population vector."""
-    i = mutual_information(pops)
-    c_cl = classical_correlation(pops)
+    p = _four(pops)
+    m = _marginal_terms(*p)
+    k = _k(*p)
+    i = _mutual_information(*p, m)
+    c_cl = _classical_correlation(*p, m, k)
     q = i - c_cl
     if q < 0.0 and q > -1e-12:
         q = 0.0
     return CorrelationReport(
-        concurrence=concurrence(pops),
+        concurrence=_concurrence(*p),
         mutual_information=i,
         classical_correlation=c_cl,
         discord=q,
-        k_coefficient=k_coefficient(pops),
+        k_coefficient=k,
     )
 
 
@@ -300,4 +324,4 @@ def classical_correlation_grid(pops, n_theta: int = 200, n_phi: int = 200) -> fl
         lam_hi = np.clip(0.5 * (weight + radius), 0.0, None)
         lam_lo = np.clip(0.5 * (weight - radius), 0.0, None)
         cond += _xlog2x_arr(weight) - _xlog2x_arr(lam_hi) - _xlog2x_arr(lam_lo)
-    return _marginal_entropy(p1, p2, p3, p4) - float(cond.min())
+    return _marginal_entropy(_marginal_terms(p1, p2, p3, p4)) - float(cond.min())

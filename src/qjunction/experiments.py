@@ -1,13 +1,13 @@
 """Parameter-sweep drivers: equilibrium scans, bias sweeps, rectification,
 and the entanglement sudden-death threshold.
 
-A single point (:func:`solve_point`, and each probe of
-:func:`sudden_death_temperature`) takes the scalar path through
+A single point (:func:`solve_point`) takes the scalar path through
 ``channel_rates``, ``steady_populations``, ``heat_current`` and
 ``correlation_report``. A grid (:func:`run_sweep`,
 :func:`rectification_scan`) is solved in one array pass by
 ``solver.transport_kernel`` and ``correlations.correlation_kernel``, which
-compute the same closed forms.
+compute the same closed forms. The sudden-death threshold is a closed form
+of its own, valid at any equilibrium.
 """
 
 import enum
@@ -18,12 +18,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .baths import BathKind, BathSpec
-from .correlations import concurrence, correlation_kernel, correlation_report
+from .correlations import correlation_kernel, correlation_report
 from .model import DegeneratePhysicsError, SystemParams
-from .solver import channel_rates, heat_current, steady_populations, transport_kernel
-
-#: points in the coarse scan that brackets the sudden-death bisection
-_SCAN_POINTS = 64
+from .solver import (
+    NonUniqueSteadyStateError,
+    channel_rates,
+    heat_current,
+    steady_populations,
+    transport_kernel,
+)
 
 
 class SweepVariable(enum.Enum):
@@ -198,56 +201,35 @@ def rectification_scan(
     return list(map(RectificationPoint._make, columns))
 
 
-def _equilibrium_concurrence(params, kind, gamma_left, gamma_right, t) -> float:
-    rates = channel_rates(
-        params,
-        BathSpec(kind, gamma_left, t),
-        BathSpec(kind, gamma_right, t),
-    )
-    return concurrence(steady_populations(rates))
-
-
 def sudden_death_temperature(
     params: SystemParams,
     kind: BathKind,
     gamma_left: float = 1.0,
     gamma_right: float = 1.0,
-    t_min: float | None = None,
-    t_max: float | None = None,
-    tol: float = 1e-6,
 ) -> float:
-    """Smallest equilibrium temperature at which the concurrence vanishes.
+    """Equilibrium temperature at which the concurrence vanishes.
 
-    A coarse scan brackets the single zero crossing of C(T), then bisection
-    on the predicate C(T) > 0 narrows the bracket to ``tol``. The default
-    probe window scales with the coupling, [kappa/50, 4 kappa]. Raises if
-    the concurrence is already zero at the lowest probe temperature.
+    At T_L = T_R = T the steady state is the Gibbs state for either bath
+    kind and any couplings, so sqrt(P2 P3) = 1/Z, P1 is the largest of P1,
+    P4 and sqrt(P2 P3), and C = 2 (sinh(kappa/T) - 1) / Z. That is zero
+    exactly at
+
+        T_d = kappa / asinh(1) = kappa / ln(1 + sqrt(2)),
+
+    whatever epsilon, the bath kind and the couplings are. The couplings
+    only decide whether the equilibrium exists: they must be
+    nonnegative and finite (``ValueError``), and with both zero no channel
+    carries rates, so the stationary state is not unique and
+    ``NonUniqueSteadyStateError`` is raised (CLI exit 3), as solving the
+    equilibrium itself would. Raises ``ValueError`` when T_d overflows.
     """
-    lo = params.kappa / 50.0 if t_min is None else t_min
-    hi = 4.0 * params.kappa if t_max is None else t_max
-    if not 0.0 < lo < hi:
-        raise ValueError(f"bad probe window [{lo}, {hi}]")
-
-    def alive(t: float) -> bool:
-        return _equilibrium_concurrence(params, kind, gamma_left, gamma_right, t) > 0.0
-
-    grid = np.linspace(lo, hi, _SCAN_POINTS)
-    if not alive(grid[0]):
-        raise ValueError(
-            f"concurrence already zero at the lowest probe temperature {lo}"
+    if not (0.0 <= gamma_left < math.inf and 0.0 <= gamma_right < math.inf):
+        raise ValueError("couplings must be nonnegative and finite")
+    if gamma_left == 0.0 and gamma_right == 0.0:
+        raise NonUniqueSteadyStateError(
+            "no channel carries rates; the equilibrium state is not unique"
         )
-    bracket = None
-    for t_prev, t_next in zip(grid[:-1], grid[1:]):
-        if not alive(t_next):
-            bracket = (float(t_prev), float(t_next))
-            break
-    if bracket is None:
-        raise ValueError(f"concurrence still positive at the probe ceiling {hi}")
-    lower, upper = bracket
-    while upper - lower > tol:
-        mid = 0.5 * (lower + upper)
-        if alive(mid):
-            lower = mid
-        else:
-            upper = mid
-    return 0.5 * (lower + upper)
+    t_death = params.kappa / math.asinh(1.0)
+    if t_death == math.inf:
+        raise ValueError(f"sudden-death temperature overflows at kappa = {params.kappa}")
+    return t_death

@@ -21,6 +21,7 @@ the left versus +|1><2| on the right, but only the modulus squared enters
 the transition rates). The pairs 1<->4 and 2<->3 are never connected.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,18 +35,19 @@ class DegeneratePhysicsError(ValueError):
 class SystemParams:
     """Junction parameters: qubit splitting ``epsilon`` and XY coupling ``kappa``.
 
-    Both must be positive, and distinct: at epsilon == kappa the 1<->2 gap
-    closes and a boson reservoir's occupation of that channel diverges.
+    Both must be positive and finite, and distinct: at epsilon == kappa the
+    1<->2 gap closes and a boson reservoir's occupation of that channel
+    diverges.
     """
 
     epsilon: float
     kappa: float
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if not self.kappa > 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        if not 0.0 < self.kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
         if self.epsilon == self.kappa:
             raise DegeneratePhysicsError(
                 f"degenerate spectrum: epsilon == kappa == {self.kappa}"

@@ -20,6 +20,7 @@ evaluation route here and is not provided.
 remain the reference it is tested against.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,6 +112,42 @@ class Populations:
         return np.array(tuple(self))
 
 
+# A channel's rates are summed, doubled and multiplied in pairs. Where their
+# sum passes 2**_TOP_EXPONENT (only at temperatures or couplings near the
+# float ceiling) they are first divided by the least power of two that brings
+# the largest, a down rate, below it, so that the sum of all four, doubled,
+# stays finite. A power of two divides exactly in binary: ratios of rates,
+# hence the populations, are unchanged, and the heat current is multiplied
+# back by the same power. Inputs below the ceiling take no rescaling at all.
+_TOP_EXPONENT = 1020
+_RATE_CEILING = 2.0 ** _TOP_EXPONENT
+
+
+def _rescaled(ld: float, lu: float, rd: float, ru: float):
+    # (ld, lu, rd, ru) over that power of two, and the power
+    scale = 2.0 ** max(math.frexp(max(ld, rd))[1] - _TOP_EXPONENT, 0)
+    return ld / scale, lu / scale, rd / scale, ru / scale, scale
+
+
+def _summed(ch: ChannelRates) -> tuple[float, float, float]:
+    # the channel's down and up rates summed over both baths, and their total,
+    # rescaled if need be
+    down = ch.left_down + ch.right_down
+    up = ch.left_up + ch.right_up
+    total = down + up
+    if total > _RATE_CEILING:
+        ld, lu, rd, ru, _ = _rescaled(ch.left_down, ch.left_up, ch.right_down, ch.right_up)
+        down, up = ld + rd, lu + ru
+        total = down + up
+    return down, up, total
+
+
+def _rescaled_arrays(ld, lu, rd, ru):
+    # _rescaled elementwise, for the grid kernel
+    scale = np.ldexp(1.0, np.maximum(np.frexp(np.maximum(ld, rd))[1] - _TOP_EXPONENT, 0))
+    return ld / scale, lu / scale, rd / scale, ru / scale, scale
+
+
 def channel_rates(params: SystemParams, left: BathSpec, right: BathSpec) -> RateSet:
     """Assemble both channels' rates from the two reservoir specifications.
 
@@ -132,14 +169,15 @@ def channel_rates(params: SystemParams, left: BathSpec, right: BathSpec) -> Rate
 
 def steady_populations(rates: RateSet) -> Populations:
     """Closed-form stationary populations; normalized by construction."""
-    da = rates.w12 + rates.w21
-    db = rates.w13 + rates.w31
+    down_a, up_a, da = _summed(rates.a)
+    w12, w21 = (up_a, down_a) if rates.a_inverted else (down_a, up_a)
+    w13, w31, db = _summed(rates.b)
     if da == 0.0 or db == 0.0:
         raise NonUniqueSteadyStateError(
             "a channel carries no rates; the stationary state is not unique"
         )
-    fa = rates.w12 / da  # weight of the channel-a side containing state 1
-    fb = rates.w13 / db  # weight of the channel-b side containing state 1
+    fa = w12 / da  # weight of the channel-a side containing state 1
+    fb = w13 / db  # weight of the channel-b side containing state 1
     return Populations(
         p1=fa * fb,
         p2=(1.0 - fa) * fb,
@@ -205,14 +243,14 @@ def heat_current(params: SystemParams, rates: RateSet) -> float:
     gaps = (abs(params.kappa - params.epsilon), params.kappa + params.epsilon)
     total = 0.0
     for omega, ch in zip(gaps, (rates.a, rates.b)):
-        denom = ch.left_up + ch.right_down + ch.left_down + ch.right_up
+        ld, lu, rd, ru, scale = ch.left_down, ch.left_up, ch.right_down, ch.right_up, 1.0
+        denom = lu + rd + ld + ru
+        if denom > _RATE_CEILING:
+            ld, lu, rd, ru, scale = _rescaled(ld, lu, rd, ru)
+            denom = lu + rd + ld + ru
         if denom == 0.0:
             continue
-        total += (
-            omega
-            * (ch.left_up * ch.right_down - ch.left_down * ch.right_up)
-            / (2.0 * denom)
-        )
+        total += omega * (lu * rd - ld * ru) / (2.0 * denom) * scale
     return total
 
 
@@ -233,12 +271,20 @@ def _rate_arrays(kind: BathKind, gamma: float, omega: float, t: np.ndarray):
     return gamma / (np.exp(-x) + 1.0), gamma * n
 
 
-def _channel_current(omega: float, ld, lu, rd, ru) -> np.ndarray:
-    # one channel's term of heat_current; a channel with no rates gives 0
+def _channel_current(omega: float, ld, lu, rd, ru):
+    # one channel's term of heat_current, and its rates as the kernel passes
+    # them on: rescaled where they pass the ceiling; a channel with no rates
+    # gives 0
     denom = lu + rd + ld + ru
+    scale = None
+    if denom.max(initial=0.0) > _RATE_CEILING:
+        ld, lu, rd, ru, scale = _rescaled_arrays(ld, lu, rd, ru)
+        denom = lu + rd + ld + ru
     j = omega * (lu * rd - ld * ru) / (2.0 * denom)
+    if scale is not None:
+        j *= scale
     j[denom == 0.0] = 0.0
-    return j
+    return (ld, lu, rd, ru), j
 
 
 def transport_kernel(
@@ -255,7 +301,10 @@ def transport_kernel(
     temperatures (finite, >= 0). Returns ``(rates, j_left)``: ``rates`` is
     a tuple of eight arrays, the :class:`ChannelRates` fields (left_down,
     left_up, right_down, right_up) of channel a, then of channel b, and
-    ``j_left`` is :func:`heat_current` at each point. Raises ``ValueError``
+    ``j_left`` is :func:`heat_current` at each point. Where a channel's
+    rates sum past 2**1020 they are returned divided by the power of two
+    that :func:`heat_current` divides them by, which leaves every ratio
+    of rates, and so the populations, exact. Raises ``ValueError``
     where the current is not finite.
     """
     es = eigensystem(params)
@@ -265,8 +314,9 @@ def transport_kernel(
         for omega in (abs(es.omega21), es.omega31):
             ld, lu = _rate_arrays(kind, gamma_left, omega, t_left)
             rd, ru = _rate_arrays(kind, gamma_right, omega, t_right)
-            rates += (ld, lu, rd, ru)
-            j += _channel_current(omega, ld, lu, rd, ru)
+            channel, j_channel = _channel_current(omega, ld, lu, rd, ru)
+            rates += channel
+            j += j_channel
     bad = ~np.isfinite(j)
     if bad.any():
         i = int(np.argmax(bad))

@@ -97,6 +97,11 @@ class TestDeath:
         assert float(out.split(",")[1]) == pytest.approx(
             2.0 / math.log(1.0 + math.sqrt(2.0)), abs=1e-5)
 
+    def test_huge_kappa_stays_finite(self, capsys):
+        code, out, err = run_cli(capsys, "death", "--kappa", "1e308")
+        assert code == 0 and err == ""
+        assert out == f"T_death,{1e308 / math.asinh(1.0)!r}\n"
+
 
 class TestDeterminismAndOutput:
     def test_identical_invocations_byte_identical(self, capsys):
@@ -143,6 +148,11 @@ class TestExitCodes:
                                "--gl", "0", "--gr", "0")
         assert code == 3 and err != ""
 
+    def test_frozen_junction_death_exit_three(self, capsys):
+        code, out, err = run_cli(capsys, "death", "--gl", "0", "--gr", "0")
+        assert code == 3 and out == ""
+        assert err.startswith("qjunction: degenerate physics: ")
+
     def test_missing_subcommand(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 2
@@ -154,6 +164,9 @@ class TestExitCodes:
         ("sweep", "--var", "ta", "--lo", "0.1", "--hi", "inf", "--n", "5"),
         ("rect", "--ta", "1.0", "--lo", "0.1", "--hi", "0.9", "--n", "5",
          "--gl", "1e300", "--gr", "1e300"),
+        ("death", "--kappa", "inf"),
+        ("point", "--tl", "1.0", "--tr", "0.5", "--epsilon", "inf"),
+        ("death", "--kappa", "1.7e308"),  # kappa / asinh(1) overflows
     ])
     def test_non_finite_values_exit_two(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

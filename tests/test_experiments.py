@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from qjunction import (
     BathKind,
     DegeneratePhysicsError,
+    NonUniqueSteadyStateError,
     SweepSpec,
     SweepVariable,
     SystemParams,
@@ -165,13 +168,36 @@ class TestSuddenDeath:
         row = solve_point(PARAMS, BathKind.BOSON, 1.0, 1.0, td, td)
         assert abs(row.p1 - 0.5) < 0.01
 
-    def test_error_when_already_dead(self):
-        with pytest.raises(ValueError, match="already zero"):
-            sudden_death_temperature(PARAMS, BathKind.BOSON, t_min=2.0, t_max=4.0)
+    def test_regression_spin_input_is_exactly_closed_form(self):
+        # epsilon/kappa near 21: a numerical search starting at kappa/50 saw
+        # C underflow there and reported it already zero
+        params = SystemParams(1.541571785136535, 0.07378089187606361)
+        td = sudden_death_temperature(params, BathKind.SPIN, 0.7640226299095407,
+                                      8.510231696226159)
+        assert td == 0.07378089187606361 / math.asinh(1.0)
 
-    def test_error_when_still_alive(self):
-        with pytest.raises(ValueError, match="still positive"):
-            sudden_death_temperature(PARAMS, BathKind.BOSON, t_min=0.05, t_max=0.5)
+    @pytest.mark.parametrize("eps, kap", [(0.2, 1.0), (0.05, 2.0), (3.0, 0.2),
+                                          (1.541571785136535, 0.07378089187606361)])
+    @pytest.mark.parametrize("kind", list(BathKind))
+    def test_concurrence_changes_sign_at_threshold(self, eps, kap, kind):
+        # solve the equilibrium itself just below and just above T_d; at
+        # epsilon/kappa near 21, C is of order 1e-8 (T_d - T)/T_d, so the
+        # offsets stay well above the rounding of the populations
+        params = SystemParams(eps, kap)
+        for gl, gr in ((1.0, 1.0), (2.0, 0.1), (0.0, 1.0), (0.7, 0.0)):
+            td = sudden_death_temperature(params, kind, gl, gr)
+            cold, hot = td * (1.0 - 1e-6), td * (1.0 + 1e-6)
+            assert solve_point(params, kind, gl, gr, cold, cold).concurrence > 0.0
+            assert solve_point(params, kind, gl, gr, hot, hot).concurrence == 0.0
+
+    def test_uncoupled_junction_has_no_unique_equilibrium(self):
+        with pytest.raises(NonUniqueSteadyStateError):
+            sudden_death_temperature(PARAMS, BathKind.BOSON, 0.0, 0.0)
+
+    @pytest.mark.parametrize("gl, gr", [(-1.0, 1.0), (1.0, math.nan), (math.inf, 1.0)])
+    def test_rejects_bad_couplings(self, gl, gr):
+        with pytest.raises(ValueError):
+            sudden_death_temperature(PARAMS, BathKind.BOSON, gl, gr)
 
 
 class TestSolvePoint:

@@ -8,6 +8,7 @@ differently from the math module by an ulp, so agreement is asserted to
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -164,3 +165,54 @@ class TestNonFinite:
     def test_huge_temperature_is_a_typed_error(self):
         with pytest.raises(ValueError):
             solve_point(self.PARAMS, BathKind.BOSON, 1e200, 1.0, 1e308, 0.5)
+
+
+# (epsilon, kappa, Gamma_L, Gamma_R, T_R) of boson points at T_L = 1e308, where
+# left rates near 5e307 overflowed a channel's doubled total (the current lost
+# that channel's term) or its summed rates (P read (0, 1/2, 0, 1/2), not 1/4 each)
+NEAR_CEILING = [
+    (1.8003068063182628, 0.13118308168496076, 0.8069918774460697,
+     0.14793354495870803, 1.668801301610526),
+    (5.424127930152433, 0.37000218954618563, 3.2846944603996198,
+     0.08515434614461359, 0.36595025556148336),
+    (3.0191189460251424, 1.3480374429990096, 1.9310977908193563,
+     0.4052849101084744, 1.3950598819868418),
+    (1.149920064488357, 0.2639820233859646, 0.5683442182970369,
+     1.205744935383994, 1.0594465715665733),
+    (5.6997862104443415, 0.6817135463206729, 3.199729788490749,
+     0.09277403705169157, 0.1254535874911514),
+]
+
+
+def _exact_boson_point(eps, kap, gl, gr, tl, tr):
+    """P1..P4 and J_L from the occupation form, in exact rational arithmetic.
+
+    Only the Bose factors n = 1/expm1(omega/T) are floats. Channel c of gap
+    omega has down rates Gamma (n + 1) and up rates Gamma n, so it carries
+    J_c = omega Gamma_L Gamma_R (n_L - n_R) / (2 sum of its rates), and its
+    side holding state 1 has weight down/total (up/total when inverted).
+    """
+    current, weights = Fraction(0), []
+    for omega, inverted in ((abs(kap - eps), eps > kap), (kap + eps, False)):
+        n_l, n_r = (Fraction(1.0 / math.expm1(omega / t)) for t in (tl, tr))
+        down = Fraction(gl) * (n_l + 1) + Fraction(gr) * (n_r + 1)
+        up = Fraction(gl) * n_l + Fraction(gr) * n_r
+        current += Fraction(omega) * Fraction(gl) * Fraction(gr) * (n_l - n_r) / (2 * (down + up))
+        weights.append((up if inverted else down) / (down + up))
+    fa, fb = weights
+    pops = [fa * fb, (1 - fa) * fb, fa * (1 - fb), (1 - fa) * (1 - fb)]
+    return [float(p) for p in pops], float(current)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("eps, kap, gl, gr, tr", NEAR_CEILING)
+def test_rates_near_the_float_ceiling_match_exact_evaluation(eps, kap, gl, gr, tr):
+    pops, current = _exact_boson_point(eps, kap, gl, gr, 1e308, tr)
+    params = SystemParams(eps, kap)
+    point = solve_point(params, BathKind.BOSON, gl, gr, 1e308, tr)
+    first = run_sweep(SweepSpec(params, BathKind.BOSON, gl, gr, SweepVariable.T_RIGHT,
+                                tr, 2.0 * tr, 2, t_left=1e308))[0]
+    for row in (point, first):
+        assert row.t_right == tr
+        assert row.heat_current == pytest.approx(current, rel=TOL)
+        assert [row.p1, row.p2, row.p3, row.p4] == pytest.approx(pops, abs=TOL)
