@@ -9,18 +9,7 @@ temperatures and coupling asymmetry.
 """
 
 from .baths import BathKind, BathSpec, occupation, rate_pair
-from .correlations import (
-    CorrelationReport,
-    classical_correlation,
-    classical_correlation_grid,
-    concurrence,
-    concurrence_brute_force,
-    correlation_report,
-    discord,
-    k_coefficient,
-    mutual_information,
-    wootters_concurrence,
-)
+from .correlations import CorrelationReport, correlation_report
 from .experiments import (
     RectificationPoint,
     SweepRow,
@@ -31,16 +20,7 @@ from .experiments import (
     solve_point,
     sudden_death_temperature,
 )
-from .model import (
-    CHANNEL_TABLE,
-    DegeneratePhysicsError,
-    EigenSystem,
-    SystemParams,
-    Transition,
-    density_matrix_uncoupled,
-    eigensystem,
-    ground_state_index,
-)
+from .model import DegeneratePhysicsError, SystemParams
 from .solver import (
     ChannelRates,
     NonUniqueSteadyStateError,
@@ -48,8 +28,6 @@ from .solver import (
     RateSet,
     channel_rates,
     heat_current,
-    null_space_populations,
-    rate_matrix,
     steady_populations,
 )
 
@@ -58,11 +36,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BathKind",
     "BathSpec",
-    "CHANNEL_TABLE",
     "ChannelRates",
     "CorrelationReport",
     "DegeneratePhysicsError",
-    "EigenSystem",
     "NonUniqueSteadyStateError",
     "Populations",
     "RateSet",
@@ -71,28 +47,14 @@ __all__ = [
     "SweepSpec",
     "SweepVariable",
     "SystemParams",
-    "Transition",
     "channel_rates",
-    "classical_correlation",
-    "classical_correlation_grid",
-    "concurrence",
-    "concurrence_brute_force",
     "correlation_report",
-    "density_matrix_uncoupled",
-    "discord",
-    "eigensystem",
-    "ground_state_index",
     "heat_current",
-    "k_coefficient",
-    "mutual_information",
-    "null_space_populations",
     "occupation",
-    "rate_matrix",
     "rate_pair",
     "rectification_scan",
     "run_sweep",
     "solve_point",
     "steady_populations",
     "sudden_death_temperature",
-    "wootters_concurrence",
 ]

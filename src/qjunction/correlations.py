@@ -3,12 +3,12 @@
 The stationary state is an X state in the product basis, so concurrence,
 mutual information, classical correlation and discord all reduce to closed
 forms in the four eigenstate populations. Entropies are in bits, with the
-0 log 0 = 0 convention throughout. Each closed form ships with a
-brute-force counterpart (:func:`wootters_concurrence`,
-:func:`classical_correlation_grid`) computed from the density matrix
-itself, kept deliberately independent of the fast path.
-:func:`correlation_kernel` evaluates the same closed forms over a whole
-grid of rate sets at once.
+0 log 0 = 0 convention throughout. :func:`correlation_report` evaluates
+them for one state and :func:`correlation_kernel` over a whole grid of rate
+sets at once. Their brute-force counterparts, computed from the density
+matrix itself (the Wootters construction and a grid search over
+measurements), live in ``tests/oracles.py``, which shares no code with this
+module.
 
 The measured side of the classical correlation follows the X-state
 prescription: the optimum over projective measurements is taken as the
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import density_matrix_uncoupled
 from .solver import NonUniqueSteadyStateError
 
 
@@ -39,18 +38,8 @@ class CorrelationReport:
     k_coefficient: float
 
 
-def _four(pops) -> tuple[float, float, float, float]:
-    p1, p2, p3, p4 = map(float, pops)
-    return p1, p2, p3, p4
-
-
 def _xlog2x(x: float) -> float:
     return x * math.log2(x) if x > 0.0 else 0.0
-
-
-# Each closed form is written once, on plain floats, for the public functions
-# and correlation_report alike; ``m`` is (u, v, u log2 u, v log2 v), the
-# marginal terms they share.
 
 
 def _marginals(p1, p2, p3, p4):
@@ -59,123 +48,50 @@ def _marginals(p1, p2, p3, p4):
     return s14 + 2.0 * p2, s14 + 2.0 * p3
 
 
-def _marginal_terms(p1: float, p2: float, p3: float, p4: float):
-    u, v = _marginals(p1, p2, p3, p4)
-    return u, v, _xlog2x(u), _xlog2x(v)
-
-
-def _concurrence(p1: float, p2: float, p3: float, p4: float) -> float:
-    root = math.sqrt(p2 * p3)
-    return max(2.0 * max(p1, p4, root) - p1 - p4 - 2.0 * root, 0.0)
-
-
-def _k(p1: float, p2: float, p3: float, p4: float) -> float:
-    return math.hypot(p2 - p3, p1 - p4)
-
-
-def _mutual_information(p1: float, p2: float, p3: float, p4: float, m) -> float:
-    _, _, xu, xv = m
-    return (
-        2.0
-        - xu
-        - xv
-        + _xlog2x(p1)
-        + _xlog2x(p2)
-        + _xlog2x(p3)
-        + _xlog2x(p4)
-    )
-
-
-def _marginal_entropy(m) -> float:
-    _, _, xu, xv = m
-    return 1.0 - 0.5 * (xu + xv)
-
-
 def _conditional_term(w: float, num: float, den: float) -> float:
     return -w * math.log2(num / den) if w > 0.0 else 0.0
 
 
-def _conditional_entropy_z(p1: float, p2: float, p3: float, p4: float, m) -> float:
+def correlation_report(pops) -> CorrelationReport:
+    """All four correlation measures of one population vector (P1, P2, P3, P4).
+
+    - Concurrence C = max(2 P_max - P1 - P4 - 2 sqrt(P2 P3), 0) with
+      P_max = max(P1, P4, sqrt(P2 P3)); zero exactly for separable states.
+    - Mutual information I = S(A) + S(B) - S(AB). Both marginals are
+      diagonal with eigenvalues u/2 and v/2, where u = P1 + P4 + 2 P2 and
+      v = P1 + P4 + 2 P3 (that is, 1 +- (P2 - P3)), and the joint spectrum
+      is the populations themselves, so I = 2 - log2[u^u v^v] +
+      sum_n P_n log2 P_n. u and v are formed as sums of populations, never
+      as 1 - P2 + P3, so a side that carries weight never rounds to zero.
+    - Classical correlation C_cl = S(B) - min S(B|A), the minimum taken over
+      the z-axis and the equatorial projective measurements, the two
+      candidates that are optimal for this state family.
+    - Discord Q = I - C_cl, clamped at zero within rounding noise.
+    - K = sqrt((P2 - P3)^2 + (P1 - P4)^2), in [0, 1].
+    """
+    p1, p2, p3, p4 = map(float, pops)
+    u, v = _marginals(p1, p2, p3, p4)
+    xu, xv = _xlog2x(u), _xlog2x(v)
+    k = math.hypot(p2 - p3, p1 - p4)
+    i = 2.0 - xu - xv + _xlog2x(p1) + _xlog2x(p2) + _xlog2x(p3) + _xlog2x(p4)
     # measurement along z: outcome weights u/2 and v/2, diagonal conditional states
-    u, v, _, _ = m
     half = 0.5 * (p1 + p4)
-    return (
+    s_z = (
         _conditional_term(p2, 2.0 * p2, u)
         + _conditional_term(half, p1 + p4, u)
         + _conditional_term(half, p1 + p4, v)
         + _conditional_term(p3, 2.0 * p3, v)
     )
-
-
-def _conditional_entropy_x(k: float) -> float:
     # equatorial measurement: both outcomes yield spectrum (1 +- K)/2
-    return 1.0 - 0.5 * (_xlog2x(1.0 - k) + _xlog2x(1.0 + k))
-
-
-def _classical_correlation(p1: float, p2: float, p3: float, p4: float, m, k) -> float:
-    s_z = _conditional_entropy_z(p1, p2, p3, p4, m)
-    s_x = _conditional_entropy_x(k)
-    return max(_marginal_entropy(m) - min(s_z, s_x), 0.0)
-
-
-def concurrence(pops) -> float:
-    """Concurrence of the steady state from its populations.
-
-    C = max(2 P_max - P1 - P4 - 2 sqrt(P2 P3), 0) with
-    P_max = max(P1, P4, sqrt(P2 P3)); zero exactly for separable states.
-    """
-    return _concurrence(*_four(pops))
-
-
-def mutual_information(pops) -> float:
-    """Quantum mutual information I = S(A) + S(B) - S(AB), in bits.
-
-    Both marginals are diagonal with eigenvalues u/2 and v/2, where
-    u = P1 + P4 + 2 P2 and v = P1 + P4 + 2 P3 (that is, 1 +- (P2 - P3)),
-    and the joint spectrum is the populations themselves, which gives
-
-        I = 2 - log2[u^u v^v] + sum_n P_n log2 P_n.
-
-    u and v are formed as sums of populations, never as 1 - P2 + P3, so a
-    side that carries weight never rounds to zero.
-    """
-    p = _four(pops)
-    return _mutual_information(*p, _marginal_terms(*p))
-
-
-def k_coefficient(pops) -> float:
-    """K = sqrt((P2 - P3)^2 + (P1 - P4)^2), in [0, 1]."""
-    return _k(*_four(pops))
-
-
-def classical_correlation(pops) -> float:
-    """Classical correlation C_cl = S(B) - min over measurements of S(B|A).
-
-    The minimum runs over the z-axis branch and the equatorial branch of
-    projective measurements, the two candidates that are optimal for this
-    state family.
-    """
-    p = _four(pops)
-    return _classical_correlation(*p, _marginal_terms(*p), _k(*p))
-
-
-def discord(pops) -> float:
-    """Quantum discord Q = I - C_cl, clamped at zero within rounding noise."""
-    return correlation_report(pops).discord
-
-
-def correlation_report(pops) -> CorrelationReport:
-    """Bundle all four correlation measures for one population vector."""
-    p = _four(pops)
-    m = _marginal_terms(*p)
-    k = _k(*p)
-    i = _mutual_information(*p, m)
-    c_cl = _classical_correlation(*p, m, k)
+    s_x = 1.0 - 0.5 * (_xlog2x(1.0 - k) + _xlog2x(1.0 + k))
+    s_b = 1.0 - 0.5 * (xu + xv)
+    c_cl = max(s_b - min(s_z, s_x), 0.0)
     q = i - c_cl
     if q < 0.0 and q > -1e-12:
         q = 0.0
+    root = math.sqrt(p2 * p3)
     return CorrelationReport(
-        concurrence=_concurrence(*p),
+        concurrence=max(2.0 * max(p1, p4, root) - p1 - p4 - 2.0 * root, 0.0),
         mutual_information=i,
         classical_correlation=c_cl,
         discord=q,
@@ -192,8 +108,7 @@ def _xlog2x_arr(x: np.ndarray) -> np.ndarray:
 
 
 def _conditional_term_arr(w, num, den) -> np.ndarray:
-    # -w log2(num/den) where w > 0, else 0; as the inner term of
-    # _conditional_entropy_z
+    # _conditional_term elementwise
     return -w * np.log2(num / den, out=np.zeros_like(w), where=w > 0.0)
 
 
@@ -260,68 +175,3 @@ def correlation_kernel(rates, a_inverted: bool) -> np.ndarray:
         i = int(np.argmax(bad))
         raise ValueError(f"populations or correlations not finite at grid point {i}")
     return out
-
-
-# --------------------------------------------------------------------------
-# brute-force routes
-
-
-_SIGMA_YY = np.array(
-    [
-        [0.0, 0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-    ]
-)
-
-
-def wootters_concurrence(rho: np.ndarray) -> float:
-    """Concurrence of an arbitrary two-qubit density matrix (Wootters route).
-
-    Square roots of the eigenvalues of rho (sigma_y x sigma_y) rho*
-    (sigma_y x sigma_y), sorted descending; C = max(0, l1 - l2 - l3 - l4).
-    """
-    rho = np.asarray(rho, dtype=complex)
-    flipped = _SIGMA_YY @ rho.conj() @ _SIGMA_YY
-    ev = np.linalg.eigvals(rho @ flipped)
-    # tiny negative eigenvalues are rounding artefacts of the non-normal product
-    lam = np.sqrt(np.abs(np.sort(ev.real)))
-    return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
-
-
-def concurrence_brute_force(pops) -> float:
-    """Wootters concurrence evaluated on the reconstructed density matrix."""
-    return wootters_concurrence(density_matrix_uncoupled(pops))
-
-
-def classical_correlation_grid(pops, n_theta: int = 200, n_phi: int = 200) -> float:
-    """Classical correlation by grid search over projective measurements.
-
-    Minimizes the measured conditional entropy over measurement axes
-    n(theta, phi) on one qubit (the state is exchange symmetric, so the
-    side is immaterial). A finite grid can only overestimate the true
-    minimum, so the result is a lower bound on the classical correlation
-    up to grid resolution. For a two-outcome measurement on an X state the
-    outcome weight and the conditional spectrum are available in closed
-    form, which keeps the scan a pure array computation.
-    """
-    p1, p2, p3, p4 = _four(pops)
-    c = 0.5 * (p1 + p4)
-    d = 0.5 * (p4 - p1)
-    theta = np.linspace(0.0, 0.5 * np.pi, n_theta)
-    phi = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    ct = np.broadcast_to(np.cos(theta)[:, None], (n_theta, n_phi))
-    st = np.broadcast_to(np.sin(theta)[:, None], (n_theta, n_phi))
-    # |off-diagonal| of the conditional state; phi only rotates its phase
-    beta2 = (0.5 * d * st) ** 2
-    cond = np.zeros((n_theta, n_phi))
-    for s in (1.0, -1.0):
-        alpha = 0.5 * (p2 * (1.0 + s * ct) + c * (1.0 - s * ct))
-        gamma = 0.5 * (c * (1.0 + s * ct) + p3 * (1.0 - s * ct))
-        weight = alpha + gamma
-        radius = np.sqrt((alpha - gamma) ** 2 + 4.0 * beta2)
-        lam_hi = np.clip(0.5 * (weight + radius), 0.0, None)
-        lam_lo = np.clip(0.5 * (weight - radius), 0.0, None)
-        cond += _xlog2x_arr(weight) - _xlog2x_arr(lam_hi) - _xlog2x_arr(lam_lo)
-    return _marginal_entropy(_marginal_terms(p1, p2, p3, p4)) - float(cond.min())

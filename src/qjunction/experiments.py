@@ -126,7 +126,7 @@ def solve_point(
         BathSpec(kind, gamma_right, t_right),
     )
     pops = steady_populations(rates)
-    current = heat_current(params, rates)
+    current = heat_current(rates)
     if not math.isfinite(current):
         raise ValueError(
             f"heat current is not finite at T_L = {t_left}, T_R = {t_right}"

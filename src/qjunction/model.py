@@ -19,12 +19,13 @@ to its reservoir through sigma^x, which connects exactly the pairs
 (the bare elements differ in sign between the two baths, e.g. -|1><2| on
 the left versus +|1><2| on the right, but only the modulus squared enters
 the transition rates). The pairs 1<->4 and 2<->3 are never connected.
+Since E_2 - E_1 = E_4 - E_3 = kappa - epsilon and E_3 - E_1 = E_4 - E_2 =
+kappa + epsilon, the junction has exactly two transition frequencies,
+|kappa - epsilon| and kappa + epsilon.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 class DegeneratePhysicsError(ValueError):
@@ -52,79 +53,3 @@ class SystemParams:
             raise DegeneratePhysicsError(
                 f"degenerate spectrum: epsilon == kappa == {self.kappa}"
             )
-
-
-@dataclass(frozen=True)
-class EigenSystem:
-    """Spectrum (-kappa, -epsilon, epsilon, kappa) and the two channel gaps.
-
-    ``omega21`` = E_2 - E_1 = kappa - epsilon may be negative (epsilon > kappa
-    puts |2> below |1>); ``omega31`` = E_3 - E_1 = kappa + epsilon is always
-    positive. By symmetry E_4 - E_3 = omega21 and E_4 - E_2 = omega31, so the
-    junction has exactly two distinct transition frequencies.
-    """
-
-    energies: tuple[float, float, float, float]
-    omega21: float
-    omega31: float
-
-
-@dataclass(frozen=True)
-class Transition:
-    """Allowed eigenstate pair (m, n) with per-bath squared matrix elements."""
-
-    m: int
-    n: int
-    s2_left: float = 0.5
-    s2_right: float = 0.5
-
-
-#: The four sigma^x-connected pairs; 1<->4 and 2<->3 are forbidden.
-CHANNEL_TABLE: tuple[Transition, ...] = (
-    Transition(1, 2),
-    Transition(1, 3),
-    Transition(2, 4),
-    Transition(3, 4),
-)
-
-
-def eigensystem(params: SystemParams) -> EigenSystem:
-    """Diagonalize the two-qubit Hamiltonian analytically."""
-    eps, kap = params.epsilon, params.kappa
-    return EigenSystem(
-        energies=(-kap, -eps, eps, kap),
-        omega21=kap - eps,
-        omega31=kap + eps,
-    )
-
-
-def density_matrix_uncoupled(pops) -> np.ndarray:
-    """Steady-state density matrix in the product basis |dd>, |du>, |ud>, |uu>.
-
-    ``pops`` holds the eigenstate populations (P1, P2, P3, P4), assumed
-    normalized. The eigenbasis-diagonal state turns into an X-form matrix:
-    corners P2 and P3, and a central block mixing the singlet and triplet
-    populations,
-
-        [[ (P1+P4)/2, (P4-P1)/2 ],
-         [ (P4-P1)/2, (P1+P4)/2 ]].
-
-    Its eigenvalues are exactly {P2, P1, P4, P3}.
-    """
-    p1, p2, p3, p4 = (float(x) for x in pops)
-    c = 0.5 * (p1 + p4)
-    d = 0.5 * (p4 - p1)
-    return np.array(
-        [
-            [p2, 0.0, 0.0, 0.0],
-            [0.0, c, d, 0.0],
-            [0.0, d, c, 0.0],
-            [0.0, 0.0, 0.0, p3],
-        ]
-    )
-
-
-def ground_state_index(params: SystemParams) -> int:
-    """1-based label of the lowest-energy eigenstate (1 if kappa > epsilon)."""
-    energies = eigensystem(params).energies
-    return int(np.argmin(energies)) + 1

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baths import _X_CLAMP, BathKind, BathSpec, rate_pair
-from .model import DegeneratePhysicsError, SystemParams, eigensystem
+from .model import DegeneratePhysicsError, SystemParams
 
 
 class NonUniqueSteadyStateError(DegeneratePhysicsError):
@@ -58,32 +58,6 @@ class RateSet:
     b: ChannelRates
     a_inverted: bool
 
-    @property
-    def w12(self) -> float:
-        """Total rate 2 -> 1."""
-        ch = self.a
-        if self.a_inverted:
-            return ch.left_up + ch.right_up
-        return ch.left_down + ch.right_down
-
-    @property
-    def w21(self) -> float:
-        """Total rate 1 -> 2."""
-        ch = self.a
-        if self.a_inverted:
-            return ch.left_down + ch.right_down
-        return ch.left_up + ch.right_up
-
-    @property
-    def w13(self) -> float:
-        """Total rate 3 -> 1 (state 1 is always below state 3)."""
-        return self.b.left_down + self.b.right_down
-
-    @property
-    def w31(self) -> float:
-        """Total rate 1 -> 3."""
-        return self.b.left_up + self.b.right_up
-
 
 @dataclass(frozen=True)
 class Populations:
@@ -112,15 +86,16 @@ class Populations:
         return np.array(tuple(self))
 
 
-# A channel's rates are summed, doubled and multiplied in pairs. Where their
-# sum passes 2**_TOP_EXPONENT (only at temperatures or couplings near the
-# float ceiling) they are first divided by the least power of two that brings
-# the largest, a down rate, below it, so that the sum of all four, doubled,
-# stays finite. A power of two divides exactly in binary: ratios of rates,
+# A channel's rates are summed, doubled and multiplied in pairs. Where that
+# overflows (only at temperatures or couplings near the float ceiling) the
+# channel is evaluated again with its rates divided by the least power of two
+# that brings the largest, a down rate, below 2**_TOP_EXPONENT; then the sum
+# of all four, doubled, and omega times a product of two stay finite for any
+# gap below 2**23. A power of two divides exactly in binary: ratios of rates,
 # hence the populations, are unchanged, and the heat current is multiplied
-# back by the same power. Inputs below the ceiling take no rescaling at all.
-_TOP_EXPONENT = 1020
-_RATE_CEILING = 2.0 ** _TOP_EXPONENT
+# back by the same power. A channel that does not overflow keeps the plain
+# arithmetic, so its smallest rates are never divided down towards zero.
+_TOP_EXPONENT = 500
 
 
 def _rescaled(ld: float, lu: float, rd: float, ru: float):
@@ -135,17 +110,11 @@ def _summed(ch: ChannelRates) -> tuple[float, float, float]:
     down = ch.left_down + ch.right_down
     up = ch.left_up + ch.right_up
     total = down + up
-    if total > _RATE_CEILING:
+    if total == math.inf:
         ld, lu, rd, ru, _ = _rescaled(ch.left_down, ch.left_up, ch.right_down, ch.right_up)
         down, up = ld + rd, lu + ru
         total = down + up
     return down, up, total
-
-
-def _rescaled_arrays(ld, lu, rd, ru):
-    # _rescaled elementwise, for the grid kernel
-    scale = np.ldexp(1.0, np.maximum(np.frexp(np.maximum(ld, rd))[1] - _TOP_EXPONENT, 0))
-    return ld / scale, lu / scale, rd / scale, ru / scale, scale
 
 
 def channel_rates(params: SystemParams, left: BathSpec, right: BathSpec) -> RateSet:
@@ -154,16 +123,16 @@ def channel_rates(params: SystemParams, left: BathSpec, right: BathSpec) -> Rate
     Channel a uses the gap |kappa - epsilon| with up/down oriented by the
     sign of kappa - epsilon; channel b uses kappa + epsilon.
     """
-    es = eigensystem(params)
-    gap_a = abs(es.omega21)
+    gap_a = abs(params.kappa - params.epsilon)
+    gap_b = params.kappa + params.epsilon
     la_down, la_up = rate_pair(left, gap_a)
     ra_down, ra_up = rate_pair(right, gap_a)
-    lb_down, lb_up = rate_pair(left, es.omega31)
-    rb_down, rb_up = rate_pair(right, es.omega31)
+    lb_down, lb_up = rate_pair(left, gap_b)
+    rb_down, rb_up = rate_pair(right, gap_b)
     return RateSet(
         a=ChannelRates(gap_a, la_down, la_up, ra_down, ra_up),
-        b=ChannelRates(es.omega31, lb_down, lb_up, rb_down, rb_up),
-        a_inverted=es.omega21 < 0.0,
+        b=ChannelRates(gap_b, lb_down, lb_up, rb_down, rb_up),
+        a_inverted=params.epsilon > params.kappa,
     )
 
 
@@ -186,47 +155,7 @@ def steady_populations(rates: RateSet) -> Populations:
     )
 
 
-def rate_matrix(rates: RateSet) -> np.ndarray:
-    """Generator matrix A with A[m, n] the total rate n -> m (states 1..4 at 0..3).
-
-    Forbidden pairs (1, 4) and (2, 3) stay zero and every column sums to
-    zero, so exp(A t) conserves probability.
-    """
-    w12, w21 = rates.w12, rates.w21
-    w13, w31 = rates.w13, rates.w31
-    a = np.zeros((4, 4))
-    a[0, 1], a[1, 0] = w12, w21
-    a[0, 2], a[2, 0] = w13, w31
-    a[1, 3], a[3, 1] = w13, w31  # pair 2<->4 mirrors 1<->3
-    a[2, 3], a[3, 2] = w12, w21  # pair 3<->4 mirrors 1<->2
-    np.fill_diagonal(a, -a.sum(axis=0))
-    return a
-
-
-def null_space_populations(a: np.ndarray) -> Populations:
-    """Stationary distribution as the kernel of a generator matrix.
-
-    Independent cross-check of :func:`steady_populations`: one balance row
-    is replaced by the normalization row and the 4x4 linear system solved
-    directly. Raises if the kernel is not one-dimensional.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 generator matrix, got shape {a.shape}")
-    if np.linalg.matrix_rank(a) != 3:
-        raise NonUniqueSteadyStateError(
-            "generator kernel is not one-dimensional; steady state not unique"
-        )
-    m = a.copy()
-    m[-1, :] = 1.0
-    rhs = np.array([0.0, 0.0, 0.0, 1.0])
-    p = np.linalg.solve(m, rhs)
-    p[(p < 0.0) & (p > -1e-12)] = 0.0  # rounding fuzz only; real negatives surface
-    p = p / p.sum()
-    return Populations(*(float(x) for x in p))
-
-
-def heat_current(params: SystemParams, rates: RateSet) -> float:
+def heat_current(rates: RateSet) -> float:
     """Steady-state heat current J_L out of the left reservoir.
 
     Sum over the two channels c of
@@ -234,23 +163,23 @@ def heat_current(params: SystemParams, rates: RateSet) -> float:
         omega_c (kL_up kR_down - kL_down kR_up)
         / (2 [kL_up + kR_down + kL_down + kR_up]),
 
-    with omega_a = |kappa - epsilon| and omega_b = kappa + epsilon. Positive
+    with omega_c the channel's gap, :attr:`ChannelRates.omega`. Positive
     values mean heat flows from the left bath into the system; a channel
     with no rates contributes its limit value 0. The expression is written
     in down/up form, which makes it valid for either sign of
     kappa - epsilon.
     """
-    gaps = (abs(params.kappa - params.epsilon), params.kappa + params.epsilon)
     total = 0.0
-    for omega, ch in zip(gaps, (rates.a, rates.b)):
-        ld, lu, rd, ru, scale = ch.left_down, ch.left_up, ch.right_down, ch.right_up, 1.0
-        denom = lu + rd + ld + ru
-        if denom > _RATE_CEILING:
-            ld, lu, rd, ru, scale = _rescaled(ld, lu, rd, ru)
-            denom = lu + rd + ld + ru
+    for ch in (rates.a, rates.b):
+        ld, lu, rd, ru = ch.left_down, ch.left_up, ch.right_down, ch.right_up
+        denom = 2.0 * (lu + rd + ld + ru)
         if denom == 0.0:
             continue
-        total += omega * (lu * rd - ld * ru) / (2.0 * denom) * scale
+        term = ch.omega * (lu * rd - ld * ru) / denom
+        if denom == math.inf or not math.isfinite(term):
+            ld, lu, rd, ru, scale = _rescaled(ld, lu, rd, ru)
+            term = ch.omega * (lu * rd - ld * ru) / (2.0 * (lu + rd + ld + ru)) * scale
+        total += term
     return total
 
 
@@ -273,16 +202,17 @@ def _rate_arrays(kind: BathKind, gamma: float, omega: float, t: np.ndarray):
 
 def _channel_current(omega: float, ld, lu, rd, ru):
     # one channel's term of heat_current, and its rates as the kernel passes
-    # them on: rescaled where they pass the ceiling; a channel with no rates
-    # gives 0
-    denom = lu + rd + ld + ru
-    scale = None
-    if denom.max(initial=0.0) > _RATE_CEILING:
-        ld, lu, rd, ru, scale = _rescaled_arrays(ld, lu, rd, ru)
-        denom = lu + rd + ld + ru
-    j = omega * (lu * rd - ld * ru) / (2.0 * denom)
-    if scale is not None:
-        j *= scale
+    # them on: rescaled at the points where the plain evaluation overflows; a
+    # channel with no rates gives 0
+    denom = 2.0 * (lu + rd + ld + ru)
+    j = omega * (lu * rd - ld * ru) / denom
+    over = (denom == np.inf) | ~np.isfinite(j)
+    if over.any():
+        exponent = np.frexp(np.maximum(ld, rd))[1] - _TOP_EXPONENT
+        scale = np.ldexp(1.0, np.where(over, np.maximum(exponent, 0), 0))
+        ld, lu, rd, ru = ld / scale, lu / scale, rd / scale, ru / scale
+        denom = 2.0 * (lu + rd + ld + ru)
+        j = omega * (lu * rd - ld * ru) / denom * scale
     j[denom == 0.0] = 0.0
     return (ld, lu, rd, ru), j
 
@@ -302,16 +232,15 @@ def transport_kernel(
     a tuple of eight arrays, the :class:`ChannelRates` fields (left_down,
     left_up, right_down, right_up) of channel a, then of channel b, and
     ``j_left`` is :func:`heat_current` at each point. Where a channel's
-    rates sum past 2**1020 they are returned divided by the power of two
+    current overflows its rates are returned divided by the power of two
     that :func:`heat_current` divides them by, which leaves every ratio
     of rates, and so the populations, exact. Raises ``ValueError``
     where the current is not finite.
     """
-    es = eigensystem(params)
     rates = ()
     j = np.zeros(t_left.size)
     with np.errstate(all="ignore"):
-        for omega in (abs(es.omega21), es.omega31):
+        for omega in (abs(params.kappa - params.epsilon), params.kappa + params.epsilon):
             ld, lu = _rate_arrays(kind, gamma_left, omega, t_left)
             rd, ru = _rate_arrays(kind, gamma_right, omega, t_right)
             channel, j_channel = _channel_current(omega, ld, lu, rd, ru)

@@ -1,11 +1,16 @@
 import numpy as np
 
-from qjunction import SystemParams, eigensystem
+from qjunction import SystemParams
 
 
 def gibbs_populations(params: SystemParams, temperature: float) -> np.ndarray:
-    """Independent equilibrium oracle: populations proportional to e^{-E/T}."""
-    energies = np.array(eigensystem(params).energies)
+    """Independent equilibrium oracle: populations proportional to e^{-E/T}.
+
+    The energies of labels 1..4 are (-kappa, -epsilon, epsilon, kappa), as
+    the model documents them.
+    """
+    eps, kap = params.epsilon, params.kappa
+    energies = np.array([-kap, -eps, eps, kap])
     weights = np.exp(-energies / temperature)
     return weights / weights.sum()
 

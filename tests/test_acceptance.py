@@ -26,6 +26,12 @@ import math
 
 import numpy as np
 
+from oracles import (
+    classical_correlation_grid,
+    density_matrix_uncoupled,
+    hamiltonian_route,
+    wootters_concurrence,
+)
 from qjunction import (
     BathKind,
     BathSpec,
@@ -33,20 +39,13 @@ from qjunction import (
     SweepVariable,
     SystemParams,
     channel_rates,
-    classical_correlation,
-    classical_correlation_grid,
-    concurrence,
-    density_matrix_uncoupled,
-    eigensystem,
+    correlation_report,
     heat_current,
-    null_space_populations,
-    rate_matrix,
     rectification_scan,
     run_sweep,
     solve_point,
     steady_populations,
     sudden_death_temperature,
-    wootters_concurrence,
 )
 from qjunction.cli import main
 
@@ -70,7 +69,8 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 def _gibbs(params: SystemParams, temperature: float) -> np.ndarray:
-    energies = np.array(eigensystem(params).energies)
+    eps, kap = params.epsilon, params.kappa
+    energies = np.array([-kap, -eps, eps, kap])
     weights = np.exp(-energies / temperature)
     return weights / weights.sum()
 
@@ -101,21 +101,27 @@ def test_criterion_01_equilibrium_gibbs():
 
 
 def test_criterion_02_oracle_equivalence():
+    # the steady state and J_L against the Hamiltonian route, which shares no
+    # code with the solver: numerical eigenbasis, sigma^x matrix elements,
+    # its own golden-rule rates and the null space of their generator
     rng = np.random.default_rng(20260810)
     worst_pop = 0.0
+    worst_j = 0.0
     worst_conc = 0.0
     for i in range(1000):
         params, gl, gr, tl, tr = _random_point(rng)
         kind = BathKind.BOSON if i % 2 == 0 else BathKind.SPIN
         rates, pops = _solve(params, kind, gl, gr, tl, tr)
-        kernel = null_space_populations(rate_matrix(rates))
-        worst_pop = max(worst_pop, np.max(np.abs(pops.as_array() - kernel.as_array())))
+        route, current = hamiltonian_route(params.epsilon, params.kappa, kind.value,
+                                           gl, gr, tl, tr)
+        worst_pop = max(worst_pop, np.max(np.abs(pops.as_array() - route)))
+        worst_j = max(worst_j, abs(heat_current(rates) - current))
         p = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
-        worst_conc = max(worst_conc, abs(
-            concurrence(p) - wootters_concurrence(density_matrix_uncoupled(p))))
-    ok = worst_pop < 1e-12 and worst_conc < 1e-10
+        worst_conc = max(worst_conc, abs(correlation_report(p).concurrence
+                                         - wootters_concurrence(density_matrix_uncoupled(p))))
+    ok = worst_pop < 1e-12 and worst_j < 1e-12 and worst_conc < 1e-10
     _report(2, "independent steady-state and entanglement routes", ok,
-            f"1000 draws: populations {worst_pop:.2e} (tol 1e-12), "
+            f"1000 draws: populations {worst_pop:.2e}, J_L {worst_j:.2e} (tol 1e-12), "
             f"concurrence {worst_conc:.2e} (tol 1e-10)")
 
 
@@ -125,7 +131,7 @@ def test_criterion_03_zero_current_at_equilibrium():
         for ratio in COUPLING_RATIOS:
             for kind in BathKind:
                 rates, _ = _solve(BASE, kind, ratio, 1.0, temperature, temperature)
-                worst = max(worst, abs(heat_current(BASE, rates)))
+                worst = max(worst, abs(heat_current(rates)))
     _report(3, "equilibrium current vanishes", worst < 1e-14,
             f"max |J_L| = {worst:.2e} including asymmetric couplings (tol 1e-14)")
 
@@ -139,7 +145,7 @@ def test_criterion_04_second_law():
             tr = rng.uniform(0.05, 3.0)
         kind = BathKind.BOSON if i % 2 == 0 else BathKind.SPIN
         rates, _ = _solve(params, kind, gl, gr, tl, tr)
-        if math.copysign(1.0, heat_current(params, rates)) != math.copysign(1.0, tl - tr):
+        if math.copysign(1.0, heat_current(rates)) != math.copysign(1.0, tl - tr):
             violations += 1
     _report(4, "heat flows from hot to cold", violations == 0,
             f"{violations} sign violations in 1000 nonequilibrium draws, both kinds")
@@ -147,7 +153,7 @@ def test_criterion_04_second_law():
 
 def test_criterion_05_reference_current_value():
     rates, _ = _solve(BASE, BathKind.BOSON, 1.0, 1.0, 1.5, 0.5)
-    j = heat_current(BASE, rates)
+    j = heat_current(rates)
     err = abs(j - J_REFERENCE)
     _report(5, "pinned nonequilibrium current", err < 1e-9,
             f"J_L = {j!r}, |J - {J_REFERENCE}| = {err:.2e} (tol 1e-9)")
@@ -304,7 +310,7 @@ def test_criterion_13_measurement_grid_oracle():
     worst = 0.0
     for _ in range(200):
         p = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
-        closed = classical_correlation(p)
+        closed = correlation_report(p).classical_correlation
         grid = classical_correlation_grid(p, n_theta=200, n_phi=200)
         worst = max(worst, abs(closed - grid))
         # the axis measurements sit on the grid, so the scan can never do

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from oracles import exact_boson_point
 from qjunction import BathKind, SystemParams, solve_point
 from qjunction.cli import main
 
@@ -160,10 +161,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("point", "--tl", "inf", "--tr", "0.5"),
         ("point", "--tl", "1e308", "--tr", "0.5", "--gl", "1e200"),
-        ("point", "--tl", "1.5", "--tr", "0.5", "--gl", "1e300", "--gr", "1e300"),
+        # Gamma T / omega overflows: the rates themselves are not finite
+        ("sweep", "--var", "tr", "--lo", "0.1", "--hi", "1.0", "--n", "5",
+         "--tl", "1e308", "--gl", "1e10"),
         ("sweep", "--var", "ta", "--lo", "0.1", "--hi", "inf", "--n", "5"),
-        ("rect", "--ta", "1.0", "--lo", "0.1", "--hi", "0.9", "--n", "5",
-         "--gl", "1e300", "--gr", "1e300"),
+        ("rect", "--ta", "1e308", "--lo", "1e300", "--hi", "1e301", "--n", "5",
+         "--gl", "1e10"),
         ("death", "--kappa", "inf"),
         ("point", "--tl", "1.0", "--tr", "0.5", "--epsilon", "inf"),
         ("death", "--kappa", "1.7e308"),  # kappa / asinh(1) overflows
@@ -195,3 +198,32 @@ class TestLimitPoints:
                                  "--bath", "spin")
         assert boson_out != spin_out
         assert spin_out.splitlines()[1].split(",")[4] == "spin"
+
+
+class TestHugeCouplings:
+    # Gamma_L = Gamma_R = 1e300: J is linear in the coupling scale, but
+    # products of two rates overflow unless the channel is rescaled first
+    COUPLINGS = ("--gl", "1e300", "--gr", "1e300")
+
+    def test_point_matches_exact_evaluation(self, capsys):
+        code, out, err = run_cli(capsys, "point", "--tl", "1.5", "--tr", "0.5",
+                                 *self.COUPLINGS)
+        assert code == 0 and err == ""
+        fields = [float(x) for x in out.splitlines()[1].split(",")[7:12]]
+        pops, current = exact_boson_point(0.2, 1.0, 1e300, 1e300, 1.5, 0.5)
+        assert fields[:4] == pytest.approx(pops, abs=1e-12)
+        assert fields[4] == pytest.approx(current, rel=1e-12)
+
+    def test_rect_matches_exact_evaluation(self, capsys):
+        code, out, err = run_cli(capsys, "rect", "--ta", "1.0", "--lo", "0.1",
+                                 "--hi", "0.9", "--n", "5", *self.COUPLINGS)
+        assert code == 0 and err == ""
+        lines = out.splitlines()[1:]
+        assert len(lines) == 5
+        for line in lines:
+            dt, forward, reverse = (float(x) for x in line.split(","))
+            hot, cold = 1.0 + dt, 1.0 - dt
+            assert forward == pytest.approx(
+                exact_boson_point(0.2, 1.0, 1e300, 1e300, hot, cold)[1], rel=1e-12)
+            assert reverse == pytest.approx(
+                exact_boson_point(0.2, 1.0, 1e300, 1e300, cold, hot)[1], rel=1e-12)

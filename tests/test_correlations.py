@@ -4,19 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import gibbs_populations
-from qjunction import (
-    SystemParams,
-    classical_correlation,
-    classical_correlation_grid,
-    concurrence,
-    concurrence_brute_force,
-    correlation_report,
-    density_matrix_uncoupled,
-    discord,
-    k_coefficient,
-    mutual_information,
-    wootters_concurrence,
-)
+from oracles import classical_correlation_grid, density_matrix_uncoupled, wootters_concurrence
+from qjunction import SystemParams, correlation_report
 
 SINGLET = (1.0, 0.0, 0.0, 0.0)
 MIXED = (0.25, 0.25, 0.25, 0.25)
@@ -53,6 +42,22 @@ def mutual_information_eigen(pops) -> float:
     return s_a + s_b - s_ab
 
 
+def concurrence(pops) -> float:
+    return correlation_report(pops).concurrence
+
+
+def mutual_information(pops) -> float:
+    return correlation_report(pops).mutual_information
+
+
+def classical_correlation(pops) -> float:
+    return correlation_report(pops).classical_correlation
+
+
+def discord(pops) -> float:
+    return correlation_report(pops).discord
+
+
 class TestConcurrence:
     def test_pure_singlet(self):
         assert concurrence(SINGLET) == 1.0
@@ -65,7 +70,7 @@ class TestConcurrence:
 
     def test_matches_wootters_on_example(self):
         assert concurrence(P_EXAMPLE) == pytest.approx(
-            concurrence_brute_force(P_EXAMPLE), abs=1e-10)
+            wootters_concurrence(density_matrix_uncoupled(P_EXAMPLE)), abs=1e-10)
 
     def test_matches_wootters_randomized(self):
         rng = np.random.default_rng(41)
@@ -140,11 +145,11 @@ class TestDiscord:
 
 class TestReportAndInvariants:
     def test_k_example(self):
-        assert k_coefficient(P_EXAMPLE) == pytest.approx(K_EXAMPLE, rel=1e-12)
+        assert correlation_report(P_EXAMPLE).k_coefficient == pytest.approx(K_EXAMPLE, rel=1e-12)
 
     def test_report_bundles_consistently(self):
         rep = correlation_report(P_EXAMPLE)
-        assert rep.concurrence == concurrence(P_EXAMPLE)
+        assert rep == correlation_report(np.array(P_EXAMPLE))
         assert rep.discord == pytest.approx(
             rep.mutual_information - rep.classical_correlation, abs=1e-12)
 

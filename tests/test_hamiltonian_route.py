@@ -1,6 +1,6 @@
 """Steady states of acceptance criteria 08 and 11 from the Hamiltonian alone.
 
-The route below shares no code with ``baths.py`` or ``solver.py``: it
+``oracles.hamiltonian_route`` shares no code with ``qjunction``: it
 diagonalizes the 4x4 system Hamiltonian numerically, takes the sigma^x
 matrix elements of each qubit in that eigenbasis, forms secular (Pauli)
 golden-rule rates for either reservoir statistics, and reads the stationary
@@ -15,6 +15,7 @@ on its own.
 import numpy as np
 import pytest
 
+from oracles import hamiltonian_route
 from qjunction import (
     BathKind,
     SweepSpec,
@@ -23,51 +24,6 @@ from qjunction import (
     run_sweep,
     solve_point,
 )
-
-# product basis |dd>, |du>, |ud>, |uu>, qubit 1 (left bath) first; sigma^z|d> = -|d>
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SY = np.array([[0.0, -1j], [1j, 0.0]])
-_SZ = np.diag([-1.0, 1.0])
-_I2 = np.eye(2)
-_SX1, _SX2 = np.kron(_SX, _I2), np.kron(_I2, _SX)
-_ZZ = np.kron(_SZ, _I2) + np.kron(_I2, _SZ)
-_XY = (np.kron(_SX, _SX) + np.kron(_SY, _SY)).real
-# documented labels 1..4: singlet, |dd>, |uu>, triplet
-_R = np.sqrt(0.5)
-_LABELS = np.array([[0, _R, -_R, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, _R, _R, 0]])
-
-
-def _bath_rate(kind, gamma, temperature, released):
-    """Golden-rule rate of a jump that hands energy ``released`` to the bath."""
-    x = abs(released) / temperature
-    if kind == "boson":
-        n = 1.0 / np.expm1(x)
-        return gamma * (n + 1.0 if released > 0.0 else n)
-    n = 1.0 / (np.exp(x) + 1.0)
-    return gamma * (1.0 - n if released > 0.0 else n)
-
-
-def hamiltonian_route(eps, kap, kind, gamma_left, gamma_right, t_left, t_right):
-    """Populations (P1..P4, documented labels) and J_L from the Hamiltonian."""
-    energies, vecs = np.linalg.eigh(0.5 * eps * _ZZ + 0.5 * kap * _XY)
-    label_of = np.argmax((_LABELS @ vecs) ** 2, axis=0)
-    baths = ((_SX1, gamma_left, t_left), (_SX2, gamma_right, t_right))
-    w = np.zeros((2, 4, 4))  # w[bath, m, n]: rate n -> m
-    for b, (op, gamma, temperature) in enumerate(baths):
-        elem2 = (vecs.T @ op @ vecs) ** 2
-        for m in range(4):
-            for n in range(4):
-                if m != n and elem2[m, n] > 1e-12:
-                    w[b, m, n] = elem2[m, n] * _bath_rate(
-                        kind, gamma, temperature, energies[n] - energies[m])
-    generator = w.sum(axis=0)
-    generator -= np.diag(generator.sum(axis=0))
-    p = np.linalg.svd(generator)[2][-1]
-    p = p / p.sum()
-    current = float(np.sum((energies[:, None] - energies[None, :]) * w[0] * p[None, :]))
-    pops = np.empty(4)
-    pops[label_of] = p
-    return pops, current
 
 
 def _criterion_08(eps, kap):

@@ -8,11 +8,11 @@ differently from the math module by an ulp, so agreement is asserted to
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from oracles import exact_boson_point
 from qjunction import (
     BathKind,
     BathSpec,
@@ -68,10 +68,9 @@ CASES = _draw_cases()
 def _scalar_current(params, kind, gamma_left, gamma_right, t_left, t_right):
     rates = channel_rates(params, BathSpec(kind, gamma_left, t_left),
                           BathSpec(kind, gamma_right, t_right))
-    return heat_current(params, rates)
+    return heat_current(rates)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_sweep_matches_solve_point_row_by_row():
     worst = 0.0
     for spec in CASES:
@@ -86,7 +85,6 @@ def test_run_sweep_matches_solve_point_row_by_row():
     assert worst <= TOL
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_rectification_scan_matches_scalar_heat_current():
     worst = 0.0
     for spec in CASES:
@@ -102,7 +100,6 @@ def test_rectification_scan_matches_scalar_heat_current():
     assert worst <= TOL
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_uncoupled_junction_scan_carries_no_current():
     points = rectification_scan(SystemParams(0.2, 1.0), BathKind.SPIN, 0.0, 0.0, 1.0,
                                 [0.1, 0.5])
@@ -151,25 +148,16 @@ class TestNonFinite:
         with pytest.raises(ValueError):
             BathSpec(BathKind.BOSON, 1.0, math.inf)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_rates_are_a_typed_error_on_every_route(self):
-        # J is linear in the coupling scale, but products of rates overflow
-        with pytest.raises(ValueError):
-            solve_point(self.PARAMS, BathKind.BOSON, 1e300, 1e300, 1.5, 0.5)
-        with pytest.raises(ValueError):
-            run_sweep(SweepSpec(self.PARAMS, BathKind.BOSON, 1e300, 1e300,
-                                SweepVariable.T_RIGHT, 0.1, 1.0, 5, t_left=1.5))
-        with pytest.raises(ValueError):
-            rectification_scan(self.PARAMS, BathKind.BOSON, 1e300, 1e300, 1.0, [0.5])
-
     def test_huge_temperature_is_a_typed_error(self):
         with pytest.raises(ValueError):
             solve_point(self.PARAMS, BathKind.BOSON, 1e200, 1.0, 1e308, 0.5)
 
 
-# (epsilon, kappa, Gamma_L, Gamma_R, T_R) of boson points at T_L = 1e308, where
-# left rates near 5e307 overflowed a channel's doubled total (the current lost
-# that channel's term) or its summed rates (P read (0, 1/2, 0, 1/2), not 1/4 each)
+# (epsilon, kappa, Gamma_L, Gamma_R, T_R) of boson points at T_L = 1e308. In the
+# first five, left rates near 5e307 overflowed a channel's doubled total (the
+# current lost that channel's term) or its summed rates (P read (0, 1/2, 0, 1/2),
+# not 1/4 each); in the last, left rates near 1e307 are below that, but omega
+# times a left rate times a right rate overflowed (a ValueError, J ~ 36)
 NEAR_CEILING = [
     (1.8003068063182628, 0.13118308168496076, 0.8069918774460697,
      0.14793354495870803, 1.668801301610526),
@@ -181,33 +169,14 @@ NEAR_CEILING = [
      1.205744935383994, 1.0594465715665733),
     (5.6997862104443415, 0.6817135463206729, 3.199729788490749,
      0.09277403705169157, 0.1254535874911514),
+    (6.814540687422349, 1.6143144377663998, 0.20387232532666857,
+     10.583947812514673, 4.257239872147293),
 ]
 
 
-def _exact_boson_point(eps, kap, gl, gr, tl, tr):
-    """P1..P4 and J_L from the occupation form, in exact rational arithmetic.
-
-    Only the Bose factors n = 1/expm1(omega/T) are floats. Channel c of gap
-    omega has down rates Gamma (n + 1) and up rates Gamma n, so it carries
-    J_c = omega Gamma_L Gamma_R (n_L - n_R) / (2 sum of its rates), and its
-    side holding state 1 has weight down/total (up/total when inverted).
-    """
-    current, weights = Fraction(0), []
-    for omega, inverted in ((abs(kap - eps), eps > kap), (kap + eps, False)):
-        n_l, n_r = (Fraction(1.0 / math.expm1(omega / t)) for t in (tl, tr))
-        down = Fraction(gl) * (n_l + 1) + Fraction(gr) * (n_r + 1)
-        up = Fraction(gl) * n_l + Fraction(gr) * n_r
-        current += Fraction(omega) * Fraction(gl) * Fraction(gr) * (n_l - n_r) / (2 * (down + up))
-        weights.append((up if inverted else down) / (down + up))
-    fa, fb = weights
-    pops = [fa * fb, (1 - fa) * fb, fa * (1 - fb), (1 - fa) * (1 - fb)]
-    return [float(p) for p in pops], float(current)
-
-
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("eps, kap, gl, gr, tr", NEAR_CEILING)
 def test_rates_near_the_float_ceiling_match_exact_evaluation(eps, kap, gl, gr, tr):
-    pops, current = _exact_boson_point(eps, kap, gl, gr, 1e308, tr)
+    pops, current = exact_boson_point(eps, kap, gl, gr, 1e308, tr)
     params = SystemParams(eps, kap)
     point = solve_point(params, BathKind.BOSON, gl, gr, 1e308, tr)
     first = run_sweep(SweepSpec(params, BathKind.BOSON, gl, gr, SweepVariable.T_RIGHT,
@@ -216,3 +185,23 @@ def test_rates_near_the_float_ceiling_match_exact_evaluation(eps, kap, gl, gr, t
         assert row.t_right == tr
         assert row.heat_current == pytest.approx(current, rel=TOL)
         assert [row.p1, row.p2, row.p3, row.p4] == pytest.approx(pops, abs=TOL)
+
+
+def test_huge_couplings_match_exact_evaluation_on_every_route():
+    # J is linear in the coupling scale, but products of two rates near 1e300
+    # overflow unless the channel is first divided by a power of two
+    params, gamma = SystemParams(0.2, 1.0), 1e300
+    args = (params, BathKind.BOSON, gamma, gamma)
+    pops, current = exact_boson_point(0.2, 1.0, gamma, gamma, 1.5, 0.5)
+    point = solve_point(*args, 1.5, 0.5)
+    assert point.heat_current == pytest.approx(current, rel=TOL)
+    assert [point.p1, point.p2, point.p3, point.p4] == pytest.approx(pops, abs=TOL)
+    for row in run_sweep(SweepSpec(*args, SweepVariable.T_RIGHT, 0.1, 1.0, 5, t_left=1.5)):
+        pops, current = exact_boson_point(0.2, 1.0, gamma, gamma, 1.5, row.t_right)
+        assert row.heat_current == pytest.approx(current, rel=TOL)
+        assert [row.p1, row.p2, row.p3, row.p4] == pytest.approx(pops, abs=TOL)
+    (rect,) = rectification_scan(*args, 1.0, [0.5])
+    assert rect.j_forward == pytest.approx(
+        exact_boson_point(0.2, 1.0, gamma, gamma, 1.5, 0.5)[1], rel=TOL)
+    assert rect.j_reverse == pytest.approx(
+        exact_boson_point(0.2, 1.0, gamma, gamma, 0.5, 1.5)[1], rel=TOL)

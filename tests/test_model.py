@@ -2,29 +2,39 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import density_matrix_uncoupled, eigenbasis, squared_elements
 from qjunction import (
-    CHANNEL_TABLE,
+    BathKind,
+    BathSpec,
     DegeneratePhysicsError,
     SystemParams,
-    density_matrix_uncoupled,
-    eigensystem,
-    ground_state_index,
+    channel_rates,
+    solve_point,
 )
+
+ALLOWED = {(1, 2), (1, 3), (2, 4), (3, 4)}
+
+
+def gaps(params):
+    rs = channel_rates(params, BathSpec(BathKind.BOSON, 1.0, 1.0),
+                       BathSpec(BathKind.BOSON, 1.0, 1.0))
+    return rs.a.omega, rs.b.omega, rs.a_inverted
 
 
 class TestEigensystem:
+    # the documented spectrum (-kappa, -epsilon, epsilon, kappa) against the
+    # numerical diagonalization, and the two gaps the solver takes from it
+
     def test_strong_coupling(self):
-        es = eigensystem(SystemParams(epsilon=0.2, kappa=1.0))
-        assert es.energies == (-1.0, -0.2, 0.2, 1.0)
-        assert es.omega21 == pytest.approx(0.8, abs=0)
-        assert es.omega31 == pytest.approx(1.2, abs=0)
+        energies, _ = eigenbasis(0.2, 1.0)
+        assert_allclose(energies, (-1.0, -0.2, 0.2, 1.0), atol=1e-15)
+        assert gaps(SystemParams(epsilon=0.2, kappa=1.0)) == (0.8, 1.2, False)
 
     def test_inverted_ordering(self):
-        # epsilon > kappa: |2> becomes the ground state and omega21 < 0
-        es = eigensystem(SystemParams(epsilon=1.0, kappa=0.2))
-        assert es.energies == (-0.2, -1.0, 1.0, 0.2)
-        assert es.omega21 == pytest.approx(-0.8, abs=0)
-        assert es.omega31 == pytest.approx(1.2, abs=0)
+        # epsilon > kappa: |2> becomes the ground state and channel a inverts
+        energies, _ = eigenbasis(1.0, 0.2)
+        assert_allclose(energies, (-0.2, -1.0, 1.0, 0.2), atol=1e-15)
+        assert gaps(SystemParams(epsilon=1.0, kappa=0.2)) == (0.8, 1.2, True)
 
     def test_degenerate_gap_rejected(self):
         with pytest.raises(DegeneratePhysicsError):
@@ -41,33 +51,48 @@ class TestEigensystem:
             eps, kap = rng.uniform(0.05, 3.0, size=2)
             if eps == kap:
                 continue
-            es = eigensystem(SystemParams(epsilon=eps, kappa=kap))
-            e1, e2, e3, e4 = es.energies
-            assert e1 + e2 + e3 + e4 == pytest.approx(0.0, abs=1e-13)
-            assert es.omega21 == pytest.approx(e4 - e3, abs=0)
-            assert es.omega31 == pytest.approx(e4 - e2, abs=0)
-            assert es.omega31 > 0.0
-            assert es.omega21 != 0.0
+            e1, e2, e3, e4 = eigenbasis(eps, kap)[0]
+            assert_allclose((e1, e2, e3, e4), (-kap, -eps, eps, kap), atol=1e-13)
+            omega_a, omega_b, inverted = gaps(SystemParams(epsilon=eps, kappa=kap))
+            assert omega_a == pytest.approx(abs(e2 - e1), abs=1e-13)
+            assert omega_a == pytest.approx(abs(e4 - e3), abs=1e-13)
+            assert omega_b == pytest.approx(e3 - e1, abs=1e-13)
+            assert omega_b == pytest.approx(e4 - e2, abs=1e-13)
+            assert inverted == (e2 < e1)
 
     def test_ground_state_label(self):
-        assert ground_state_index(SystemParams(0.2, 1.0)) == 1
-        assert ground_state_index(SystemParams(1.0, 0.2)) == 2
+        # at T = 0 the junction relaxes into the lowest level
+        for params, ground in ((SystemParams(0.2, 1.0), 0), (SystemParams(1.0, 0.2), 1)):
+            row = solve_point(params, BathKind.BOSON, 1.0, 1.0, 0.0, 0.0)
+            pops = [row.p1, row.p2, row.p3, row.p4]
+            assert pops[ground] == 1.0
+            assert int(np.argmin(eigenbasis(params.epsilon, params.kappa)[0])) == ground
 
 
 class TestChannelTable:
+    # sigma^x of either qubit in the numerical eigenbasis, by documented
+    # label, in both orientations of channel a
+    SYSTEMS = ((0.2, 1.0), (1.0, 0.2))
+
     def test_allowed_pairs(self):
-        pairs = {(t.m, t.n) for t in CHANNEL_TABLE}
-        assert pairs == {(1, 2), (1, 3), (2, 4), (3, 4)}
+        for eps, kap in self.SYSTEMS:
+            for elem2 in squared_elements(eps, kap):
+                connected = {(m + 1, n + 1) for m, n in zip(*np.nonzero(elem2 > 1e-12))
+                             if m < n}
+                assert connected == ALLOWED
 
     def test_forbidden_pairs_absent(self):
-        pairs = {(t.m, t.n) for t in CHANNEL_TABLE}
-        assert (1, 4) not in pairs and (4, 1) not in pairs
-        assert (2, 3) not in pairs and (3, 2) not in pairs
+        for eps, kap in self.SYSTEMS:
+            for elem2 in squared_elements(eps, kap):
+                for m, n in ((1, 4), (2, 3)):
+                    assert elem2[m - 1, n - 1] < 1e-15 and elem2[n - 1, m - 1] < 1e-15
 
     def test_equal_squared_elements(self):
-        for t in CHANNEL_TABLE:
-            assert t.s2_left == 0.5
-            assert t.s2_right == 0.5
+        for eps, kap in self.SYSTEMS:
+            left, right = squared_elements(eps, kap)
+            for m, n in ALLOWED:
+                assert left[m - 1, n - 1] == pytest.approx(0.5, abs=1e-15)
+                assert right[m - 1, n - 1] == pytest.approx(0.5, abs=1e-15)
 
 
 class TestDensityMatrix:
