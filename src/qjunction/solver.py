@@ -86,16 +86,17 @@ class Populations:
         return np.array(tuple(self))
 
 
-# A channel's rates are summed, doubled and multiplied in pairs. Where that
-# overflows (only at temperatures or couplings near the float ceiling) the
-# channel is evaluated again with its rates divided by the least power of two
-# that brings the largest, a down rate, below 2**_TOP_EXPONENT; then the sum
-# of all four, doubled, and omega times a product of two stay finite for any
-# gap below 2**23. A power of two divides exactly in binary: ratios of rates,
+# A channel's rates are summed, doubled and multiplied in pairs. Where their
+# sum passes 2**_TOP_EXPONENT (only at temperatures or couplings near the
+# float ceiling) they are first divided by the least power of two that brings
+# the largest, a down rate, below it, so that the sum of all four, doubled,
+# stays finite. A power of two divides exactly in binary: ratios of rates,
 # hence the populations, are unchanged, and the heat current is multiplied
-# back by the same power. A channel that does not overflow keeps the plain
-# arithmetic, so its smallest rates are never divided down towards zero.
-_TOP_EXPONENT = 500
+# back by the same power. Inputs below the ceiling take no rescaling at all.
+# Where omega times a product of two rates still overflows, the current is
+# formed as in _term_over_sum instead, which forms no such product.
+_TOP_EXPONENT = 1020
+_RATE_CEILING = 2.0 ** _TOP_EXPONENT
 
 
 def _rescaled(ld: float, lu: float, rd: float, ru: float):
@@ -110,11 +111,26 @@ def _summed(ch: ChannelRates) -> tuple[float, float, float]:
     down = ch.left_down + ch.right_down
     up = ch.left_up + ch.right_up
     total = down + up
-    if total == math.inf:
+    if total > _RATE_CEILING:
         ld, lu, rd, ru, _ = _rescaled(ch.left_down, ch.left_up, ch.right_down, ch.right_up)
         down, up = ld + rd, lu + ru
         total = down + up
     return down, up, total
+
+
+def _rescaled_arrays(ld, lu, rd, ru):
+    # _rescaled elementwise, for the grid kernel
+    scale = np.ldexp(1.0, np.maximum(np.frexp(np.maximum(ld, rd))[1] - _TOP_EXPONENT, 0))
+    return ld / scale, lu / scale, rd / scale, ru / scale, scale
+
+
+def _term_over_sum(omega, ld, lu, rd, ru, twice_sum):
+    # omega (lu rd - ld ru) / twice_sum with each product formed as its larger
+    # rate over twice_sum (at most 1/2) times its smaller rate, for floats or
+    # arrays: nothing overflows unless the term itself does, and no rate is
+    # divided down towards zero
+    hi, lo = np.maximum, np.minimum
+    return omega * (hi(lu, rd) / twice_sum * lo(lu, rd) - hi(ld, ru) / twice_sum * lo(ld, ru))
 
 
 def channel_rates(params: SystemParams, left: BathSpec, right: BathSpec) -> RateSet:
@@ -171,15 +187,18 @@ def heat_current(rates: RateSet) -> float:
     """
     total = 0.0
     for ch in (rates.a, rates.b):
-        ld, lu, rd, ru = ch.left_down, ch.left_up, ch.right_down, ch.right_up
-        denom = 2.0 * (lu + rd + ld + ru)
+        ld, lu, rd, ru, scale = ch.left_down, ch.left_up, ch.right_down, ch.right_up, 1.0
+        denom = lu + rd + ld + ru
+        if denom > _RATE_CEILING:
+            ld, lu, rd, ru, scale = _rescaled(ld, lu, rd, ru)
+            denom = lu + rd + ld + ru
         if denom == 0.0:
             continue
-        term = ch.omega * (lu * rd - ld * ru) / denom
-        if denom == math.inf or not math.isfinite(term):
-            ld, lu, rd, ru, scale = _rescaled(ld, lu, rd, ru)
-            term = ch.omega * (lu * rd - ld * ru) / (2.0 * (lu + rd + ld + ru)) * scale
-        total += term
+        term = ch.omega * (lu * rd - ld * ru) / (2.0 * denom)
+        if not math.isfinite(term):
+            with np.errstate(all="ignore"):  # rates that overflow on their own give NaN
+                term = float(_term_over_sum(ch.omega, ld, lu, rd, ru, 2.0 * denom))
+        total += term * scale
     return total
 
 
@@ -202,17 +221,20 @@ def _rate_arrays(kind: BathKind, gamma: float, omega: float, t: np.ndarray):
 
 def _channel_current(omega: float, ld, lu, rd, ru):
     # one channel's term of heat_current, and its rates as the kernel passes
-    # them on: rescaled at the points where the plain evaluation overflows; a
-    # channel with no rates gives 0
-    denom = 2.0 * (lu + rd + ld + ru)
-    j = omega * (lu * rd - ld * ru) / denom
-    over = (denom == np.inf) | ~np.isfinite(j)
+    # them on: rescaled where they pass the ceiling; a channel with no rates
+    # gives 0
+    denom = lu + rd + ld + ru
+    scale = None
+    if denom.max(initial=0.0) > _RATE_CEILING:
+        ld, lu, rd, ru, scale = _rescaled_arrays(ld, lu, rd, ru)
+        denom = lu + rd + ld + ru
+    j = omega * (lu * rd - ld * ru) / (2.0 * denom)
+    over = ~np.isfinite(j)
     if over.any():
-        exponent = np.frexp(np.maximum(ld, rd))[1] - _TOP_EXPONENT
-        scale = np.ldexp(1.0, np.where(over, np.maximum(exponent, 0), 0))
-        ld, lu, rd, ru = ld / scale, lu / scale, rd / scale, ru / scale
-        denom = 2.0 * (lu + rd + ld + ru)
-        j = omega * (lu * rd - ld * ru) / denom * scale
+        j[over] = _term_over_sum(omega, ld[over], lu[over], rd[over], ru[over],
+                                 2.0 * denom[over])
+    if scale is not None:
+        j *= scale
     j[denom == 0.0] = 0.0
     return (ld, lu, rd, ru), j
 
@@ -232,7 +254,7 @@ def transport_kernel(
     a tuple of eight arrays, the :class:`ChannelRates` fields (left_down,
     left_up, right_down, right_up) of channel a, then of channel b, and
     ``j_left`` is :func:`heat_current` at each point. Where a channel's
-    current overflows its rates are returned divided by the power of two
+    rates sum past 2**1020 they are returned divided by the power of two
     that :func:`heat_current` divides them by, which leaves every ratio
     of rates, and so the populations, exact. Raises ``ValueError``
     where the current is not finite.

@@ -187,6 +187,34 @@ def test_rates_near_the_float_ceiling_match_exact_evaluation(eps, kap, gl, gr, t
         assert [row.p1, row.p2, row.p3, row.p4] == pytest.approx(pops, abs=TOL)
 
 
+# (epsilon, kappa, Gamma_L, Gamma_R, T_L, T_R) of boson points that pair rates
+# near the float ceiling with rates near 1e-300, or a gap near 1e290 with
+# products of two rates near 1e22. Rescaling a whole channel further than its
+# sum needs would flush the small rates to 0 and read J = 0.0 in the first
+# four; the last overflowed omega times a product of two rates
+EXTREME_RATIOS = [
+    (0.2, 1.0, 1.0, 1e-300, 1e308, 1.0),
+    (0.2, 1.0, 1e-300, 1.0, 1.0, 1e308),
+    (0.2, 1.0, 1e-300, 1e308, 1.5, 0.5),
+    (0.2, 1.0, 1e308, 1e-300, 0.5, 1.5),
+    (0.2, 1e290, 1e10, 1e10, 1e291, 5e290),
+]
+
+
+@pytest.mark.parametrize("eps, kap, gl, gr, tl, tr", EXTREME_RATIOS)
+def test_extreme_rate_ratios_match_exact_evaluation(eps, kap, gl, gr, tl, tr):
+    pops, current = exact_boson_point(eps, kap, gl, gr, tl, tr)
+    params = SystemParams(eps, kap)
+    point = solve_point(params, BathKind.BOSON, gl, gr, tl, tr)
+    last = run_sweep(SweepSpec(params, BathKind.BOSON, gl, gr, SweepVariable.T_RIGHT,
+                               0.5 * tr, tr, 2, t_left=tl))[-1]
+    for row in (point, last):
+        assert row.t_right == tr
+        # abs=0: pytest.approx would otherwise accept 0.0 for J ~ 1e-301
+        assert row.heat_current == pytest.approx(current, rel=TOL, abs=0.0)
+        assert [row.p1, row.p2, row.p3, row.p4] == pytest.approx(pops, abs=TOL)
+
+
 def test_huge_couplings_match_exact_evaluation_on_every_route():
     # J is linear in the coupling scale, but products of two rates near 1e300
     # overflow unless the channel is first divided by a power of two
