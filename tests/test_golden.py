@@ -2,9 +2,10 @@
 
 Each case runs twice in-process and must reproduce its pinned file under
 ``tests/golden`` byte for byte. The cases cover all four subcommands, both
-bath kinds, inverted splittings (epsilon > kappa), T = 0 and one-sided
-Gamma = 0. A change that moves any output, even by an ulp, shows here; a
-deliberate one rewrites the file with ``python -m qjunction.cli <argv>``.
+bath kinds, inverted splittings (epsilon > kappa), T = 0, one-sided
+Gamma = 0 and the edges of the float range. A change that moves any output,
+even by an ulp, shows here; a deliberate one rewrites the file with
+``python -m qjunction.cli <argv>``.
 """
 
 from pathlib import Path
@@ -36,6 +37,23 @@ CASES = {
     "death_spin_inverted": ["death", "--bath", "spin", "--epsilon", "1.5", "--kappa", "0.07",
                             "--gl", "0.76", "--gr", "8.5"],
     "death_one_sided": ["death", "--kappa", "2.0", "--gl", "0"],
+    # domain edges: omega/T underflows beside an uncoupled bath; rates past the
+    # rescaling ceiling whose current takes the over-sum form; couplings and
+    # temperatures 600 decades apart
+    "sweep_tr_uncoupled_to_ceiling": ["sweep", "--var", "tr", "--epsilon", "0.99",
+                                      "--kappa", "1.0", "--tl", "0.5", "--lo", "0",
+                                      "--hi", "1e308", "--n", "5", "--gr", "0"],
+    "sweep_tr_rescaled_over_sum": ["sweep", "--var", "tr", "--tl", "1e308", "--lo", "0.5",
+                                   "--hi", "4.0", "--n", "6", "--epsilon", "6.8145",
+                                   "--kappa", "1.6143", "--gl", "0.2039", "--gr", "10.58"],
+    "point_inverted_extreme_ratio": ["point", "--epsilon", "1.0", "--kappa", "0.2",
+                                     "--gl", "1.0", "--gr", "1e-300", "--tl", "1e308",
+                                     "--tr", "1.0"],
+    "sweep_ta_spin_extreme_couplings": ["sweep", "--var", "ta", "--bath", "spin",
+                                        "--gl", "1e300", "--gr", "1e-300", "--lo", "0",
+                                        "--hi", "1e300", "--n", "6"],
+    "rect_spin_huge_couplings": ["rect", "--bath", "spin", "--ta", "1.0", "--lo", "0.1",
+                                 "--hi", "0.9", "--n", "5", "--gl", "1e300", "--gr", "1e300"],
 }
 
 
