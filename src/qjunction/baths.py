@@ -9,6 +9,9 @@ occupation factor of the transition frequency.
 import enum
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
+
+import numpy as np
 
 # exp(x) overflows IEEE doubles near x ~ 709; past this the occupation is
 # indistinguishable from its zero-temperature limit
@@ -89,14 +92,79 @@ def rate_pair(bath: BathSpec, omega: float) -> tuple[float, float]:
     """
     if not omega > 0.0:
         raise ValueError(f"omega must be positive, got {omega}")
-    g = bath.gamma
-    t = bath.temperature
+    g, t = bath.gamma, bath.temperature
     if g == 0.0:
         return 0.0, 0.0
     if t == 0.0:
         return g, 0.0
-    n = occupation(bath.kind, omega, t)
-    if bath.kind is BathKind.BOSON:
-        return g * (n + 1.0), g * n
-    # math.exp underflows gracefully to 0 for large gaps, giving down -> Gamma
-    return g / (math.exp(-omega / t) + 1.0), g * n
+    return _rates(_FLOATS, bath.kind, g, omega / t, occupation(bath.kind, omega, t))
+
+
+def _rates(ops, kind: BathKind, gamma: float, x, n):
+    # (down, up) of rate_pair from x = omega/T and the occupation n, for one
+    # temperature (ops = _FLOATS) or an array of them (_ARRAYS)
+    if gamma == 0.0:  # not gamma * n: n is inf where omega/T underflows
+        zero = ops.zeros_like(x)
+        return zero, zero
+    if kind is BathKind.BOSON:
+        return gamma * (n + 1.0), gamma * n
+    # exp underflows gracefully to 0 for large gaps, giving down -> Gamma
+    return gamma / (ops.exp(-x) + 1.0), gamma * n
+
+
+# The closed forms of the package are written once, over one of these two
+# namespaces: _FLOATS for a single point, _ARRAYS for a grid. They hold only
+# what differs between math on floats and numpy on float64 arrays. math
+# raises where numpy returns inf or NaN (exp past 709, x / 0, log2(0)), so a
+# guarded float form never evaluates the branch it discards; grid callers
+# run under np.errstate(all="ignore").
+
+
+def _float_quotient(num, den, fallback, *args):
+    # num / den, 0 where den is 0, and fallback(*args) where num / den is not finite
+    if not den:
+        return 0.0
+    value = num / den
+    return value if math.isfinite(value) else fallback(*args)
+
+
+_FLOATS = SimpleNamespace(
+    exp=math.exp, sqrt=math.sqrt, hypot=math.hypot, frexp=math.frexp, ldexp=math.ldexp,
+    maximum=max, minimum=min,
+    zeros_like=lambda x: 0.0,
+    top=lambda x: x,  # the value tested against the rescaling ceiling
+    select=lambda cond, if_true, if_false: if_true if cond else if_false,
+    quotient=_float_quotient,
+    xlog2x=lambda x: x * math.log2(x) if x > 0.0 else 0.0,
+    # -w log2(num / den), and 0 where the weight w is 0
+    conditional=lambda w, num, den: -w * math.log2(num / den) if w > 0.0 else 0.0,
+)
+
+
+def _clamped_occupation(kind, x):
+    # occupation() over an array of x = omega/T, in which T = 0 gives inf
+    n = 1.0 / np.expm1(x) if kind is BathKind.BOSON else 1.0 / (np.exp(x) + 1.0)
+    n[x > _X_CLAMP] = 0.0
+    return n
+
+
+def _quotient(num, den, fallback, *args):
+    value = num / den
+    value[den == 0.0] = 0.0
+    over = ~np.isfinite(value)
+    if over.any():
+        value[over] = fallback(*(a[over] if isinstance(a, np.ndarray) else a for a in args))
+    return value
+
+
+_ARRAYS = SimpleNamespace(
+    exp=np.exp, sqrt=np.sqrt, hypot=np.hypot, frexp=np.frexp, ldexp=np.ldexp,
+    maximum=np.maximum, minimum=np.minimum,
+    zeros_like=np.zeros_like,
+    occupation=_clamped_occupation,
+    top=lambda x: x.max(initial=0.0),
+    select=np.where,
+    quotient=_quotient,
+    xlog2x=lambda x: x * np.log2(x, out=np.zeros_like(x), where=x > 0.0),
+    conditional=lambda w, num, den: -w * np.log2(num / den, out=np.zeros_like(w), where=w > 0.0),
+)

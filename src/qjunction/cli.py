@@ -7,6 +7,7 @@ byte-identical output.
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -106,8 +107,11 @@ def _check_domain(args) -> None:
             raise _ConfigError("--var tr requires --tl")
         if args.var == "dt" and args.ta is None:
             raise _ConfigError("--var dt requires --ta")
-    if getattr(args, "command", None) == "rect" and args.n < 1:
-        raise _ConfigError(f"--n must be at least 1, got {args.n}")
+    if getattr(args, "command", None) == "rect":
+        if args.n < 1:
+            raise _ConfigError(f"--n must be at least 1, got {args.n}")
+        if not math.isfinite(args.hi - args.lo):  # np.linspace would warn and give NaN
+            raise _ConfigError(f"--lo/--hi span is not finite: [{args.lo}, {args.hi}]")
 
 
 class _ConfigError(ValueError):

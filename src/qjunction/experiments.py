@@ -1,13 +1,13 @@
 """Parameter-sweep drivers: equilibrium scans, bias sweeps, rectification,
 and the entanglement sudden-death threshold.
 
-A single point (:func:`solve_point`) takes the scalar path through
-``channel_rates``, ``steady_populations``, ``heat_current`` and
-``correlation_report``. A grid (:func:`run_sweep`,
-:func:`rectification_scan`) is solved in one array pass by
-``solver.transport_kernel`` and ``correlations.correlation_kernel``, which
-compute the same closed forms. The sudden-death threshold is a closed form
-of its own, valid at any equilibrium.
+A single point (:func:`solve_point`) goes through ``channel_rates``,
+``steady_populations``, ``heat_current`` and ``correlation_report`` on
+Python floats. A grid (:func:`run_sweep`, :func:`rectification_scan`) is
+solved in one numpy pass by ``solver.transport_kernel`` and
+``correlations.correlation_kernel``, which run the same closed forms on
+arrays. The sudden-death threshold is a closed form of its own, valid at
+any equilibrium.
 """
 
 import enum
@@ -41,8 +41,8 @@ class SweepSpec:
 
     ``t_left`` fixes T_L for T_RIGHT sweeps; ``t_avg`` fixes T_a for DELTA_T
     sweeps. Grids are uniform and closed at both ends, and every temperature
-    must be finite; DELTA_T grids must stay strictly inside (-T_a, T_a) so
-    both temperatures remain positive.
+    on them must be finite; DELTA_T grids must stay strictly inside
+    (-T_a, T_a) so both temperatures remain positive.
     """
 
     params: SystemParams
@@ -73,6 +73,8 @@ class SweepSpec:
                     f"bias grid [{self.lo}, {self.hi}] leaves (-T_a, T_a) "
                     f"for T_a = {self.t_avg}"
                 )
+            if self.t_avg + max(self.hi, -self.lo) == math.inf:
+                raise ValueError(f"T_a + |dT| overflows for T_a = {self.t_avg}")
         elif self.variable is SweepVariable.T_RIGHT:
             if self.t_left is None or not 0.0 <= self.t_left < math.inf:
                 raise ValueError("T_RIGHT sweeps need a nonnegative, finite t_left")
@@ -132,19 +134,9 @@ def solve_point(
             f"heat current is not finite at T_L = {t_left}, T_R = {t_right}"
         )
     rep = correlation_report(pops)
-    return SweepRow(
-        t_left=float(t_left),
-        t_right=float(t_right),
-        p1=pops.p1,
-        p2=pops.p2,
-        p3=pops.p3,
-        p4=pops.p4,
-        heat_current=current,
-        concurrence=rep.concurrence,
-        discord=rep.discord,
-        mutual_information=rep.mutual_information,
-        classical_correlation=rep.classical_correlation,
-    )
+    return SweepRow(float(t_left), float(t_right), pops.p1, pops.p2, pops.p3, pops.p4,
+                    current, rep.concurrence, rep.discord, rep.mutual_information,
+                    rep.classical_correlation)
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -190,6 +182,8 @@ def rectification_scan(
     outside = ~((dts > 0.0) & (dts < t_avg))
     if outside.any():
         raise ValueError(f"bias {float(dts[np.argmax(outside)])} outside (0, {t_avg})")
+    if dts.size and t_avg + float(dts.max()) == math.inf:
+        raise ValueError(f"T_a + dT overflows at T_a = {t_avg}, dT = {float(dts.max())}")
     # forward biases (hot left) first, then the same biases reversed
     hot, cold = t_avg + dts, t_avg - dts
     _, j = transport_kernel(

@@ -15,17 +15,17 @@ second-order two-channel expression implemented in :func:`heat_current`;
 the variant written in terms of bath-system coherences has no closed
 evaluation route here and is not provided.
 
-:func:`transport_kernel` is the array form of :func:`channel_rates` plus
-:func:`heat_current` over whole temperature grids; the scalar functions
-remain the reference it is tested against.
+:func:`transport_kernel` evaluates :func:`channel_rates` and
+:func:`heat_current` over whole temperature grids. Both run the same closed
+forms, on floats or on numpy arrays (see ``baths._FLOATS`` and
+``baths._ARRAYS``).
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import _X_CLAMP, BathKind, BathSpec, rate_pair
+from .baths import _ARRAYS, _FLOATS, BathKind, BathSpec, _rates, rate_pair
 from .model import DegeneratePhysicsError, SystemParams
 
 
@@ -82,9 +82,6 @@ class Populations:
         yield self.p3
         yield self.p4
 
-    def as_array(self) -> np.ndarray:
-        return np.array(tuple(self))
-
 
 # A channel's rates are summed, doubled and multiplied in pairs. Where their
 # sum passes 2**_TOP_EXPONENT (only at temperatures or couplings near the
@@ -94,43 +91,53 @@ class Populations:
 # hence the populations, are unchanged, and the heat current is multiplied
 # back by the same power. Inputs below the ceiling take no rescaling at all.
 # Where omega times a product of two rates still overflows, the current is
-# formed as in _term_over_sum instead, which forms no such product.
+# formed as in _over_sum instead, which forms no such product.
 _TOP_EXPONENT = 1020
 _RATE_CEILING = 2.0 ** _TOP_EXPONENT
 
 
-def _rescaled(ld: float, lu: float, rd: float, ru: float):
-    # (ld, lu, rd, ru) over that power of two, and the power
-    scale = 2.0 ** max(math.frexp(max(ld, rd))[1] - _TOP_EXPONENT, 0)
+def _rescaled(ops, ld, lu, rd, ru):
+    # the rates over that power of two, and the power
+    scale = ops.ldexp(1.0, ops.maximum(ops.frexp(ops.maximum(ld, rd))[1] - _TOP_EXPONENT, 0))
     return ld / scale, lu / scale, rd / scale, ru / scale, scale
 
 
-def _summed(ch: ChannelRates) -> tuple[float, float, float]:
-    # the channel's down and up rates summed over both baths, and their total,
-    # rescaled if need be
-    down = ch.left_down + ch.right_down
-    up = ch.left_up + ch.right_up
-    total = down + up
-    if total > _RATE_CEILING:
-        ld, lu, rd, ru, _ = _rescaled(ch.left_down, ch.left_up, ch.right_down, ch.right_up)
-        down, up = ld + rd, lu + ru
-        total = down + up
-    return down, up, total
-
-
-def _rescaled_arrays(ld, lu, rd, ru):
-    # _rescaled elementwise, for the grid kernel
-    scale = np.ldexp(1.0, np.maximum(np.frexp(np.maximum(ld, rd))[1] - _TOP_EXPONENT, 0))
-    return ld / scale, lu / scale, rd / scale, ru / scale, scale
-
-
-def _term_over_sum(omega, ld, lu, rd, ru, twice_sum):
+def _over_sum(ops, omega, ld, lu, rd, ru, twice_sum):
     # omega (lu rd - ld ru) / twice_sum with each product formed as its larger
-    # rate over twice_sum (at most 1/2) times its smaller rate, for floats or
-    # arrays: nothing overflows unless the term itself does, and no rate is
-    # divided down towards zero
-    hi, lo = np.maximum, np.minimum
+    # rate over twice_sum (at most 1/2) times its smaller rate: nothing
+    # overflows unless the term itself does, and no rate is divided down
+    # towards zero
+    hi, lo = ops.maximum, ops.minimum
     return omega * (hi(lu, rd) / twice_sum * lo(lu, rd) - hi(ld, ru) / twice_sum * lo(ld, ru))
+
+
+def _channel_current(ops, omega, ld, lu, rd, ru):
+    # one channel's term of heat_current, and its rates as the term was
+    # formed (rescaled where they pass the ceiling); no rates give 0
+    total, scale = lu + rd + ld + ru, None
+    if ops.top(total) > _RATE_CEILING:
+        ld, lu, rd, ru, scale = _rescaled(ops, ld, lu, rd, ru)
+        total = lu + rd + ld + ru
+    twice_sum = 2.0 * total
+    j = ops.quotient(omega * (lu * rd - ld * ru), twice_sum,
+                     _over_sum, ops, omega, ld, lu, rd, ru, twice_sum)
+    return (ld, lu, rd, ru), j if scale is None else j * scale
+
+
+def _sides(a_inverted, ld_a, lu_a, rd_a, ru_a, ld_b, lu_b, rd_b, ru_b):
+    # W12 and W13, the total rates into the side of channel a and of channel
+    # b that holds state 1, each with its channel's total rate
+    down_a, up_a = ld_a + rd_a, lu_a + ru_a
+    w12, w21 = (up_a, down_a) if a_inverted else (down_a, up_a)
+    w13 = ld_b + rd_b
+    return w12, w12 + w21, w13, w13 + (lu_b + ru_b)
+
+
+def _product_state(w12, da, w13, db):
+    # P1..P4 of two independent channels, da and db nonzero
+    fa = w12 / da  # weight of the channel-a side containing state 1
+    fb = w13 / db  # weight of the channel-b side containing state 1
+    return fa * fb, (1.0 - fa) * fb, fa * (1.0 - fb), (1.0 - fa) * (1.0 - fb)
 
 
 def channel_rates(params: SystemParams, left: BathSpec, right: BathSpec) -> RateSet:
@@ -154,21 +161,18 @@ def channel_rates(params: SystemParams, left: BathSpec, right: BathSpec) -> Rate
 
 def steady_populations(rates: RateSet) -> Populations:
     """Closed-form stationary populations; normalized by construction."""
-    down_a, up_a, da = _summed(rates.a)
-    w12, w21 = (up_a, down_a) if rates.a_inverted else (down_a, up_a)
-    w13, w31, db = _summed(rates.b)
+    scaled = ()
+    for ch in (rates.a, rates.b):
+        channel = ch.left_down, ch.left_up, ch.right_down, ch.right_up
+        if (channel[0] + channel[2]) + (channel[1] + channel[3]) > _RATE_CEILING:
+            channel = _rescaled(_FLOATS, *channel)[:4]
+        scaled += channel
+    w12, da, w13, db = _sides(rates.a_inverted, *scaled)
     if da == 0.0 or db == 0.0:
         raise NonUniqueSteadyStateError(
             "a channel carries no rates; the stationary state is not unique"
         )
-    fa = w12 / da  # weight of the channel-a side containing state 1
-    fb = w13 / db  # weight of the channel-b side containing state 1
-    return Populations(
-        p1=fa * fb,
-        p2=(1.0 - fa) * fb,
-        p3=fa * (1.0 - fb),
-        p4=(1.0 - fa) * (1.0 - fb),
-    )
+    return Populations(*_product_state(w12, da, w13, db))
 
 
 def heat_current(rates: RateSet) -> float:
@@ -187,56 +191,9 @@ def heat_current(rates: RateSet) -> float:
     """
     total = 0.0
     for ch in (rates.a, rates.b):
-        ld, lu, rd, ru, scale = ch.left_down, ch.left_up, ch.right_down, ch.right_up, 1.0
-        denom = lu + rd + ld + ru
-        if denom > _RATE_CEILING:
-            ld, lu, rd, ru, scale = _rescaled(ld, lu, rd, ru)
-            denom = lu + rd + ld + ru
-        if denom == 0.0:
-            continue
-        term = ch.omega * (lu * rd - ld * ru) / (2.0 * denom)
-        if not math.isfinite(term):
-            with np.errstate(all="ignore"):  # rates that overflow on their own give NaN
-                term = float(_term_over_sum(ch.omega, ld, lu, rd, ru, 2.0 * denom))
-        total += term * scale
+        total += _channel_current(_FLOATS, ch.omega, ch.left_down, ch.left_up,
+                                  ch.right_down, ch.right_up)[1]
     return total
-
-
-def _rate_arrays(kind: BathKind, gamma: float, omega: float, t: np.ndarray):
-    # rate_pair over an array of temperatures, with the same limits: T = 0
-    # gives omega/T = inf, which takes the clamp branch (n = 0, down = gamma)
-    if gamma == 0.0:
-        zero = np.zeros_like(t)
-        return zero, zero
-    x = omega / t
-    cold = x > _X_CLAMP
-    if kind is BathKind.BOSON:
-        n = 1.0 / np.expm1(x)
-        n[cold] = 0.0
-        return gamma * (n + 1.0), gamma * n
-    n = 1.0 / (np.exp(x) + 1.0)
-    n[cold] = 0.0
-    return gamma / (np.exp(-x) + 1.0), gamma * n
-
-
-def _channel_current(omega: float, ld, lu, rd, ru):
-    # one channel's term of heat_current, and its rates as the kernel passes
-    # them on: rescaled where they pass the ceiling; a channel with no rates
-    # gives 0
-    denom = lu + rd + ld + ru
-    scale = None
-    if denom.max(initial=0.0) > _RATE_CEILING:
-        ld, lu, rd, ru, scale = _rescaled_arrays(ld, lu, rd, ru)
-        denom = lu + rd + ld + ru
-    j = omega * (lu * rd - ld * ru) / (2.0 * denom)
-    over = ~np.isfinite(j)
-    if over.any():
-        j[over] = _term_over_sum(omega, ld[over], lu[over], rd[over], ru[over],
-                                 2.0 * denom[over])
-    if scale is not None:
-        j *= scale
-    j[denom == 0.0] = 0.0
-    return (ld, lu, rd, ru), j
 
 
 def transport_kernel(
@@ -263,9 +220,11 @@ def transport_kernel(
     j = np.zeros(t_left.size)
     with np.errstate(all="ignore"):
         for omega in (abs(params.kappa - params.epsilon), params.kappa + params.epsilon):
-            ld, lu = _rate_arrays(kind, gamma_left, omega, t_left)
-            rd, ru = _rate_arrays(kind, gamma_right, omega, t_right)
-            channel, j_channel = _channel_current(omega, ld, lu, rd, ru)
+            x_left, x_right = omega / t_left, omega / t_right
+            ld, lu = _rates(_ARRAYS, kind, gamma_left, x_left, _ARRAYS.occupation(kind, x_left))
+            rd, ru = _rates(_ARRAYS, kind, gamma_right, x_right,
+                            _ARRAYS.occupation(kind, x_right))
+            channel, j_channel = _channel_current(_ARRAYS, omega, ld, lu, rd, ru)
             rates += channel
             j += j_channel
     bad = ~np.isfinite(j)

@@ -95,7 +95,8 @@ def test_criterion_01_equilibrium_gibbs():
         for ratio in COUPLING_RATIOS:
             for kind in BathKind:
                 _, pops = _solve(BASE, kind, ratio, 1.0, temperature, temperature)
-                worst = max(worst, np.max(np.abs(pops.as_array() - _gibbs(BASE, temperature))))
+                gap = np.array(tuple(pops)) - _gibbs(BASE, temperature)
+                worst = max(worst, np.max(np.abs(gap)))
     _report(1, "equilibrium Gibbs state", worst < 1e-12,
             f"max |P - Gibbs| = {worst:.2e} over 5x5x2 grid (tol 1e-12)")
 
@@ -114,7 +115,7 @@ def test_criterion_02_oracle_equivalence():
         rates, pops = _solve(params, kind, gl, gr, tl, tr)
         route, current = hamiltonian_route(params.epsilon, params.kappa, kind.value,
                                            gl, gr, tl, tr)
-        worst_pop = max(worst_pop, np.max(np.abs(pops.as_array() - route)))
+        worst_pop = max(worst_pop, np.max(np.abs(np.array(tuple(pops)) - route)))
         worst_j = max(worst_j, abs(heat_current(rates) - current))
         p = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
         worst_conc = max(worst_conc, abs(correlation_report(p).concurrence

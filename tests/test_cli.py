@@ -170,6 +170,11 @@ class TestExitCodes:
         ("death", "--kappa", "inf"),
         ("point", "--tl", "1.0", "--tr", "0.5", "--epsilon", "inf"),
         ("death", "--kappa", "1.7e308"),  # kappa / asinh(1) overflows
+        # T_a + dT overflows; the span hi - lo overflows, on a sweep and on a rect
+        # grid: rejected before numpy forms them, so no RuntimeWarning is printed
+        ("rect", "--ta", "1e308", "--lo", "1e307", "--hi", "9e307", "--n", "5"),
+        ("sweep", "--var", "dt", "--ta", "1e308", "--lo=-9e307", "--hi=9e307", "--n", "5"),
+        ("rect", "--ta", "1", "--lo=-1.7e308", "--hi=1.7e308", "--n", "3"),
     ])
     def test_non_finite_values_exit_two(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -114,6 +114,15 @@ class TestSweepSpecValidation:
                       gamma_right=1.0, variable=SweepVariable.DELTA_T,
                       lo=-1.0, hi=0.5, count=5, t_avg=1.0)
 
+    @pytest.mark.parametrize("t_avg, lo, hi", [(1e308, -9e307, 9e307), (1.7e308, -1e307, 1e308)])
+    def test_delta_t_temperatures_must_stay_finite(self, t_avg, lo, hi):
+        # T_a + dT or T_a - dT past the float range: a typed error, not a
+        # numpy overflow warning and a grid of NaN or inf temperatures
+        with pytest.raises(ValueError, match="overflows"):
+            SweepSpec(params=PARAMS, kind=BathKind.SPIN, gamma_left=1.0,
+                      gamma_right=1.0, variable=SweepVariable.DELTA_T,
+                      lo=lo, hi=hi, count=5, t_avg=t_avg)
+
     def test_t_right_requires_t_left(self):
         with pytest.raises(ValueError):
             SweepSpec(params=PARAMS, kind=BathKind.BOSON, gamma_left=1.0,
@@ -144,6 +153,13 @@ class TestRectification:
         for bad in (0.0, 1.0, 1.5, -0.2):
             with pytest.raises(ValueError):
                 rectification_scan(PARAMS, BathKind.BOSON, 1.0, 1.0, 1.0, [bad])
+
+    @pytest.mark.parametrize("kind", list(BathKind))
+    def test_rejects_bias_whose_hot_side_overflows(self, kind):
+        # T_a + dT = inf: boson rates would not be finite, and spin rates would
+        # give J = 0.0 at an infinite temperature
+        with pytest.raises(ValueError, match="overflows"):
+            rectification_scan(PARAMS, kind, 1.0, 1.0, 1e308, np.linspace(1e307, 9e307, 5))
 
 
 class TestSuddenDeath:

@@ -2,9 +2,12 @@
 
 ``solve_point`` and ``heat_current`` evaluate one point at a time through
 ``channel_rates``, ``steady_populations`` and ``correlation_report``; they
-are the reference here. numpy's exp, expm1, log2 and hypot may round
-differently from the math module by an ulp, so agreement is asserted to
-1e-12, not bit for bit.
+are the reference here. Both paths run the same closed forms, on Python
+floats or on numpy arrays. The populations are sums, products and quotients
+of the rates, which both round exactly alike, so given the same rates they
+agree bit for bit. Everything else is asserted to 1e-12: the rates go
+through exp and expm1, the entropies through log2 and K through hypot, and
+numpy may round those differently from the math module by an ulp.
 """
 
 import math
@@ -24,7 +27,10 @@ from qjunction import (
     rectification_scan,
     run_sweep,
     solve_point,
+    steady_populations,
 )
+from qjunction import baths, correlations, experiments, solver
+from qjunction.correlations import correlation_kernel
 
 TOL = 1e-12
 
@@ -83,6 +89,22 @@ def test_run_sweep_matches_solve_point_row_by_row():
             worst = max(worst, float(np.max(np.abs(np.subtract(row, ref)))))
     print(f"max |run_sweep - solve_point| = {worst:.1e} over {len(CASES)} sweeps")
     assert worst <= TOL
+
+
+def test_kernel_populations_equal_steady_populations_exactly():
+    for spec in CASES:
+        rate_sets = [
+            channel_rates(spec.params, BathSpec(spec.kind, spec.gamma_left, row.t_left),
+                          BathSpec(spec.kind, spec.gamma_right, row.t_right))
+            for row in run_sweep(spec)
+        ]
+        # the eight rate arrays transport_kernel returns, in its order
+        per_point = [(rs.a.left_down, rs.a.left_up, rs.a.right_down, rs.a.right_up,
+                      rs.b.left_down, rs.b.left_up, rs.b.right_down, rs.b.right_up)
+                     for rs in rate_sets]
+        grid = correlation_kernel(tuple(np.array(per_point).T),
+                                  spec.params.epsilon > spec.params.kappa)
+        assert grid[:4].T.tolist() == [list(steady_populations(rs)) for rs in rate_sets]
 
 
 def test_rectification_scan_matches_scalar_heat_current():
@@ -213,6 +235,23 @@ def test_extreme_rate_ratios_match_exact_evaluation(eps, kap, gl, gr, tl, tr):
         # abs=0: pytest.approx would otherwise accept 0.0 for J ~ 1e-301
         assert row.heat_current == pytest.approx(current, rel=TOL, abs=0.0)
         assert [row.p1, row.p2, row.p3, row.p4] == pytest.approx(pops, abs=TOL)
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} reached from a single point")
+
+
+def test_single_points_are_solved_without_numpy(monkeypatch):
+    # numpy serves grids only: with every module's np replaced, points that
+    # take the rescaling and the over-sum form, T = 0 and Gamma = 0 still solve
+    for module in (baths, correlations, experiments, solver):
+        monkeypatch.setattr(module, "np", _NoNumpy(), raising=False)
+    near = [(eps, kap, gl, gr, 1e308, tr) for eps, kap, gl, gr, tr in NEAR_CEILING]
+    edges = [(0.5, 0.3, 1.0, 0.0, 0.0, 0.8), (1.0, 0.2, 1e300, 1e300, 1.5, 0.5)]
+    for eps, kap, gl, gr, tl, tr in near + EXTREME_RATIOS + edges:
+        row = solve_point(SystemParams(eps, kap), BathKind.BOSON, gl, gr, tl, tr)
+        assert all(type(value) is float for value in row)
 
 
 def test_huge_couplings_match_exact_evaluation_on_every_route():
