@@ -6,10 +6,9 @@ forms in the four eigenstate populations. Entropies are in bits, with the
 0 log 0 = 0 convention throughout. :func:`correlation_report` evaluates
 them for one state and :func:`correlation_kernel` over a whole grid of rate
 sets at once, by the same closed forms on floats or on numpy arrays. Their
-brute-force counterparts, computed from the density
-matrix itself (the Wootters construction and a grid search over
-measurements), live in ``tests/oracles.py``, which shares no code with this
-module.
+brute-force counterparts, computed from the density matrix itself (the
+Wootters construction and a grid search over measurements), live in
+``tests/oracles.py``, which shares no code with this module.
 
 The measured side of the classical correlation follows the X-state
 prescription: the optimum over projective measurements is taken as the
