@@ -28,7 +28,7 @@ class BathSpec:
     """One reservoir: statistics ``kind``, coupling ``gamma``, ``temperature``.
 
     gamma is a rate (energy-flat), temperature is in energy units (k_B = 1);
-    both must be nonnegative, and the temperature finite.
+    both must be nonnegative and finite.
     """
 
     kind: BathKind
@@ -36,12 +36,19 @@ class BathSpec:
     temperature: float
 
     def __post_init__(self):
-        if not self.gamma >= 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if not 0.0 <= self.temperature < math.inf:
-            raise ValueError(
-                f"temperature must be finite and >= 0, got {self.temperature}"
-            )
+        _check_bath(self.gamma, self.temperature)
+
+
+def _check_bath(gamma, temperature):
+    if not 0.0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be {'finite' if gamma == math.inf else '>= 0'}, got {gamma}")
+    if not 0.0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
+
+
+def _check_omega(omega):
+    if not omega > 0.0:
+        raise ValueError(f"omega must be positive, got {omega}")
 
 
 def occupation(kind: BathKind, omega: float, temperature: float) -> float:
@@ -64,22 +71,10 @@ def occupation(kind: BathKind, omega: float, temperature: float) -> float:
     float
         Occupation number; nonnegative, and bounded by 1/2 for spin baths.
     """
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    if not 0.0 <= temperature < math.inf:
-        raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
-    if temperature == 0.0:
-        return 0.0
-    x = omega / temperature
-    if x > _X_CLAMP:
-        return 0.0
-    if kind is BathKind.BOSON:
-        if x == 0.0:
-            raise ValueError(
-                f"omega/T underflows to 0 at omega = {omega}, T = {temperature}"
-            )
-        return 1.0 / math.expm1(x)
-    return 1.0 / (math.exp(x) + 1.0)
+    # the occupation is the up rate of a bath of unit coupling
+    _check_omega(omega)
+    _check_bath(1.0, temperature)
+    return _float_pair(kind, 1.0, omega, temperature)[1]
 
 
 def rate_pair(bath: BathSpec, omega: float) -> tuple[float, float]:
@@ -90,22 +85,13 @@ def rate_pair(bath: BathSpec, omega: float) -> tuple[float, float]:
     Gamma n_S(-omega) = Gamma / (e^{-omega/T} + 1), up = Gamma n_S(omega).
     Both kinds obey detailed balance, down/up = e^{omega/T}.
     """
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-    g, t = bath.gamma, bath.temperature
-    if g == 0.0:
-        return 0.0, 0.0
-    if t == 0.0:
-        return g, 0.0
-    return _rates(_FLOATS, bath.kind, g, omega / t, occupation(bath.kind, omega, t))
+    _check_omega(omega)
+    return _float_pair(bath.kind, bath.gamma, omega, bath.temperature)
 
 
 def _rates(ops, kind: BathKind, gamma: float, x, n):
     # (down, up) of rate_pair from x = omega/T and the occupation n, for one
-    # temperature (ops = _FLOATS) or an array of them (_ARRAYS)
-    if gamma == 0.0:  # not gamma * n: n is inf where omega/T underflows
-        zero = ops.zeros_like(x)
-        return zero, zero
+    # temperature (ops = _FLOATS) or an array of them (_ARRAYS), gamma > 0
     if kind is BathKind.BOSON:
         return gamma * (n + 1.0), gamma * n
     # exp underflows gracefully to 0 for large gaps, giving down -> Gamma
@@ -128,10 +114,28 @@ def _float_quotient(num, den, fallback, *args):
     return value if math.isfinite(value) else fallback(*args)
 
 
+def _float_pair(kind, gamma, omega, temperature):
+    # rate_pair past its omega check: one bath's (down, up) at one temperature
+    if gamma == 0.0:
+        return 0.0, 0.0
+    if temperature == 0.0:
+        return gamma, 0.0
+    x = omega / temperature
+    if x > _X_CLAMP:
+        n = 0.0
+    elif kind is BathKind.BOSON:
+        if x == 0.0:
+            raise ValueError(f"omega/T underflows to 0 at omega = {omega}, T = {temperature}")
+        n = 1.0 / math.expm1(x)
+    else:
+        n = 1.0 / (math.exp(x) + 1.0)
+    return _rates(_FLOATS, kind, gamma, x, n)
+
+
 _FLOATS = SimpleNamespace(
     exp=math.exp, sqrt=math.sqrt, hypot=math.hypot, frexp=math.frexp, ldexp=math.ldexp,
     maximum=max, minimum=min,
-    zeros_like=lambda x: 0.0,
+    pair=_float_pair,
     top=lambda x: x,  # the value tested against the rescaling ceiling
     select=lambda cond, if_true, if_false: if_true if cond else if_false,
     quotient=_float_quotient,
@@ -141,11 +145,15 @@ _FLOATS = SimpleNamespace(
 )
 
 
-def _clamped_occupation(kind, x):
-    # occupation() over an array of x = omega/T, in which T = 0 gives inf
+def _array_pair(kind, gamma, omega, temperature):
+    # _float_pair over an array of temperatures, in which T = 0 gives x = inf
+    if gamma == 0.0:
+        zero = np.zeros_like(temperature)
+        return zero, zero
+    x = omega / temperature
     n = 1.0 / np.expm1(x) if kind is BathKind.BOSON else 1.0 / (np.exp(x) + 1.0)
     n[x > _X_CLAMP] = 0.0
-    return n
+    return _rates(_ARRAYS, kind, gamma, x, n)
 
 
 def _quotient(num, den, fallback, *args):
@@ -160,11 +168,15 @@ def _quotient(num, den, fallback, *args):
 _ARRAYS = SimpleNamespace(
     exp=np.exp, sqrt=np.sqrt, hypot=np.hypot, frexp=np.frexp, ldexp=np.ldexp,
     maximum=np.maximum, minimum=np.minimum,
-    zeros_like=np.zeros_like,
-    occupation=_clamped_occupation,
+    pair=_array_pair,
     top=lambda x: x.max(initial=0.0),
     select=np.where,
     quotient=_quotient,
     xlog2x=lambda x: x * np.log2(x, out=np.zeros_like(x), where=x > 0.0),
     conditional=lambda w, num, den: -w * np.log2(num / den, out=np.zeros_like(w), where=w > 0.0),
 )
+
+
+def _namespace(x):
+    # _ARRAYS for an array x, _FLOATS for a float, an int or a numpy scalar
+    return _ARRAYS if getattr(x, "ndim", 0) else _FLOATS

@@ -92,8 +92,8 @@ def _check_domain(args) -> None:
     checks = (
         ("--epsilon", args.epsilon, args.epsilon > 0.0),
         ("--kappa", args.kappa, args.kappa > 0.0),
-        ("--gl", args.gl, args.gl >= 0.0),
-        ("--gr", args.gr, args.gr >= 0.0),
+        ("--gl", args.gl, 0.0 <= args.gl < math.inf),
+        ("--gr", args.gr, 0.0 <= args.gr < math.inf),
     )
     for flag, value, ok in checks:
         if not ok:

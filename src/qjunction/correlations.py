@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import _ARRAYS, _FLOATS
-from .solver import NonUniqueSteadyStateError, _product_state, _sides
+from .baths import _ARRAYS, _FLOATS, _namespace
+from .solver import (NonUniqueSteadyStateError, _check_populations, _point_state,
+                     _product_state, _sides)
 
 
 @dataclass(frozen=True)
@@ -86,18 +87,24 @@ def _measures(ops, p1, p2, p3, p4):
     return ops.maximum(2.0 * top - p1 - p4 - 2.0 * root, 0.0), i, c_cl, q, k
 
 
-def correlation_kernel(rates, a_inverted: bool) -> np.ndarray:
-    """Steady-state populations and correlation measures over a grid.
+def correlation_kernel(rates, a_inverted: bool):
+    """Steady-state populations and correlation measures at one point or over a grid.
 
-    ``rates`` is the tuple of eight rate arrays returned by
+    ``rates`` is the tuple of eight rates, floats or arrays, returned by
     ``solver.transport_kernel``; ``a_inverted`` is True when epsilon >
-    kappa. Returns an (8, n) array with rows P1, P2, P3, P4, concurrence,
-    discord, mutual information and classical correlation, each by the
-    closed form that ``solver.steady_populations`` and
-    :func:`correlation_report` use for one point. Raises
-    ``NonUniqueSteadyStateError`` where a channel carries no rates and
-    ``ValueError`` where a value is not finite.
+    kappa. Returns P1, P2, P3, P4, concurrence, discord, mutual information
+    and classical correlation by the closed forms of
+    ``solver.steady_populations`` and :func:`correlation_report`: a tuple of
+    floats for one point (numpy unused), an (8, n) array for a grid. Raises
+    ``NonUniqueSteadyStateError`` where a channel carries no rates, then
+    ``ValueError`` where the populations fail the ``Populations`` check (one
+    point) or a value is not finite (a grid).
     """
+    if _namespace(rates[0]) is _FLOATS:
+        pops = _point_state(a_inverted, rates)
+        _check_populations(pops)
+        conc, mi, ccl, disc, _ = _measures(_FLOATS, *pops)
+        return (*pops, conc, disc, mi, ccl)
     w12, da, w13, db = _sides(a_inverted, *rates)
     stuck = (da == 0.0) | (db == 0.0)
     if stuck.any():

@@ -1,13 +1,14 @@
 """Parameter-sweep drivers: equilibrium scans, bias sweeps, rectification,
 and the entanglement sudden-death threshold.
 
-A single point (:func:`solve_point`) goes through ``channel_rates``,
-``steady_populations``, ``heat_current`` and ``correlation_report`` on
-Python floats. A grid (:func:`run_sweep`, :func:`rectification_scan`) is
-solved in one numpy pass by ``solver.transport_kernel`` and
-``correlations.correlation_kernel``, which run the same closed forms on
-arrays. The sudden-death threshold is a closed form of its own, valid at
-any equilibrium.
+A single point (:func:`solve_point`) and a grid (:func:`run_sweep`,
+:func:`rectification_scan`) are both solved by ``solver.transport_kernel``
+and ``correlations.correlation_kernel``: on Python floats for a point,
+building no intermediate objects and calling no numpy, and in one numpy
+pass for a grid. The public layer functions (``channel_rates``,
+``steady_populations``, ``heat_current``, ``correlation_report``) wrap the
+same closed forms. The sudden-death threshold is a closed form of its own,
+valid at any equilibrium.
 """
 
 import enum
@@ -17,16 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .baths import BathKind, BathSpec
-from .correlations import correlation_kernel, correlation_report
+from .baths import BathKind, _check_bath
+from .correlations import correlation_kernel
 from .model import DegeneratePhysicsError, SystemParams
-from .solver import (
-    NonUniqueSteadyStateError,
-    channel_rates,
-    heat_current,
-    steady_populations,
-    transport_kernel,
-)
+from .solver import NonUniqueSteadyStateError, _current_not_finite, transport_kernel
 
 
 class SweepVariable(enum.Enum):
@@ -63,8 +58,7 @@ class SweepSpec:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.count < 2:
             raise ValueError(f"need at least 2 grid points, got {self.count}")
-        if not (self.gamma_left >= 0.0 and self.gamma_right >= 0.0):
-            raise ValueError("couplings must be nonnegative")
+        _check_couplings(self.gamma_left, self.gamma_right)
         if self.variable is SweepVariable.DELTA_T:
             if self.t_avg is None or not 0.0 < self.t_avg < math.inf:
                 raise ValueError("DELTA_T sweeps need a positive, finite t_avg")
@@ -83,6 +77,13 @@ class SweepSpec:
         else:
             if self.lo < 0.0:
                 raise ValueError("temperatures must be nonnegative")
+
+
+def _check_couplings(gamma_left, gamma_right):
+    if not (gamma_left >= 0.0 and gamma_right >= 0.0):
+        raise ValueError("couplings must be nonnegative")
+    if math.inf in (gamma_left, gamma_right):
+        raise ValueError("couplings must be finite")
 
 
 class SweepRow(NamedTuple):
@@ -122,21 +123,13 @@ def solve_point(
     Raises ``ValueError`` when the rates overflow, so that the populations
     or the heat current would not be finite.
     """
-    rates = channel_rates(
-        params,
-        BathSpec(kind, gamma_left, t_left),
-        BathSpec(kind, gamma_right, t_right),
-    )
-    pops = steady_populations(rates)
-    current = heat_current(rates)
+    _check_bath(gamma_left, t_left)
+    _check_bath(gamma_right, t_right)
+    rates, current = transport_kernel(params, kind, gamma_left, gamma_right, t_left, t_right)
+    state = correlation_kernel(rates, params.epsilon > params.kappa)
     if not math.isfinite(current):
-        raise ValueError(
-            f"heat current is not finite at T_L = {t_left}, T_R = {t_right}"
-        )
-    rep = correlation_report(pops)
-    return SweepRow(float(t_left), float(t_right), pops.p1, pops.p2, pops.p3, pops.p4,
-                    current, rep.concurrence, rep.discord, rep.mutual_information,
-                    rep.classical_correlation)
+        raise _current_not_finite(t_left, t_right)
+    return SweepRow(float(t_left), float(t_right), *state[:4], current, *state[4:])
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -176,8 +169,7 @@ def rectification_scan(
     """
     if not 0.0 < t_avg < math.inf:
         raise ValueError(f"t_avg must be positive and finite, got {t_avg}")
-    if not (gamma_left >= 0.0 and gamma_right >= 0.0):
-        raise ValueError("couplings must be nonnegative")
+    _check_couplings(gamma_left, gamma_right)
     dts = np.asarray(delta_ts, dtype=float)
     outside = ~((dts > 0.0) & (dts < t_avg))
     if outside.any():

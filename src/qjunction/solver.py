@@ -16,16 +16,16 @@ the variant written in terms of bath-system coherences has no closed
 evaluation route here and is not provided.
 
 :func:`transport_kernel` evaluates :func:`channel_rates` and
-:func:`heat_current` over whole temperature grids. Both run the same closed
-forms, on floats or on numpy arrays (see ``baths._FLOATS`` and
-``baths._ARRAYS``).
+:func:`heat_current` at one temperature pair or over a grid, building no
+objects. All of them run the same closed forms, on floats or on numpy
+arrays (see ``baths._FLOATS`` and ``baths._ARRAYS``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .baths import _ARRAYS, _FLOATS, BathKind, BathSpec, _rates, rate_pair
+from .baths import _FLOATS, BathKind, BathSpec, _namespace, rate_pair
 from .model import DegeneratePhysicsError, SystemParams
 
 
@@ -69,18 +69,18 @@ class Populations:
     p4: float
 
     def __post_init__(self):
-        vals = (self.p1, self.p2, self.p3, self.p4)
-        # written so that NaN fails both tests
-        if not all(-1e-9 <= p <= 1.0 + 1e-9 for p in vals):
-            raise ValueError(f"populations outside [0, 1]: {vals}")
-        if not abs(sum(vals) - 1.0) <= 1e-9:
-            raise ValueError(f"populations do not sum to 1: {vals}")
+        _check_populations((self.p1, self.p2, self.p3, self.p4))
 
     def __iter__(self):
-        yield self.p1
-        yield self.p2
-        yield self.p3
-        yield self.p4
+        return iter((self.p1, self.p2, self.p3, self.p4))
+
+
+def _check_populations(vals):
+    # written so that NaN fails both tests
+    if not all(-1e-9 <= p <= 1.0 + 1e-9 for p in vals):
+        raise ValueError(f"populations outside [0, 1]: {vals}")
+    if not abs(sum(vals) - 1.0) <= 1e-9:
+        raise ValueError(f"populations do not sum to 1: {vals}")
 
 
 # A channel's rates are summed, doubled and multiplied in pairs. Where their
@@ -97,9 +97,14 @@ _RATE_CEILING = 2.0 ** _TOP_EXPONENT
 
 
 def _rescaled(ops, ld, lu, rd, ru):
-    # the rates over that power of two, and the power
+    # the rates, over that power of two where their sum passes the ceiling,
+    # with their sum and the power (None where no sum passes it)
+    total = lu + rd + ld + ru
+    if not ops.top(total) > _RATE_CEILING:
+        return ld, lu, rd, ru, total, None
     scale = ops.ldexp(1.0, ops.maximum(ops.frexp(ops.maximum(ld, rd))[1] - _TOP_EXPONENT, 0))
-    return ld / scale, lu / scale, rd / scale, ru / scale, scale
+    ld, lu, rd, ru = ld / scale, lu / scale, rd / scale, ru / scale
+    return ld, lu, rd, ru, lu + rd + ld + ru, scale
 
 
 def _over_sum(ops, omega, ld, lu, rd, ru, twice_sum):
@@ -114,10 +119,7 @@ def _over_sum(ops, omega, ld, lu, rd, ru, twice_sum):
 def _channel_current(ops, omega, ld, lu, rd, ru):
     # one channel's term of heat_current, and its rates as the term was
     # formed (rescaled where they pass the ceiling); no rates give 0
-    total, scale = lu + rd + ld + ru, None
-    if ops.top(total) > _RATE_CEILING:
-        ld, lu, rd, ru, scale = _rescaled(ops, ld, lu, rd, ru)
-        total = lu + rd + ld + ru
+    ld, lu, rd, ru, total, scale = _rescaled(ops, ld, lu, rd, ru)
     twice_sum = 2.0 * total
     j = ops.quotient(omega * (lu * rd - ld * ru), twice_sum,
                      _over_sum, ops, omega, ld, lu, rd, ru, twice_sum)
@@ -140,6 +142,16 @@ def _product_state(w12, da, w13, db):
     return fa * fb, (1.0 - fa) * fb, fa * (1.0 - fb), (1.0 - fa) * (1.0 - fb)
 
 
+def _point_state(a_inverted, rates):
+    # P1..P4 of one point from transport_kernel's eight rates
+    w12, da, w13, db = _sides(a_inverted, *rates)
+    if da == 0.0 or db == 0.0:
+        raise NonUniqueSteadyStateError(
+            "a channel carries no rates; the stationary state is not unique"
+        )
+    return _product_state(w12, da, w13, db)
+
+
 def channel_rates(params: SystemParams, left: BathSpec, right: BathSpec) -> RateSet:
     """Assemble both channels' rates from the two reservoir specifications.
 
@@ -148,31 +160,19 @@ def channel_rates(params: SystemParams, left: BathSpec, right: BathSpec) -> Rate
     """
     gap_a = abs(params.kappa - params.epsilon)
     gap_b = params.kappa + params.epsilon
-    la_down, la_up = rate_pair(left, gap_a)
-    ra_down, ra_up = rate_pair(right, gap_a)
-    lb_down, lb_up = rate_pair(left, gap_b)
-    rb_down, rb_up = rate_pair(right, gap_b)
     return RateSet(
-        a=ChannelRates(gap_a, la_down, la_up, ra_down, ra_up),
-        b=ChannelRates(gap_b, lb_down, lb_up, rb_down, rb_up),
+        a=ChannelRates(gap_a, *rate_pair(left, gap_a), *rate_pair(right, gap_a)),
+        b=ChannelRates(gap_b, *rate_pair(left, gap_b), *rate_pair(right, gap_b)),
         a_inverted=params.epsilon > params.kappa,
     )
 
 
 def steady_populations(rates: RateSet) -> Populations:
     """Closed-form stationary populations; normalized by construction."""
-    scaled = ()
-    for ch in (rates.a, rates.b):
-        channel = ch.left_down, ch.left_up, ch.right_down, ch.right_up
-        if (channel[0] + channel[2]) + (channel[1] + channel[3]) > _RATE_CEILING:
-            channel = _rescaled(_FLOATS, *channel)[:4]
-        scaled += channel
-    w12, da, w13, db = _sides(rates.a_inverted, *scaled)
-    if da == 0.0 or db == 0.0:
-        raise NonUniqueSteadyStateError(
-            "a channel carries no rates; the stationary state is not unique"
-        )
-    return Populations(*_product_state(w12, da, w13, db))
+    a, b = rates.a, rates.b
+    scaled = (_rescaled(_FLOATS, a.left_down, a.left_up, a.right_down, a.right_up)[:4]
+              + _rescaled(_FLOATS, b.left_down, b.left_up, b.right_down, b.right_up)[:4])
+    return Populations(*_point_state(rates.a_inverted, scaled))
 
 
 def heat_current(rates: RateSet) -> float:
@@ -196,42 +196,45 @@ def heat_current(rates: RateSet) -> float:
     return total
 
 
-def transport_kernel(
-    params: SystemParams,
-    kind: BathKind,
-    gamma_left: float,
-    gamma_right: float,
-    t_left: np.ndarray,
-    t_right: np.ndarray,
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Rates and heat current over a grid of temperature pairs.
+def _channels(ops, params, kind, gamma_left, gamma_right, t_left, t_right):
+    # transport_kernel's rates and current, unchecked; a function of its own
+    # so that only the array route pays for np.errstate
+    rates, j = (), 0.0
+    for omega in (abs(params.kappa - params.epsilon), params.kappa + params.epsilon):
+        ld, lu = ops.pair(kind, gamma_left, omega, t_left)
+        rd, ru = ops.pair(kind, gamma_right, omega, t_right)
+        channel, j_channel = _channel_current(ops, omega, ld, lu, rd, ru)
+        rates += channel
+        j += j_channel
+    return rates, j
 
-    ``t_left`` and ``t_right`` are equal-length float arrays of validated
-    temperatures (finite, >= 0). Returns ``(rates, j_left)``: ``rates`` is
-    a tuple of eight arrays, the :class:`ChannelRates` fields (left_down,
-    left_up, right_down, right_up) of channel a, then of channel b, and
-    ``j_left`` is :func:`heat_current` at each point. Where a channel's
-    rates sum past 2**1020 they are returned divided by the power of two
-    that :func:`heat_current` divides them by, which leaves every ratio
-    of rates, and so the populations, exact. Raises ``ValueError``
-    where the current is not finite.
+
+def transport_kernel(params: SystemParams, kind: BathKind, gamma_left: float,
+                     gamma_right: float, t_left, t_right):
+    """Rates and heat current at one temperature pair or over a grid of them.
+
+    ``t_left`` and ``t_right`` are validated temperatures (finite, >= 0):
+    two floats, or two equal-length float arrays. Returns ``(rates,
+    j_left)``: ``rates`` is a tuple of eight floats or arrays, the
+    :class:`ChannelRates` fields (left_down, left_up, right_down, right_up)
+    of channel a, then of channel b, and ``j_left`` is :func:`heat_current`
+    at each point. Where a channel's rates sum past 2**1020 they are
+    returned divided by the power of two that :func:`heat_current` divides
+    them by, which leaves every ratio of rates, and so the populations,
+    exact. On floats nothing is checked and numpy is not used; on arrays
+    ``ValueError`` is raised where the current is not finite.
     """
-    rates = ()
-    j = np.zeros(t_left.size)
+    ops = _namespace(t_left)
+    if ops is _FLOATS:
+        return _channels(ops, params, kind, gamma_left, gamma_right, t_left, t_right)
     with np.errstate(all="ignore"):
-        for omega in (abs(params.kappa - params.epsilon), params.kappa + params.epsilon):
-            x_left, x_right = omega / t_left, omega / t_right
-            ld, lu = _rates(_ARRAYS, kind, gamma_left, x_left, _ARRAYS.occupation(kind, x_left))
-            rd, ru = _rates(_ARRAYS, kind, gamma_right, x_right,
-                            _ARRAYS.occupation(kind, x_right))
-            channel, j_channel = _channel_current(_ARRAYS, omega, ld, lu, rd, ru)
-            rates += channel
-            j += j_channel
+        rates, j = _channels(ops, params, kind, gamma_left, gamma_right, t_left, t_right)
     bad = ~np.isfinite(j)
     if bad.any():
         i = int(np.argmax(bad))
-        raise ValueError(
-            f"heat current is not finite at T_L = {float(t_left[i])}, "
-            f"T_R = {float(t_right[i])}"
-        )
+        raise _current_not_finite(float(t_left[i]), float(t_right[i]))
     return rates, j
+
+
+def _current_not_finite(t_left, t_right):
+    return ValueError(f"heat current is not finite at T_L = {t_left}, T_R = {t_right}")

@@ -115,6 +115,10 @@ class TestBathSpec:
         with pytest.raises(ValueError):
             BathSpec(BathKind.BOSON, -1.0, 1.0)
 
+    def test_rejects_infinite_gamma_by_name(self):
+        with pytest.raises(ValueError, match="gamma must be finite, got inf"):
+            BathSpec(BathKind.BOSON, math.inf, 1.0)
+
     def test_rejects_negative_temperature(self):
         with pytest.raises(ValueError):
             BathSpec(BathKind.SPIN, 1.0, -0.5)

@@ -175,11 +175,28 @@ class TestExitCodes:
         ("rect", "--ta", "1e308", "--lo", "1e307", "--hi", "9e307", "--n", "5"),
         ("sweep", "--var", "dt", "--ta", "1e308", "--lo=-9e307", "--hi=9e307", "--n", "5"),
         ("rect", "--ta", "1", "--lo=-1.7e308", "--hi=1.7e308", "--n", "3"),
+        # an infinite coupling: rejected by name, not as NaN populations or a
+        # non-finite current
+        ("point", "--tl", "1.5", "--tr", "0.5", "--gl", "inf"),
+        ("sweep", "--var", "tr", "--lo", "0.1", "--hi", "1.0", "--n", "5", "--tl", "1.5",
+         "--gr", "inf"),
+        ("rect", "--ta", "1.0", "--lo", "0.1", "--hi", "0.5", "--n", "3", "--gl", "inf"),
     ])
     def test_non_finite_values_exit_two(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == "" and err.startswith("qjunction: ")
+
+    @pytest.mark.parametrize("sub, extra, flag", [
+        ("point", ("--tl", "1.5", "--tr", "0.5"), "--gl"),
+        ("sweep", ("--var", "ta", "--lo", "0.1", "--hi", "1.0", "--n", "5"), "--gr"),
+        ("rect", ("--ta", "1.0", "--lo", "0.1", "--hi", "0.5", "--n", "3"), "--gl"),
+        ("death", (), "--gr"),
+    ])
+    def test_infinite_coupling_names_its_flag(self, capsys, sub, extra, flag):
+        code, out, err = run_cli(capsys, sub, *extra, flag, "inf")
+        assert code == 2 and out == ""
+        assert err == f"qjunction: {flag} out of domain: inf\n"
 
     def test_empty_rect_grid_rejected(self, capsys):
         code, out, err = run_cli(capsys, "rect", "--ta", "1.0", "--lo", "0.1",

@@ -216,6 +216,33 @@ class TestSuddenDeath:
             sudden_death_temperature(PARAMS, BathKind.BOSON, gl, gr)
 
 
+class TestInfiniteCoupling:
+    # Gamma = inf is rejected by name: it used to reach the solver and fail as
+    # NaN populations or a non-finite current
+    @pytest.mark.parametrize("gl, gr", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_solve_point(self, gl, gr):
+        for kind in BathKind:
+            with pytest.raises(ValueError, match="gamma must be finite, got inf"):
+                solve_point(PARAMS, kind, gl, gr, 1.5, 0.5)
+
+    @pytest.mark.parametrize("gl, gr", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_run_sweep(self, gl, gr):
+        with pytest.raises(ValueError, match="couplings must be finite"):
+            run_sweep(SweepSpec(PARAMS, BathKind.BOSON, gl, gr, SweepVariable.T_RIGHT,
+                                0.1, 1.0, 5, t_left=1.5))
+
+    @pytest.mark.parametrize("gl, gr", [(math.inf, 1.0), (1.0, math.inf)])
+    def test_rectification_scan(self, gl, gr):
+        with pytest.raises(ValueError, match="couplings must be finite"):
+            rectification_scan(PARAMS, BathKind.SPIN, gl, gr, 1.0, [0.5])
+
+    def test_negative_couplings_keep_their_message(self):
+        with pytest.raises(ValueError, match="gamma must be >= 0, got -1.0"):
+            solve_point(PARAMS, BathKind.BOSON, -1.0, math.inf, 1.5, 0.5)
+        with pytest.raises(ValueError, match="couplings must be nonnegative"):
+            rectification_scan(PARAMS, BathKind.BOSON, math.inf, -1.0, 1.0, [0.5])
+
+
 class TestSolvePoint:
     def test_returns_plain_floats(self):
         row = solve_point(PARAMS, BathKind.BOSON, 1.0, 1.0, np.float64(1.5), 0.5)

@@ -1,28 +1,37 @@
-"""The array kernel behind run_sweep and rectification_scan, against the scalar path.
+"""The kernels behind solve_point, run_sweep and rectification_scan, against the public chain.
 
-``solve_point`` and ``heat_current`` evaluate one point at a time through
-``channel_rates``, ``steady_populations`` and ``correlation_report``; they
-are the reference here. Both paths run the same closed forms, on Python
-floats or on numpy arrays. The populations are sums, products and quotients
-of the rates, which both round exactly alike, so given the same rates they
-agree bit for bit. Everything else is asserted to 1e-12: the rates go
-through exp and expm1, the entropies through log2 and K through hypot, and
-numpy may round those differently from the math module by an ulp.
+``solver.transport_kernel`` and ``correlations.correlation_kernel`` solve a
+single point on Python floats and a grid on numpy arrays, by the same
+closed forms. The public layer functions ``channel_rates``,
+``steady_populations``, ``heat_current`` and ``correlation_report`` wrap
+those forms too; chained, they are the reference here. On a single point
+both routes run the same float arithmetic, so ``solve_point`` equals the
+chain bit for bit, errors included. On a grid the populations are sums,
+products and quotients of the rates, which numpy rounds exactly as floats
+do, so given the same rates they agree bit for bit too. Everything else on
+a grid is asserted to 1e-12: the rates go through exp and expm1, the
+entropies through log2 and K through hypot, and numpy may round those
+differently from the math module by an ulp.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import qjunction
 from oracles import exact_boson_point
 from qjunction import (
     BathKind,
     BathSpec,
+    SweepRow,
     SweepSpec,
     SweepVariable,
     SystemParams,
     channel_rates,
+    correlation_report,
     heat_current,
     rectification_scan,
     run_sweep,
@@ -237,6 +246,14 @@ def test_extreme_rate_ratios_match_exact_evaluation(eps, kap, gl, gr, tl, tr):
         assert [row.p1, row.p2, row.p3, row.p4] == pytest.approx(pops, abs=TOL)
 
 
+# (epsilon, kappa, Gamma_L, Gamma_R, T_L, T_R) of single points that take the
+# rescaling and the over-sum form, T = 0 and Gamma = 0
+SINGLE_POINTS = ([(eps, kap, gl, gr, 1e308, tr) for eps, kap, gl, gr, tr in NEAR_CEILING]
+                 + EXTREME_RATIOS
+                 + [(0.5, 0.3, 1.0, 0.0, 0.0, 0.8), (1.0, 0.2, 1e300, 1e300, 1.5, 0.5),
+                    (0.2, 1.0, 0.0, 1.0, 1.5, 0.0), (0.2, 1.0, 1.0, 1.0, 0.0, 0.0)])
+
+
 class _NoNumpy:
     def __getattr__(self, name):
         raise AssertionError(f"np.{name} reached from a single point")
@@ -247,11 +264,111 @@ def test_single_points_are_solved_without_numpy(monkeypatch):
     # take the rescaling and the over-sum form, T = 0 and Gamma = 0 still solve
     for module in (baths, correlations, experiments, solver):
         monkeypatch.setattr(module, "np", _NoNumpy(), raising=False)
-    near = [(eps, kap, gl, gr, 1e308, tr) for eps, kap, gl, gr, tr in NEAR_CEILING]
-    edges = [(0.5, 0.3, 1.0, 0.0, 0.0, 0.8), (1.0, 0.2, 1e300, 1e300, 1.5, 0.5)]
-    for eps, kap, gl, gr, tl, tr in near + EXTREME_RATIOS + edges:
+    for eps, kap, gl, gr, tl, tr in SINGLE_POINTS:
         row = solve_point(SystemParams(eps, kap), BathKind.BOSON, gl, gr, tl, tr)
         assert all(type(value) is float for value in row)
+
+
+class _Unreachable:
+    def __init__(self, name):
+        self.name = name
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError(f"{self.name} built from a single point")
+
+    def __getattr__(self, attr):
+        raise AssertionError(f"{self.name}.{attr} reached from a single point")
+
+
+def test_single_points_build_no_layer_objects(monkeypatch):
+    # solve_point runs the kernels on floats and builds only its SweepRow
+    for module in (qjunction, baths, correlations, experiments, solver):
+        for name in ("BathSpec", "ChannelRates", "RateSet", "Populations",
+                     "CorrelationReport"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _Unreachable(name))
+    for eps, kap, gl, gr, tl, tr in SINGLE_POINTS:
+        for kind in BathKind:
+            row = solve_point(SystemParams(eps, kap), kind, gl, gr, tl, tr)
+            assert type(row) is SweepRow and all(type(value) is float for value in row)
+
+
+def _public_chain(params, kind, gamma_left, gamma_right, t_left, t_right):
+    # solve_point composed from the public layer functions, its checks in its
+    # order: the baths, a unique state, the populations, a finite current
+    rates = channel_rates(params, BathSpec(kind, gamma_left, t_left),
+                          BathSpec(kind, gamma_right, t_right))
+    pops = steady_populations(rates)
+    current = heat_current(rates)
+    if not math.isfinite(current):
+        raise ValueError(f"heat current is not finite at T_L = {t_left}, T_R = {t_right}")
+    rep = correlation_report(pops)
+    return SweepRow(float(t_left), float(t_right), *pops, current, rep.concurrence,
+                    rep.discord, rep.mutual_information, rep.classical_correlation)
+
+
+def _bits(fn, *args):
+    # the result as (type, bit pattern) pairs, or the error's type and message
+    try:
+        return tuple((type(value), value.hex()) for value in fn(*args))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# single points whose solve_point raises (for one bath kind or both): no
+# rates, overflowing boson rates (NaN populations), a current past the float
+# ceiling beside finite populations, omega/T underflow on a boson bath, and
+# each kind of invalid bath value
+ERROR_EDGES = [
+    (0.2, 1.0, 0.0, 0.0, 1.5, 0.5),
+    (0.2, 1.0, 1e200, 1.0, 1e308, 0.5),
+    (0.2, 1e300, 1e300, 1e300, 1e300, 5e299),
+    (1.0, 1.0 + 2.0 ** -52, 1.0, 1.0, 1e308, 1.0),
+    (0.2, 1.0, -1.0, 1.0, 1.0, 1.0),
+    (0.2, 1.0, math.inf, 1.0, 1.0, 1.0),
+    (0.2, 1.0, 1.0, math.nan, 1.0, 1.0),
+    (0.2, 1.0, 1.0, 1.0, -0.5, 1.0),
+    (0.2, 1.0, 1.0, 1.0, 1.0, math.inf),
+]
+
+
+def test_solve_point_equals_the_public_chain():
+    points = [(spec.params, spec.kind, spec.gamma_left, spec.gamma_right,
+               row.t_left, row.t_right) for spec in CASES for row in run_sweep(spec)]
+    for eps, kap, gl, gr, tl, tr in SINGLE_POINTS + ERROR_EDGES:
+        points += [(SystemParams(eps, kap), kind, gl, gr, tl, tr) for kind in BathKind]
+    errors = set()
+    for args in points:
+        got = _bits(solve_point, *args)
+        assert got == _bits(_public_chain, *args), args
+        if type(got[0]) is not tuple:  # an error: its type and message
+            errors.add(got[1].split(" ")[0])
+    # every kind of check fired on the error edges
+    assert errors == {"a", "populations", "heat", "omega/T", "gamma", "temperature"}
+
+
+_LOG_TEMPERATURE = st.floats(-3.0, 308.0).map(lambda e: 10.0 ** e)
+_TEMPERATURES = st.one_of(st.just(0.0), st.floats(5e-324, 2.2e-308), _LOG_TEMPERATURE)
+_GAMMAS = st.one_of(st.sampled_from([0.0, 1e-300, 1e300]), st.floats(1e-3, 1e3),
+                    st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
+
+
+# derandomized and bounded: the same 100 draws on every run, about 0.5 s
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(eps=st.floats(1e-3, 10.0), kap=st.floats(1e-3, 10.0), kind=st.sampled_from(BathKind),
+       gl=_GAMMAS, gr=_GAMMAS, tl=_TEMPERATURES, tr=_TEMPERATURES, same=st.booleans())
+def test_single_points_are_finite_normalized_and_equal_the_public_chain(
+        eps, kap, kind, gl, gr, tl, tr, same):
+    # both orientations are drawn (epsilon above or below kappa); only what
+    # holds at any bias is asserted, so no sign or linear-response property
+    assume(eps != kap)
+    args = (SystemParams(eps, kap), kind, gl, gr, tl, tl if same else tr)
+    got = _bits(solve_point, *args)
+    assert got == _bits(_public_chain, *args)
+    if type(got[0]) is tuple:  # solved; an error, (type, message), is a ValueError
+        row = solve_point(*args)
+        assert all(type(value) is float and math.isfinite(value) for value in row)
+        assert abs(row.p1 + row.p2 + row.p3 + row.p4 - 1.0) <= 1e-9
 
 
 def test_huge_couplings_match_exact_evaluation_on_every_route():
