@@ -125,8 +125,8 @@ def _fmt(value: float) -> str:
 def _row_template(args) -> str:
     """``str.format`` template of one point row, the echoed flags filled in.
 
-    SweepRow fields are plain floats in CSV column order: T_L and T_R, then
-    the five echoed flags, then the nine results. ``{!r}`` is ``repr``, the
+    Row fields are plain floats in CSV column order: T_L and T_R, then the
+    five echoed flags, then the nine results. ``{!r}`` is ``repr``, the
     shortest round-trip form; the echoed text holds no braces.
     """
     echo = ",".join((_fmt(args.gl), _fmt(args.gr), args.bath,
@@ -158,12 +158,12 @@ def _run(args) -> list[str]:
             count=args.n, t_left=args.tl, t_avg=args.ta,
         )
         template = _row_template(args)
-        return [POINT_HEADER] + [template.format(*row) for row in run_sweep(spec)]
+        return [POINT_HEADER] + [template.format(*r) for r in np.asarray(run_sweep(spec)).tolist()]
 
     if args.command == "rect":
         grid = np.linspace(args.lo, args.hi, args.n)
         points = rectification_scan(params, kind, args.gl, args.gr, args.ta, grid)
-        return [RECT_HEADER] + ["{!r},{!r},{!r}".format(*p) for p in points]
+        return [RECT_HEADER] + ["{!r},{!r},{!r}".format(*p) for p in np.asarray(points).tolist()]
 
     td = sudden_death_temperature(params, kind, args.gl, args.gr)
     return [f"T_death,{_fmt(td)}"]

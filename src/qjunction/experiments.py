@@ -5,14 +5,16 @@ A single point (:func:`solve_point`) and a grid (:func:`run_sweep`,
 :func:`rectification_scan`) are both solved by ``solver.transport_kernel``
 and ``correlations.correlation_kernel``: on Python floats for a point,
 building no intermediate objects and calling no numpy, and in one numpy
-pass for a grid. The public layer functions (``channel_rates``,
-``steady_populations``, ``heat_current``, ``correlation_report``) wrap the
-same closed forms. The sudden-death threshold is a closed form of its own,
-valid at any equilibrium.
+pass for a grid, returned as rows read from one read-only float64 array.
+The public layer functions (``channel_rates``, ``steady_populations``,
+``heat_current``, ``correlation_report``) wrap the same closed forms. The
+sudden-death threshold is a closed form of its own, valid at any equilibrium.
 """
 
 import enum
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,11 +74,8 @@ class SweepSpec:
         elif self.variable is SweepVariable.T_RIGHT:
             if self.t_left is None or not 0.0 <= self.t_left < math.inf:
                 raise ValueError("T_RIGHT sweeps need a nonnegative, finite t_left")
-            if self.lo < 0.0:
-                raise ValueError("temperatures must be nonnegative")
-        else:
-            if self.lo < 0.0:
-                raise ValueError("temperatures must be nonnegative")
+        if self.variable is not SweepVariable.DELTA_T and self.lo < 0.0:
+            raise ValueError("temperatures must be nonnegative")
 
 
 def _check_couplings(gamma_left, gamma_right):
@@ -87,7 +86,7 @@ def _check_couplings(gamma_left, gamma_right):
 
 
 class SweepRow(NamedTuple):
-    """One sweep point: temperatures, populations, current, correlations."""
+    """One point as Python floats: temperatures, populations, current, correlations."""
 
     t_left: float
     t_right: float
@@ -108,6 +107,28 @@ class RectificationPoint(NamedTuple):
     delta_t: float
     j_forward: float   # J_L at (T_a + dT, T_a - dT)
     j_reverse: float   # J_L at (T_a - dT, T_a + dT)
+
+
+class _Table(Sequence):
+    """Rows of ``row_type``, built as read, over a read-only (fields, points) array."""
+
+    def __init__(self, row_type, columns):
+        columns.flags.writeable = False
+        self._row, self._columns = row_type, columns
+
+    def __len__(self):
+        return self._columns.shape[1]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(self._row._make, zip(*self._columns[:, index].tolist())))
+        return self._row._make(self._columns[:, operator.index(index)].tolist())
+
+    def __iter__(self):
+        return map(self._row._make, zip(*self._columns.tolist()))
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._columns.T, dtype=dtype, copy=copy)
 
 
 def solve_point(
@@ -132,8 +153,11 @@ def solve_point(
     return SweepRow(float(t_left), float(t_right), *state[:4], current, *state[4:])
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the sweep grid in ascending order of the sweep variable."""
+def run_sweep(spec: SweepSpec) -> Sequence[SweepRow]:
+    """Evaluate the sweep grid in ascending order of the sweep variable.
+
+    ``np.asarray`` of the result is the (count, 11) array in field order.
+    """
     values = np.linspace(spec.lo, spec.hi, spec.count)
     if spec.variable is SweepVariable.T_COMMON:
         t_left = t_right = values
@@ -150,8 +174,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         raise DegeneratePhysicsError(
             f"sweep aborted on the {spec.variable.value} grid: {exc}"
         ) from exc
-    columns = np.vstack((t_left, t_right, state[:4], j, state[4:]))
-    return list(map(SweepRow._make, zip(*columns.tolist())))
+    return _Table(SweepRow, np.vstack((t_left, t_right, state[:4], j, state[4:])))
 
 
 def rectification_scan(
@@ -161,11 +184,12 @@ def rectification_scan(
     gamma_right: float,
     t_avg: float,
     delta_ts,
-) -> list[RectificationPoint]:
+) -> Sequence[RectificationPoint]:
     """Forward/reversed currents over a grid of biases dT in (0, T_a).
 
     The junction rectifies when |j_reverse| differs from |j_forward|; with
-    equal couplings the two magnitudes coincide identically.
+    equal couplings the two magnitudes coincide identically. ``np.asarray``
+    of the result is the (n, 3) array of (dT, j_forward, j_reverse), dT copied.
     """
     if not 0.0 < t_avg < math.inf:
         raise ValueError(f"t_avg must be positive and finite, got {t_avg}")
@@ -182,9 +206,7 @@ def rectification_scan(
         params, kind, gamma_left, gamma_right,
         np.concatenate((hot, cold)), np.concatenate((cold, hot)),
     )
-    n = dts.size
-    columns = zip(dts.tolist(), j[:n].tolist(), j[n:].tolist())
-    return list(map(RectificationPoint._make, columns))
+    return _Table(RectificationPoint, np.vstack((dts, j[:dts.size], j[dts.size:])))
 
 
 def sudden_death_temperature(

@@ -60,19 +60,6 @@ class TestRunSweep:
         rows = run_sweep(spec)
         assert all(row.discord > row.concurrence for row in rows)
 
-    def test_hot_left_spin_concurrence_leads_at_low_tr(self):
-        # spin reservoirs keep the singlet heavily populated under a strong
-        # bias; entanglement then exceeds discord at the cold end, the
-        # opposite ordering of the boson case above
-        spec = SweepSpec(params=PARAMS, kind=BathKind.SPIN, gamma_left=1.0,
-                         gamma_right=1.0, variable=SweepVariable.T_RIGHT,
-                         lo=0.05, hi=1.5, count=30, t_left=1.5)
-        rows = run_sweep(spec)
-        lead = [row for row in rows if row.concurrence > row.discord]
-        assert lead
-        assert min(row.t_right for row in lead) == rows[0].t_right
-        assert all(row.t_right < 0.5 for row in lead)
-
     def test_bias_sweep_temperatures(self):
         spec = SweepSpec(params=PARAMS, kind=BathKind.BOSON, gamma_left=1.0,
                          gamma_right=1.0, variable=SweepVariable.DELTA_T,

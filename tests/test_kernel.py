@@ -12,6 +12,10 @@ do, so given the same rates they agree bit for bit too. Everything else on
 a grid is asserted to 1e-12: the rates go through exp and expm1, the
 entropies through log2 and K through hypot, and numpy may round those
 differently from the math module by an ulp.
+
+A grid comes back as a read-only table over the kernel's columns. The tests
+after ``test_empty_bias_grid`` pin that it builds no row until one is read,
+that ``np.asarray`` of it is that array, and that it indexes like a list.
 """
 
 import math
@@ -26,6 +30,7 @@ from oracles import exact_boson_point
 from qjunction import (
     BathKind,
     BathSpec,
+    RectificationPoint,
     SweepRow,
     SweepSpec,
     SweepVariable,
@@ -38,7 +43,7 @@ from qjunction import (
     solve_point,
     steady_populations,
 )
-from qjunction import baths, correlations, experiments, solver
+from qjunction import baths, cli, correlations, experiments, solver
 from qjunction.correlations import correlation_kernel
 
 TOL = 1e-12
@@ -138,7 +143,82 @@ def test_uncoupled_junction_scan_carries_no_current():
 
 
 def test_empty_bias_grid():
-    assert rectification_scan(SystemParams(0.2, 1.0), BathKind.BOSON, 1.0, 1.0, 1.0, []) == []
+    points = rectification_scan(SystemParams(0.2, 1.0), BathKind.BOSON, 1.0, 1.0, 1.0, [])
+    assert len(points) == 0
+    assert list(points) == []
+    assert np.asarray(points).shape == (0, 3)
+
+
+def _grids():
+    """(result, row type, field count) for every CASES sweep and a bias scan of each."""
+    for spec in CASES:
+        yield run_sweep(spec), SweepRow, 11
+        t_avg = spec.t_avg if spec.t_avg is not None else spec.hi
+        args = (spec.params, spec.kind, spec.gamma_left, spec.gamma_right)
+        dts = np.linspace(0.01 * t_avg, 0.99 * t_avg, 7)
+        yield rectification_scan(*args, t_avg, dts), RectificationPoint, 3
+
+
+def test_grids_build_no_row_objects(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row object was built")
+
+    for row_type in (SweepRow, RectificationPoint):
+        monkeypatch.setattr(row_type, "_make", refuse)
+    for result, _, fields in _grids():
+        assert np.asarray(result).shape == (len(result), fields)
+    # the CLI formats its CSV rows from the same arrays
+    assert cli.main(["sweep", "--var", "tr", "--tl", "1.5", "--lo", "0", "--hi", "2",
+                     "--n", "50"]) == 0
+    assert cli.main(["rect", "--ta", "1", "--lo", "0.1", "--hi", "0.9", "--n", "50"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 102
+
+
+def test_grid_array_is_read_only_and_equals_the_rows():
+    for result, _, fields in _grids():
+        columns = np.asarray(result)
+        assert columns.dtype == np.float64 and columns.shape == (len(result), fields)
+        assert not columns.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            columns[0, 0] = 1.0
+        rows = np.array([tuple(row) for row in result], dtype=np.float64)
+        assert columns.tobytes() == rows.tobytes()
+
+
+def test_grid_array_follows_numpy_copy_rules():
+    result = run_sweep(CASES[0])
+    assert np.shares_memory(np.asarray(result), np.asarray(result, copy=False))
+    copied = np.array(result)
+    assert copied.flags.writeable and not np.shares_memory(copied, np.asarray(result))
+    assert np.asarray(result, dtype=np.float32).dtype == np.float32
+    with pytest.raises(ValueError):
+        np.asarray(result, dtype=np.float32, copy=False)
+
+
+def test_bias_scan_does_not_alias_the_callers_grid():
+    dts = np.linspace(0.1, 0.9, 9)
+    points = rectification_scan(SystemParams(0.2, 1.0), BathKind.SPIN, 1.0, 0.5, 1.0, dts)
+    assert not np.shares_memory(np.asarray(points), dts)
+    dts[0] = 0.5
+    assert points[0].delta_t == 0.1
+
+
+def test_grid_rows_are_indexed_like_a_list():
+    for result, row_type, _ in _grids():
+        rows = list(result)
+        assert all(type(row) is row_type for row in rows)
+        assert all(type(value) is float for row in rows for value in row)
+        assert result[0] == rows[0] and result[-1] == rows[-1]
+        assert type(result[0]) is row_type
+        assert result[np.int64(2)] == rows[2] and result[-len(rows)] == rows[0]
+        assert result[1:5] == rows[1:5] and result[::-2] == rows[::-2]
+        assert result[len(rows):] == []
+        assert list(reversed(result)) == rows[::-1] and rows[3] in result
+        for index in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                result[index]
+        with pytest.raises(TypeError):
+            result[1.0]
 
 
 def test_rows_are_immutable_named_tuples():
