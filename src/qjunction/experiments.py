@@ -74,8 +74,11 @@ class SweepSpec:
         elif self.variable is SweepVariable.T_RIGHT:
             if self.t_left is None or not 0.0 <= self.t_left < math.inf:
                 raise ValueError("T_RIGHT sweeps need a nonnegative, finite t_left")
-        if self.variable is not SweepVariable.DELTA_T and self.lo < 0.0:
-            raise ValueError("temperatures must be nonnegative")
+            if self.lo < 0.0:
+                raise ValueError("temperatures must be nonnegative")
+        else:
+            if self.lo < 0.0:
+                raise ValueError("temperatures must be nonnegative")
 
 
 def _check_couplings(gamma_left, gamma_right):
@@ -156,7 +159,7 @@ def solve_point(
 def run_sweep(spec: SweepSpec) -> Sequence[SweepRow]:
     """Evaluate the sweep grid in ascending order of the sweep variable.
 
-    ``np.asarray`` of the result is the (count, 11) array in field order.
+    ``np.asarray`` of the result is the (count, 11) array; it equals only itself.
     """
     values = np.linspace(spec.lo, spec.hi, spec.count)
     if spec.variable is SweepVariable.T_COMMON:
@@ -189,7 +192,7 @@ def rectification_scan(
 
     The junction rectifies when |j_reverse| differs from |j_forward|; with
     equal couplings the two magnitudes coincide identically. ``np.asarray``
-    of the result is the (n, 3) array of (dT, j_forward, j_reverse), dT copied.
+    of the result is the (n, 3) array, dT copied; it equals only itself.
     """
     if not 0.0 < t_avg < math.inf:
         raise ValueError(f"t_avg must be positive and finite, got {t_avg}")

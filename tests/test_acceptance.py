@@ -192,7 +192,8 @@ def _spin_hot_left_sweep(params):
 
 def test_criterion_08_hot_left_spin_ordering():
     # spin reservoirs, hot left, README splitting: the reverse of criterion
-    # 07's boson ordering, C > Q on one run from the coldest T_R, Q > C hot
+    # 07's boson ordering, C > Q on one run from the coldest T_R that ends
+    # below T_R = 0.5, Q > C hot
     rows = _spin_hot_left_sweep(BASE)
     lead = [i for i, row in enumerate(rows) if row.concurrence > row.discord]
     cold_run = bool(lead) and lead == list(range(len(lead)))
@@ -206,7 +207,7 @@ def test_criterion_08_hot_left_spin_ordering():
     bound = 3.0 + 2.0 * math.sqrt(2.0)
     separable = all(r.concurrence == 0.0 for r, x in zip(inverted, ratios) if x < bound)
     best = max(r.concurrence - r.discord for r in inverted)
-    ok = cold_run and hot_end and separable
+    ok = cold_run and rows[lead[-1]].t_right < 0.5 and hot_end and separable
     edge = f"T_R <= {rows[lead[-1]].t_right:.3f}" if lead else "none"
     _report(8, "concurrence leads discord at the cold end (spin, hot left)", ok,
             f"{len(lead)} points with C > Q ({edge}), one run from the coldest "

@@ -214,6 +214,8 @@ def test_grid_rows_are_indexed_like_a_list():
         assert result[1:5] == rows[1:5] and result[::-2] == rows[::-2]
         assert result[len(rows):] == []
         assert list(reversed(result)) == rows[::-1] and rows[3] in result
+        # unlike a list, the table equals only itself
+        assert result == result and result != rows
         for index in (len(rows), -len(rows) - 1):
             with pytest.raises(IndexError):
                 result[index]
