@@ -7,15 +7,16 @@ occupation factor of the transition frequency.
 """
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
-import numpy as np
-
 # exp(x) overflows IEEE doubles near x ~ 709; past this the occupation is
 # indistinguishable from its zero-temperature limit
 _X_CLAMP = 700.0
+# the least normal float: below it a product has lost bits, or all of them
+_LEAST_NORMAL = 2.0 ** -1022
 
 
 class BathKind(enum.Enum):
@@ -91,27 +92,30 @@ def rate_pair(bath: BathSpec, omega: float) -> tuple[float, float]:
 
 def _rates(ops, kind: BathKind, gamma: float, x, n):
     # (down, up) of rate_pair from x = omega/T and the occupation n, for one
-    # temperature (ops = _FLOATS) or an array of them (_ARRAYS), gamma > 0
+    # temperature (ops = _FLOATS) or an array of them (_arrays()), gamma > 0
     if kind is BathKind.BOSON:
         return gamma * (n + 1.0), gamma * n
     # exp underflows gracefully to 0 for large gaps, giving down -> Gamma
     return gamma / (ops.exp(-x) + 1.0), gamma * n
 
 
-# The closed forms of the package are written once, over one of these two
-# namespaces: _FLOATS for a single point, _ARRAYS for a grid. They hold only
-# what differs between math on floats and numpy on float64 arrays. math
-# raises where numpy returns inf or NaN (exp past 709, x / 0, log2(0)), so a
-# guarded float form never evaluates the branch it discards; grid callers
-# run under np.errstate(all="ignore").
+# The closed forms of the package are written once, over one of two
+# namespaces: _FLOATS for a single point, _arrays() for a grid. They hold only
+# what differs between math on floats and numpy on float64 arrays. numpy is
+# imported when _arrays() is first called, by the first grid, so a process
+# that solves only points never loads it. math raises where numpy returns
+# inf or NaN (exp past 709, x / 0, log2(0)), so a guarded float form never
+# evaluates the branch it discards; grid callers run under
+# np.errstate(all="ignore").
 
 
-def _float_quotient(num, den, fallback, *args):
-    # num / den, 0 where den is 0, and fallback(*args) where num / den is not finite
+def _float_quotient(num, den, size, fallback, *args):
+    # num / den, 0 where den is 0, and fallback(*args) where num / den is not
+    # finite or size is below the least normal float
     if not den:
         return 0.0
     value = num / den
-    return value if math.isfinite(value) else fallback(*args)
+    return value if math.isfinite(value) and size >= _LEAST_NORMAL else fallback(*args)
 
 
 def _float_pair(kind, gamma, omega, temperature):
@@ -145,38 +149,47 @@ _FLOATS = SimpleNamespace(
 )
 
 
-def _array_pair(kind, gamma, omega, temperature):
-    # _float_pair over an array of temperatures, in which T = 0 gives x = inf
-    if gamma == 0.0:
-        zero = np.zeros_like(temperature)
-        return zero, zero
-    x = omega / temperature
-    n = 1.0 / np.expm1(x) if kind is BathKind.BOSON else 1.0 / (np.exp(x) + 1.0)
-    n[x > _X_CLAMP] = 0.0
-    return _rates(_ARRAYS, kind, gamma, x, n)
+@functools.cache
+def _arrays():
+    # the numpy namespace, built once
+    import numpy as np
 
+    def pair(kind, gamma, omega, temperature):
+        # _float_pair over an array of temperatures, in which T = 0 gives x = inf
+        if gamma == 0.0:
+            zero = np.zeros_like(temperature)
+            return zero, zero
+        x = omega / temperature
+        n = 1.0 / np.expm1(x) if kind is BathKind.BOSON else 1.0 / (np.exp(x) + 1.0)
+        n[x > _X_CLAMP] = 0.0
+        return _rates(ops, kind, gamma, x, n)
 
-def _quotient(num, den, fallback, *args):
-    value = num / den
-    value[den == 0.0] = 0.0
-    over = ~np.isfinite(value)
-    if over.any():
-        value[over] = fallback(*(a[over] if isinstance(a, np.ndarray) else a for a in args))
-    return value
+    def quotient(num, den, size, fallback, *args):
+        # _float_quotient over arrays, written into num, for a size that is 0
+        # where den is 0
+        value = np.divide(num, den, out=num)
+        ok = np.isfinite(value)
+        ok &= size >= _LEAST_NORMAL
+        if not ok.all():
+            over = ~ok
+            value[over] = fallback(*(a[over] if isinstance(a, np.ndarray) else a for a in args))
+            value[den == 0.0] = 0.0
+        return value
 
-
-_ARRAYS = SimpleNamespace(
-    exp=np.exp, sqrt=np.sqrt, hypot=np.hypot, frexp=np.frexp, ldexp=np.ldexp,
-    maximum=np.maximum, minimum=np.minimum,
-    pair=_array_pair,
-    top=lambda x: x.max(initial=0.0),
-    select=np.where,
-    quotient=_quotient,
-    xlog2x=lambda x: x * np.log2(x, out=np.zeros_like(x), where=x > 0.0),
-    conditional=lambda w, num, den: -w * np.log2(num / den, out=np.zeros_like(w), where=w > 0.0),
-)
+    ops = SimpleNamespace(
+        exp=np.exp, sqrt=np.sqrt, hypot=np.hypot, frexp=np.frexp, ldexp=np.ldexp,
+        maximum=np.maximum, minimum=np.minimum,
+        pair=pair,
+        top=lambda x: x.max(initial=0.0),
+        select=np.where,
+        quotient=quotient,
+        xlog2x=lambda x: x * np.log2(x, out=np.zeros_like(x), where=x > 0.0),
+        conditional=lambda w, num, den: -w * np.log2(num / den, out=np.zeros_like(w),
+                                                     where=w > 0.0),
+    )
+    return ops
 
 
 def _namespace(x):
-    # _ARRAYS for an array x, _FLOATS for a float, an int or a numpy scalar
-    return _ARRAYS if getattr(x, "ndim", 0) else _FLOATS
+    # _arrays() for an array x, _FLOATS for a float, an int or a numpy scalar
+    return _arrays() if getattr(x, "ndim", 0) else _FLOATS

@@ -10,8 +10,6 @@ import argparse
 import math
 import sys
 
-import numpy as np
-
 from .baths import BathKind
 from .experiments import (
     SweepSpec,
@@ -152,6 +150,7 @@ def _run(args) -> list[str]:
         return [POINT_HEADER, _row_template(args).format(*row)]
 
     if args.command == "sweep":
+        import numpy as np
         spec = SweepSpec(
             params=params, kind=kind, gamma_left=args.gl, gamma_right=args.gr,
             variable=_SWEEP_VARIABLES[args.var], lo=args.lo, hi=args.hi,
@@ -161,6 +160,7 @@ def _run(args) -> list[str]:
         return [POINT_HEADER] + [template.format(*r) for r in np.asarray(run_sweep(spec)).tolist()]
 
     if args.command == "rect":
+        import numpy as np
         grid = np.linspace(args.lo, args.hi, args.n)
         points = rectification_scan(params, kind, args.gl, args.gr, args.ta, grid)
         return [RECT_HEADER] + ["{!r},{!r},{!r}".format(*p) for p in np.asarray(points).tolist()]

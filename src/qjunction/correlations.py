@@ -21,9 +21,7 @@ axis does better.
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .baths import _ARRAYS, _FLOATS, _namespace
+from .baths import _FLOATS, _namespace
 from .solver import (NonUniqueSteadyStateError, _check_populations, _point_state,
                      _product_state, _sides)
 
@@ -61,7 +59,7 @@ def correlation_report(pops) -> CorrelationReport:
 
 def _measures(ops, p1, p2, p3, p4):
     # (C, I, C_cl, Q, K) of correlation_report, for one state (ops = _FLOATS)
-    # or a grid of them (_ARRAYS)
+    # or a grid of them (baths._arrays())
     xlog2x, conditional = ops.xlog2x, ops.conditional
     s14 = p1 + p4
     u, v = s14 + 2.0 * p2, s14 + 2.0 * p3  # twice the marginal eigenvalues
@@ -100,11 +98,13 @@ def correlation_kernel(rates, a_inverted: bool):
     ``ValueError`` where the populations fail the ``Populations`` check (one
     point) or a value is not finite (a grid).
     """
-    if _namespace(rates[0]) is _FLOATS:
+    ops = _namespace(rates[0])
+    if ops is _FLOATS:
         pops = _point_state(a_inverted, rates)
         _check_populations(pops)
-        conc, mi, ccl, disc, _ = _measures(_FLOATS, *pops)
+        conc, mi, ccl, disc, _ = _measures(ops, *pops)
         return (*pops, conc, disc, mi, ccl)
+    import numpy as np
     w12, da, w13, db = _sides(a_inverted, *rates)
     stuck = (da == 0.0) | (db == 0.0)
     if stuck.any():
@@ -114,7 +114,7 @@ def correlation_kernel(rates, a_inverted: bool):
         )
     with np.errstate(all="ignore"):
         pops = _product_state(w12, da, w13, db)
-        conc, mi, ccl, disc, _ = _measures(_ARRAYS, *pops)
+        conc, mi, ccl, disc, _ = _measures(ops, *pops)
     out = np.array((*pops, conc, disc, mi, ccl))
     bad = ~np.isfinite(out).all(axis=0)
     if bad.any():

@@ -4,7 +4,7 @@ and the entanglement sudden-death threshold.
 A single point (:func:`solve_point`) and a grid (:func:`run_sweep`,
 :func:`rectification_scan`) are both solved by ``solver.transport_kernel``
 and ``correlations.correlation_kernel``: on Python floats for a point,
-building no intermediate objects and calling no numpy, and in one numpy
+building no intermediate objects and importing no numpy, and in one numpy
 pass for a grid, returned as rows read from one read-only float64 array.
 The public layer functions (``channel_rates``, ``steady_populations``,
 ``heat_current``, ``correlation_report``) wrap the same closed forms. The
@@ -17,8 +17,6 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
 
 from .baths import BathKind, _check_bath
 from .correlations import correlation_kernel
@@ -71,12 +69,10 @@ class SweepSpec:
                 )
             if self.t_avg + max(self.hi, -self.lo) == math.inf:
                 raise ValueError(f"T_a + |dT| overflows for T_a = {self.t_avg}")
-        elif self.variable is SweepVariable.T_RIGHT:
-            if self.t_left is None or not 0.0 <= self.t_left < math.inf:
-                raise ValueError("T_RIGHT sweeps need a nonnegative, finite t_left")
-            if self.lo < 0.0:
-                raise ValueError("temperatures must be nonnegative")
         else:
+            if self.variable is SweepVariable.T_RIGHT and (
+                    self.t_left is None or not 0.0 <= self.t_left < math.inf):
+                raise ValueError("T_RIGHT sweeps need a nonnegative, finite t_left")
             if self.lo < 0.0:
                 raise ValueError("temperatures must be nonnegative")
 
@@ -131,6 +127,7 @@ class _Table(Sequence):
         return map(self._row._make, zip(*self._columns.tolist()))
 
     def __array__(self, dtype=None, copy=None):
+        import numpy as np
         return np.array(self._columns.T, dtype=dtype, copy=copy)
 
 
@@ -144,15 +141,15 @@ def solve_point(
 ) -> SweepRow:
     """Full steady-state solution for a single pair of bath temperatures.
 
-    Raises ``ValueError`` when the rates overflow, so that the populations
-    or the heat current would not be finite.
+    Raises ``ValueError`` when the heat current is not finite, which it is
+    not wherever the rates overflow, as ``run_sweep`` does on a grid.
     """
     _check_bath(gamma_left, t_left)
     _check_bath(gamma_right, t_right)
     rates, current = transport_kernel(params, kind, gamma_left, gamma_right, t_left, t_right)
-    state = correlation_kernel(rates, params.epsilon > params.kappa)
     if not math.isfinite(current):
         raise _current_not_finite(t_left, t_right)
+    state = correlation_kernel(rates, params.epsilon > params.kappa)
     return SweepRow(float(t_left), float(t_right), *state[:4], current, *state[4:])
 
 
@@ -161,6 +158,7 @@ def run_sweep(spec: SweepSpec) -> Sequence[SweepRow]:
 
     ``np.asarray`` of the result is the (count, 11) array; it equals only itself.
     """
+    import numpy as np
     values = np.linspace(spec.lo, spec.hi, spec.count)
     if spec.variable is SweepVariable.T_COMMON:
         t_left = t_right = values
@@ -197,6 +195,7 @@ def rectification_scan(
     if not 0.0 < t_avg < math.inf:
         raise ValueError(f"t_avg must be positive and finite, got {t_avg}")
     _check_couplings(gamma_left, gamma_right)
+    import numpy as np
     dts = np.asarray(delta_ts, dtype=float)
     outside = ~((dts > 0.0) & (dts < t_avg))
     if outside.any():

@@ -18,12 +18,11 @@ evaluation route here and is not provided.
 :func:`transport_kernel` evaluates :func:`channel_rates` and
 :func:`heat_current` at one temperature pair or over a grid, building no
 objects. All of them run the same closed forms, on floats or on numpy
-arrays (see ``baths._FLOATS`` and ``baths._ARRAYS``).
+arrays (see ``baths._FLOATS`` and ``baths._arrays``); numpy is imported
+by the first grid, never by a point.
 """
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .baths import _FLOATS, BathKind, BathSpec, _namespace, rate_pair
 from .model import DegeneratePhysicsError, SystemParams
@@ -91,7 +90,11 @@ def _check_populations(vals):
 # hence the populations, are unchanged, and the heat current is multiplied
 # back by the same power. Inputs below the ceiling take no rescaling at all.
 # Where omega times a product of two rates still overflows, the current is
-# formed as in _over_sum instead, which forms no such product.
+# formed as in _over_sum instead, which forms no such product. So it is too
+# where the two products sum to less than the least normal float (couplings
+# near 1e-154 and below): there they have lost bits, or all of them. Where
+# they sum to more, a product below it is off by at most 2**-1075, no more
+# than the rounding of a normal product.
 _TOP_EXPONENT = 1020
 _RATE_CEILING = 2.0 ** _TOP_EXPONENT
 
@@ -121,8 +124,11 @@ def _channel_current(ops, omega, ld, lu, rd, ru):
     # formed (rescaled where they pass the ceiling); no rates give 0
     ld, lu, rd, ru, total, scale = _rescaled(ops, ld, lu, rd, ru)
     twice_sum = 2.0 * total
-    j = ops.quotient(omega * (lu * rd - ld * ru), twice_sum,
-                     _over_sum, ops, omega, ld, lu, rd, ru, twice_sum)
+    num, down = lu * rd, ld * ru
+    size = num + down
+    num -= down  # in place on a grid, which allocates no further array
+    num *= omega
+    j = ops.quotient(num, twice_sum, size, _over_sum, ops, omega, ld, lu, rd, ru, twice_sum)
     return (ld, lu, rd, ru), j if scale is None else j * scale
 
 
@@ -227,6 +233,7 @@ def transport_kernel(params: SystemParams, kind: BathKind, gamma_left: float,
     ops = _namespace(t_left)
     if ops is _FLOATS:
         return _channels(ops, params, kind, gamma_left, gamma_right, t_left, t_right)
+    import numpy as np
     with np.errstate(all="ignore"):
         rates, j = _channels(ops, params, kind, gamma_left, gamma_right, t_left, t_right)
     bad = ~np.isfinite(j)

@@ -198,6 +198,17 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == f"qjunction: {flag} out of domain: inf\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("point", "--tl", "1e308", "--tr", "0.1", "--gl", "1e10"),
+        ("sweep", "--var", "tr", "--lo", "0.1", "--hi", "1.0", "--n", "5", "--tl", "1e308",
+         "--gl", "1e10"),
+    ])
+    def test_overflowing_rates_give_one_message_on_a_point_and_a_grid(self, capsys, argv):
+        # Gamma T / omega overflows the rates, whose populations are NaN too
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "qjunction: heat current is not finite at T_L = 1e+308, T_R = 0.1\n"
+
     def test_empty_rect_grid_rejected(self, capsys):
         code, out, err = run_cli(capsys, "rect", "--ta", "1.0", "--lo", "0.1",
                                  "--hi", "0.9", "--n", "0")
@@ -220,6 +231,17 @@ class TestLimitPoints:
                                  "--bath", "spin")
         assert boson_out != spin_out
         assert spin_out.splitlines()[1].split(",")[4] == "spin"
+
+
+class TestTinyCouplings:
+    def test_point_current_matches_exact_evaluation(self, capsys):
+        # products of two rates near 1e-340 flush to 0: J_L read 0.0 at exit 0
+        code, out, err = run_cli(capsys, "point", "--tl", "1.5", "--tr", "0.5",
+                                 "--gl", "1e-170", "--gr", "1e-170")
+        assert code == 0 and err == ""
+        current = float(out.splitlines()[1].split(",")[11])
+        assert current == pytest.approx(
+            exact_boson_point(0.2, 1.0, 1e-170, 1e-170, 1.5, 0.5)[1], rel=1e-12, abs=0.0)
 
 
 class TestHugeCouplings:

@@ -16,9 +16,17 @@ differently from the math module by an ulp.
 A grid comes back as a read-only table over the kernel's columns. The tests
 after ``test_empty_bias_grid`` pin that it builds no row until one is read,
 that ``np.asarray`` of it is that array, and that it indexes like a list.
+
+numpy is imported by the first grid, never by a point. This process has
+numpy loaded already, so the tests that pin this run a fresh interpreter.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,27 +336,92 @@ def test_extreme_rate_ratios_match_exact_evaluation(eps, kap, gl, gr, tl, tr):
         assert [row.p1, row.p2, row.p3, row.p4] == pytest.approx(pops, abs=TOL)
 
 
+# (Gamma_L, Gamma_R) of boson points at epsilon = 0.2, kappa = 1, T_L = 1.5,
+# T_R = 0.5 whose products of two rates fall below the least normal float: they
+# lost bits (an error of 2.7e-4 at 1e-160) or flushed to 0, and J read 0.0
+TINY_COUPLINGS = [(1e-160, 1e-160), (1e-170, 1e-170), (1e-300, 1e-300),
+                  (1e-200, 1e-120), (1e-120, 1e-200)]
+
+
+@pytest.mark.parametrize("gl, gr", TINY_COUPLINGS)
+def test_tiny_couplings_match_exact_evaluation_on_every_route(gl, gr):
+    params = SystemParams(0.2, 1.0)
+    args = (params, BathKind.BOSON, gl, gr)
+    pops, current = exact_boson_point(0.2, 1.0, gl, gr, 1.5, 0.5)
+    point = solve_point(*args, 1.5, 0.5)
+    last = run_sweep(SweepSpec(*args, SweepVariable.T_RIGHT, 0.25, 0.5, 2, t_left=1.5))[-1]
+    for row in (point, last):
+        assert row.t_right == 0.5
+        assert row.heat_current == pytest.approx(current, rel=TOL, abs=0.0)
+        assert [row.p1, row.p2, row.p3, row.p4] == pytest.approx(pops, abs=TOL)
+    (rect,) = rectification_scan(*args, 1.0, [0.5])
+    assert rect.j_forward == pytest.approx(current, rel=TOL, abs=0.0)
+    assert rect.j_reverse == pytest.approx(
+        exact_boson_point(0.2, 1.0, gl, gr, 0.5, 1.5)[1], rel=TOL, abs=0.0)
+
+
 # (epsilon, kappa, Gamma_L, Gamma_R, T_L, T_R) of single points that take the
 # rescaling and the over-sum form, T = 0 and Gamma = 0
 SINGLE_POINTS = ([(eps, kap, gl, gr, 1e308, tr) for eps, kap, gl, gr, tr in NEAR_CEILING]
                  + EXTREME_RATIOS
+                 + [(0.2, 1.0, gl, gr, 1.5, 0.5) for gl, gr in TINY_COUPLINGS]
                  + [(0.5, 0.3, 1.0, 0.0, 0.0, 0.8), (1.0, 0.2, 1e300, 1e300, 1.5, 0.5),
                     (0.2, 1.0, 0.0, 1.0, 1.5, 0.0), (0.2, 1.0, 1.0, 1.0, 0.0, 0.0)])
 
 
-class _NoNumpy:
-    def __getattr__(self, name):
-        raise AssertionError(f"np.{name} reached from a single point")
+def _fresh_python(script, *args):
+    # run script in a new interpreter that imports this qjunction; its stdout
+    env = dict(os.environ, PYTHONPATH=str(Path(qjunction.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
-def test_single_points_are_solved_without_numpy(monkeypatch):
-    # numpy serves grids only: with every module's np replaced, points that
-    # take the rescaling and the over-sum form, T = 0 and Gamma = 0 still solve
-    for module in (baths, correlations, experiments, solver):
-        monkeypatch.setattr(module, "np", _NoNumpy(), raising=False)
-    for eps, kap, gl, gr, tl, tr in SINGLE_POINTS:
-        row = solve_point(SystemParams(eps, kap), BathKind.BOSON, gl, gr, tl, tr)
-        assert all(type(value) is float for value in row)
+_WITHOUT_NUMPY = '''
+import json, sys
+sys.modules["numpy"] = None  # from here on, any import of numpy raises
+from qjunction import (BathKind, BathSpec, SystemParams, channel_rates, correlation_report,
+                       heat_current, occupation, rate_pair, solve_point, steady_populations,
+                       sudden_death_temperature)
+from qjunction.cli import main
+
+assert main(["point", "--tl", "1.5", "--tr", "0.5"]) == 0
+assert main(["death", "--bath", "spin"]) == 0
+for eps, kap, gl, gr, tl, tr in json.loads(sys.argv[1]):
+    for kind in BathKind:
+        solve_point(SystemParams(eps, kap), kind, gl, gr, tl, tr)
+sudden_death_temperature(SystemParams(0.2, 1.0), BathKind.BOSON)
+occupation(BathKind.SPIN, 0.8, 1.0)
+rate_pair(BathSpec(BathKind.BOSON, 1.0, 1.0), 0.8)
+rates = channel_rates(SystemParams(0.2, 1.0), BathSpec(BathKind.BOSON, 1.0, 1.5),
+                      BathSpec(BathKind.BOSON, 1.0, 0.5))
+heat_current(rates)
+correlation_report(steady_populations(rates))
+# the block is still in place, and no part of numpy was loaded
+assert sys.modules.pop("numpy") is None
+assert "numpy" not in sys.modules
+assert not [name for name in sys.modules if name.startswith("numpy.")]
+'''
+
+
+def test_points_and_death_never_import_numpy():
+    # with numpy blocked, the CLI's point and death, every SINGLE_POINTS point
+    # (rescaling, over-sum form, tiny couplings, T = 0, Gamma = 0), the
+    # sudden-death threshold and each public layer function still run
+    out = _fresh_python(_WITHOUT_NUMPY, json.dumps(SINGLE_POINTS))
+    assert out.splitlines()[-1].startswith("T_death,")
+
+
+def test_first_grid_imports_numpy():
+    out = _fresh_python(
+        "import sys\n"
+        "from qjunction.cli import main\n"
+        "print('numpy' in sys.modules)\n"
+        "main(['sweep', '--var', 'ta', '--lo', '0.1', '--hi', '1', '--n', '3'])\n"
+        "print('numpy' in sys.modules)\n")
+    lines = out.splitlines()
+    assert lines[0] == "False" and lines[-1] == "True" and len(lines) == 6
 
 
 class _Unreachable:
@@ -377,13 +450,13 @@ def test_single_points_build_no_layer_objects(monkeypatch):
 
 def _public_chain(params, kind, gamma_left, gamma_right, t_left, t_right):
     # solve_point composed from the public layer functions, its checks in its
-    # order: the baths, a unique state, the populations, a finite current
+    # order: the baths, a finite current, a unique state, the populations
     rates = channel_rates(params, BathSpec(kind, gamma_left, t_left),
                           BathSpec(kind, gamma_right, t_right))
-    pops = steady_populations(rates)
     current = heat_current(rates)
     if not math.isfinite(current):
         raise ValueError(f"heat current is not finite at T_L = {t_left}, T_R = {t_right}")
+    pops = steady_populations(rates)
     rep = correlation_report(pops)
     return SweepRow(float(t_left), float(t_right), *pops, current, rep.concurrence,
                     rep.discord, rep.mutual_information, rep.classical_correlation)
@@ -398,9 +471,9 @@ def _bits(fn, *args):
 
 
 # single points whose solve_point raises (for one bath kind or both): no
-# rates, overflowing boson rates (NaN populations), a current past the float
-# ceiling beside finite populations, omega/T underflow on a boson bath, and
-# each kind of invalid bath value
+# rates, overflowing boson rates (so a current that is not finite), a current
+# past the float ceiling beside finite populations, omega/T underflow on a
+# boson bath, and each kind of invalid bath value
 ERROR_EDGES = [
     (0.2, 1.0, 0.0, 0.0, 1.5, 0.5),
     (0.2, 1.0, 1e200, 1.0, 1e308, 0.5),
@@ -425,8 +498,10 @@ def test_solve_point_equals_the_public_chain():
         assert got == _bits(_public_chain, *args), args
         if type(got[0]) is not tuple:  # an error: its type and message
             errors.add(got[1].split(" ")[0])
-    # every kind of check fired on the error edges
-    assert errors == {"a", "populations", "heat", "omega/T", "gamma", "temperature"}
+    # every kind of check fired on the error edges; finite rates give
+    # populations in [0, 1], and rates that overflow give a current that is
+    # not finite, which is checked first, so the populations check never fires
+    assert errors == {"a", "heat", "omega/T", "gamma", "temperature"}
 
 
 _LOG_TEMPERATURE = st.floats(-3.0, 308.0).map(lambda e: 10.0 ** e)

@@ -48,3 +48,26 @@ def test_oracles_import_nothing_from_qjunction():
             imported.add("." * node.level + (node.module or ""))
     # a relative import reads as a leading "."
     assert imported and all(name.split(".")[0] not in ("qjunction", "") for name in imported)
+
+
+def _run_on_import(node):
+    # the nodes below node that run when the module is imported: all but
+    # function bodies
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _run_on_import(child)
+
+
+def test_no_module_imports_numpy_on_import():
+    # numpy is imported inside the functions that solve a grid, so that a
+    # process that solves only points never loads it
+    sources = sorted(Path(qjunction.__file__).parent.glob("*.py"))
+    assert len(sources) == 7
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in _run_on_import(tree):
+            if isinstance(node, ast.Import):
+                assert all(alias.name.split(".")[0] != "numpy" for alias in node.names), path
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "numpy", path
