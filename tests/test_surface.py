@@ -63,7 +63,7 @@ def test_no_module_imports_numpy_on_import():
     # numpy is imported inside the functions that solve a grid, so that a
     # process that solves only points never loads it
     sources = sorted(Path(qjunction.__file__).parent.glob("*.py"))
-    assert len(sources) == 7
+    assert sources
     for path in sources:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in _run_on_import(tree):
