@@ -109,13 +109,14 @@ def _rates(ops, kind: BathKind, gamma: float, x, n):
 # np.errstate(all="ignore").
 
 
-def _float_quotient(num, den, size, fallback, *args):
-    # num / den, 0 where den is 0, and fallback(*args) where num / den is not
-    # finite or size is below the least normal float
+def _float_quotient(num, den, size, fallback, ops, omega, ld, lu, rd, ru, twice_sum):
+    # num / den, 0 where den is 0, and fallback(...) where num / den is not finite or
+    # size (lu rd + ld ru) is below the least normal float and not exactly 0 + 0
     if not den:
         return 0.0
     value = num / den
-    return value if math.isfinite(value) and size >= _LEAST_NORMAL else fallback(*args)
+    ok = math.isfinite(value) and (size >= _LEAST_NORMAL or not (lu and rd or ld and ru))
+    return value if ok else fallback(ops, omega, ld, lu, rd, ru, twice_sum)
 
 
 def _float_pair(kind, gamma, omega, temperature):
@@ -166,7 +167,7 @@ def _arrays():
 
     def quotient(num, den, size, fallback, *args):
         # _float_quotient over arrays, written into num, for a size that is 0
-        # where den is 0
+        # where den is 0; exact zero products take the fallback here too
         value = np.divide(num, den, out=num)
         ok = np.isfinite(value)
         ok &= size >= _LEAST_NORMAL

@@ -85,7 +85,7 @@ def _measures(ops, p1, p2, p3, p4):
     return ops.maximum(2.0 * top - p1 - p4 - 2.0 * root, 0.0), i, c_cl, q, k
 
 
-def correlation_kernel(rates, a_inverted: bool):
+def correlation_kernel(rates, a_inverted: bool, offset: int = 0):
     """Steady-state populations and correlation measures at one point or over a grid.
 
     ``rates`` is the tuple of eight rates, floats or arrays, returned by
@@ -96,7 +96,8 @@ def correlation_kernel(rates, a_inverted: bool):
     floats for one point (numpy unused), an (8, n) array for a grid. Raises
     ``NonUniqueSteadyStateError`` where a channel carries no rates, then
     ``ValueError`` where the populations fail the ``Populations`` check (one
-    point) or a value is not finite (a grid).
+    point) or a value is not finite (a grid), naming a grid point by its
+    index plus ``offset``.
     """
     ops = _namespace(rates[0])
     if ops is _FLOATS:
@@ -109,7 +110,7 @@ def correlation_kernel(rates, a_inverted: bool):
     stuck = (da == 0.0) | (db == 0.0)
     if stuck.any():
         raise NonUniqueSteadyStateError(
-            f"a channel carries no rates at grid point {int(np.argmax(stuck))}; "
+            f"a channel carries no rates at grid point {offset + int(np.argmax(stuck))}; "
             "the stationary state is not unique"
         )
     with np.errstate(all="ignore"):
@@ -118,6 +119,6 @@ def correlation_kernel(rates, a_inverted: bool):
     out = np.array((*pops, conc, disc, mi, ccl))
     bad = ~np.isfinite(out).all(axis=0)
     if bad.any():
-        i = int(np.argmax(bad))
+        i = offset + int(np.argmax(bad))
         raise ValueError(f"populations or correlations not finite at grid point {i}")
     return out

@@ -4,8 +4,9 @@ and the entanglement sudden-death threshold.
 A single point (:func:`solve_point`) and a grid (:func:`run_sweep`,
 :func:`rectification_scan`) are both solved by ``solver.transport_kernel``
 and ``correlations.correlation_kernel``: on Python floats for a point,
-building no intermediate objects and importing no numpy, and in one numpy
-pass for a grid, returned as rows read from one read-only float64 array.
+building no intermediate objects and importing no numpy, and for a grid
+on numpy arrays, a few thousand points at a time, into the one read-only
+float64 array that its rows are read from.
 The public layer functions (``channel_rates``, ``steady_populations``,
 ``heat_current``, ``correlation_report``) wrap the same closed forms. The
 sudden-death threshold is a closed form of its own, valid at any equilibrium.
@@ -160,22 +161,21 @@ def run_sweep(spec: SweepSpec) -> Sequence[SweepRow]:
     """
     import numpy as np
     values = np.linspace(spec.lo, spec.hi, spec.count)
+    out = np.empty((11, spec.count))
     if spec.variable is SweepVariable.T_COMMON:
-        t_left = t_right = values
+        out[0] = out[1] = values
     elif spec.variable is SweepVariable.T_RIGHT:
-        t_left, t_right = np.full(spec.count, float(spec.t_left)), values
+        out[0], out[1] = float(spec.t_left), values
     else:
-        t_left, t_right = spec.t_avg + values, spec.t_avg - values
+        out[0], out[1] = spec.t_avg + values, spec.t_avg - values
     try:
-        rates, j = transport_kernel(
-            spec.params, spec.kind, spec.gamma_left, spec.gamma_right, t_left, t_right
-        )
-        state = correlation_kernel(rates, spec.params.epsilon > spec.params.kappa)
+        _solve_grid(spec.params, spec.kind, spec.gamma_left, spec.gamma_right,
+                    out[0], out[1], out[6], out)
     except DegeneratePhysicsError as exc:
         raise DegeneratePhysicsError(
             f"sweep aborted on the {spec.variable.value} grid: {exc}"
         ) from exc
-    return _Table(SweepRow, np.vstack((t_left, t_right, state[:4], j, state[4:])))
+    return _Table(SweepRow, out)
 
 
 def rectification_scan(
@@ -202,13 +202,30 @@ def rectification_scan(
         raise ValueError(f"bias {float(dts[np.argmax(outside)])} outside (0, {t_avg})")
     if dts.size and t_avg + float(dts.max()) == math.inf:
         raise ValueError(f"T_a + dT overflows at T_a = {t_avg}, dT = {float(dts.max())}")
-    # forward biases (hot left) first, then the same biases reversed
-    hot, cold = t_avg + dts, t_avg - dts
-    _, j = transport_kernel(
-        params, kind, gamma_left, gamma_right,
-        np.concatenate((hot, cold)), np.concatenate((cold, hot)),
-    )
-    return _Table(RectificationPoint, np.vstack((dts, j[:dts.size], j[dts.size:])))
+    out = np.empty((3, dts.size))
+    out[0] = dts
+    # forward biases (hot left), then reversed: their currents fill out[1:] in turn
+    signed = np.concatenate((dts, -dts))
+    _solve_grid(params, kind, gamma_left, gamma_right,
+                t_avg + signed, t_avg - signed, out[1:].reshape(-1))
+    return _Table(RectificationPoint, out)
+
+
+# Grids are solved _CHUNK points at a time, so that the allocator reuses a
+# chunk's temporaries where a whole grid's are handed back and faulted in again.
+_CHUNK = 4096
+
+
+def _solve_grid(params, kind, gamma_left, gamma_right, t_left, t_right, j, out=None):
+    # J into j and, given a sweep's out, the states into its rows 2-5 and 7-10;
+    # where a channel can stall, J fails at all points or none (errors keep order)
+    for start in range(0, j.size, _CHUNK):
+        part = slice(start, start + _CHUNK)
+        rates, j[part] = transport_kernel(params, kind, gamma_left, gamma_right,
+                                          t_left[part], t_right[part])
+        if out is not None:
+            state = correlation_kernel(rates, params.epsilon > params.kappa, start)
+            out[2:6, part], out[7:, part] = state[:4], state[4:]
 
 
 def sudden_death_temperature(

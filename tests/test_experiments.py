@@ -1,7 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qjunction import (
     BathKind,
@@ -15,6 +18,7 @@ from qjunction import (
     solve_point,
     sudden_death_temperature,
 )
+from qjunction import baths, experiments, solver
 
 PARAMS = SystemParams(epsilon=0.2, kappa=1.0)
 T_DEATH_UNIT = 1.134592657106511  # 1 / ln(1 + sqrt(2))
@@ -74,6 +78,51 @@ class TestRunSweep:
                          lo=0.5, hi=1.0, count=3)
         with pytest.raises(DegeneratePhysicsError, match="sweep aborted"):
             run_sweep(spec)
+
+    # Spin down rates Gamma / (1 + e^{-x}) round to 0 at Gamma = 5e-324 once
+    # x = omega/T is below about 1e-16, so channel a stalls from some
+    # temperature on. Grid errors name the point by its index in the whole grid.
+    @staticmethod
+    def _first_stalled(gap, temperatures):
+        return int(np.flatnonzero(5e-324 / (np.exp(-gap / temperatures) + 1.0) == 0.0)[0])
+
+    @pytest.mark.parametrize("count", [5000, 3 * experiments._CHUNK])
+    def test_frozen_point_is_named_by_its_index_in_the_grid(self, count):
+        spec = SweepSpec(PARAMS, BathKind.SPIN, 5e-324, 5e-324, SweepVariable.T_COMMON,
+                         1.0, 8.5e15, count)
+        first = self._first_stalled(0.8, np.linspace(spec.lo, spec.hi, count))
+        assert first == 3014 if count == 5000 else first > experiments._CHUNK
+        with pytest.raises(DegeneratePhysicsError, match=f"at grid point {first};"):
+            run_sweep(spec)
+
+    def test_a_non_finite_current_is_reported_before_a_frozen_channel(self):
+        # kappa + epsilon overflows, so channel b's current is inf * 0 at every
+        # point, while channel a stalls only in the last chunk; the current
+        # error names the first point, as it would over one whole-grid pass
+        params = SystemParams(1e308, float(np.nextafter(1e308, math.inf)))
+        spec = SweepSpec(params, BathKind.SPIN, 5e-324, 5e-324, SweepVariable.T_COMMON,
+                         1e300, 1.7e308, 3 * experiments._CHUNK)
+        gap_a = params.kappa - params.epsilon
+        assert self._first_stalled(gap_a, np.linspace(spec.lo, spec.hi, spec.count)) \
+            >= 2 * experiments._CHUNK
+        with pytest.raises(ValueError, match="heat current is not finite at T_L = 1e[+]300,"):
+            run_sweep(spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(1e-3, 1e308), st.floats(1e-3, 1e308), st.sampled_from([0.0, 5e-324]),
+           st.sampled_from([0.0, 5e-324]), st.floats(0.0, 1e308), st.floats(1.0, 1e308))
+    def test_where_a_channel_can_stall_the_current_fails_everywhere_or_nowhere(
+            self, eps, kap, gl, gr, lo, span):
+        # only spin baths with both couplings in {0, 5e-324} can stall a
+        # channel; with those the current is non-finite only through an
+        # overflowed gap kappa + epsilon, which no temperature changes. So the
+        # chunked grid drivers meet the current error first, as one pass did.
+        assume(eps != kap and lo + span < math.inf)
+        temperatures = np.linspace(lo, lo + span, 50)
+        with np.errstate(all="ignore"):
+            _, j = solver._channels(baths._arrays(), SystemParams(eps, kap), BathKind.SPIN,
+                                    gl, gr, temperatures, temperatures[::-1].copy())
+        assert np.isfinite(j).all() or not np.isfinite(j).any()
 
 
 class TestSweepSpecValidation:

@@ -99,17 +99,31 @@ def _scalar_current(params, kind, gamma_left, gamma_right, t_left, t_right):
     return heat_current(rates)
 
 
+def _chunk_edges(count):
+    """Both ends of a grid of ``count`` points and both sides of each chunk boundary."""
+    chunk = experiments._CHUNK
+    return sorted({0, count - 1} | {i for b in range(chunk, count, chunk) for i in (b - 1, b)})
+
+
+# a sweep over four chunks of the grid drivers, both temperatures moving
+CHUNKED_SWEEP = SweepSpec(SystemParams(0.7, 0.3), BathKind.SPIN, 1.3, 0.4,
+                          SweepVariable.DELTA_T, -2.9, 2.9, 3 * experiments._CHUNK + 5,
+                          t_avg=3.0)
+
+
 def test_run_sweep_matches_solve_point_row_by_row():
     worst = 0.0
-    for spec in CASES:
+    sweeps = [(spec, range(spec.count)) for spec in CASES]
+    sweeps.append((CHUNKED_SWEEP, _chunk_edges(CHUNKED_SWEEP.count)))
+    for spec, picks in sweeps:
         rows = run_sweep(spec)
         assert len(rows) == spec.count
-        for row in rows:
+        for row in (rows[i] for i in picks):
             assert all(type(value) is float for value in row)
             ref = solve_point(spec.params, spec.kind, spec.gamma_left, spec.gamma_right,
                               row.t_left, row.t_right)
             worst = max(worst, float(np.max(np.abs(np.subtract(row, ref)))))
-    print(f"max |run_sweep - solve_point| = {worst:.1e} over {len(CASES)} sweeps")
+    print(f"max |run_sweep - solve_point| = {worst:.1e} over {len(sweeps)} sweeps")
     assert worst <= TOL
 
 
@@ -129,13 +143,26 @@ def test_kernel_populations_equal_steady_populations_exactly():
         assert grid[:4].T.tolist() == [list(steady_populations(rs)) for rs in rate_sets]
 
 
-def test_rectification_scan_matches_scalar_heat_current():
-    worst = 0.0
+def _bias_scans():
+    """(system, T_a, biases, indices to check) of a scan per CASES sweep, then
+    one whose forward and reversed points together span four chunks."""
     for spec in CASES:
         t_avg = spec.t_avg if spec.t_avg is not None else spec.hi
-        dts = np.linspace(0.01 * t_avg, 0.99 * t_avg, 23)
         args = (spec.params, spec.kind, spec.gamma_left, spec.gamma_right)
-        for point, dt in zip(rectification_scan(*args, t_avg, dts), dts):
+        yield args, t_avg, np.linspace(0.01 * t_avg, 0.99 * t_avg, 23), range(23)
+    n = 3 * experiments._CHUNK // 2 + 7
+    # the currents run forward then reversed, so chunk edges fall on both halves
+    picks = sorted({i % n for i in _chunk_edges(2 * n)})
+    yield ((SystemParams(0.2, 1.0), BathKind.BOSON, 0.3, 2.1), 1.7,
+           np.linspace(1e-3, 1.69, n), picks)
+
+
+def test_rectification_scan_matches_scalar_heat_current():
+    worst = 0.0
+    for args, t_avg, dts, picks in _bias_scans():
+        points = rectification_scan(*args, t_avg, dts)
+        assert len(points) == dts.size
+        for point, dt in ((points[i], dts[i]) for i in picks):
             assert point.delta_t == dt
             forward = _scalar_current(*args, t_avg + dt, t_avg - dt)
             reverse = _scalar_current(*args, t_avg - dt, t_avg + dt)
@@ -358,6 +385,28 @@ def test_tiny_couplings_match_exact_evaluation_on_every_route(gl, gr):
     assert rect.j_forward == pytest.approx(current, rel=TOL, abs=0.0)
     assert rect.j_reverse == pytest.approx(
         exact_boson_point(0.2, 1.0, gl, gr, 0.5, 1.5)[1], rel=TOL, abs=0.0)
+
+
+def test_cold_points_skip_the_over_sum_form(monkeypatch):
+    # at T = 0, or where omega/T passes the clamp, no up rate is left: both
+    # products lu rd and ld ru have a zero factor, so they are exact zeros and
+    # J = 0.0 needs no over-sum form, where products that underflowed do
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return over_sum(*args)
+
+    over_sum = solver._over_sum
+    monkeypatch.setattr(solver, "_over_sum", counted)
+    for kind in BathKind:
+        for tl, tr in ((0.0, 0.0), (1e-3, 0.0), (0.0, 1e-3), (1e-3, 1e-3)):
+            row = solve_point(SystemParams(0.2, 1.0), kind, 1.0, 0.5, tl, tr)
+            assert row.heat_current == 0.0
+    assert calls == []
+    for gl, gr in TINY_COUPLINGS:
+        solve_point(SystemParams(0.2, 1.0), BathKind.BOSON, gl, gr, 1.5, 0.5)
+    assert len(calls) == 2 * len(TINY_COUPLINGS)
 
 
 # (epsilon, kappa, Gamma_L, Gamma_R, T_L, T_R) of single points that take the
