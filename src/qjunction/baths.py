@@ -145,8 +145,6 @@ _FLOATS = SimpleNamespace(
     select=lambda cond, if_true, if_false: if_true if cond else if_false,
     quotient=_float_quotient,
     xlog2x=lambda x: x * math.log2(x) if x > 0.0 else 0.0,
-    # -w log2(num / den), and 0 where the weight w is 0
-    conditional=lambda w, num, den: -w * math.log2(num / den) if w > 0.0 else 0.0,
 )
 
 
@@ -177,6 +175,13 @@ def _arrays():
             value[den == 0.0] = 0.0
         return value
 
+    def xlog2x(x):
+        # x log2 x in one new array, times 0 where x is not positive as on floats
+        y = np.log2(x)
+        np.copyto(y, 0.0, where=x <= 0.0)
+        y *= x
+        return y
+
     ops = SimpleNamespace(
         exp=np.exp, sqrt=np.sqrt, hypot=np.hypot, frexp=np.frexp, ldexp=np.ldexp,
         maximum=np.maximum, minimum=np.minimum,
@@ -184,9 +189,7 @@ def _arrays():
         top=lambda x: x.max(initial=0.0),
         select=np.where,
         quotient=quotient,
-        xlog2x=lambda x: x * np.log2(x, out=np.zeros_like(x), where=x > 0.0),
-        conditional=lambda w, num, den: -w * np.log2(num / den, out=np.zeros_like(w),
-                                                     where=w > 0.0),
+        xlog2x=xlog2x,
     )
     return ops
 

@@ -50,7 +50,10 @@ def correlation_report(pops) -> CorrelationReport:
       as 1 - P2 + P3, so a side that carries weight never rounds to zero.
     - Classical correlation C_cl = S(B) - min S(B|A), the minimum taken over
       the z-axis and the equatorial projective measurements, the two
-      candidates that are optimal for this state family.
+      candidates that are optimal for this state family. With x = p log2 p,
+      S(B) = 1 - (x(u) + x(v))/2, the z branch gives S(B|A) = (x(u) +
+      x(v))/2 - (P2 + P3) - x(P2) - x(P3) - x(P1 + P4) (Ali, Rau & Alber,
+      PRA 81, 042105) and the equatorial one 1 - (x(1 - K) + x(1 + K))/2.
     - Discord Q = I - C_cl, clamped at zero within rounding noise.
     - K = sqrt((P2 - P3)^2 + (P1 - P4)^2), in [0, 1].
     """
@@ -58,34 +61,55 @@ def correlation_report(pops) -> CorrelationReport:
 
 
 def _measures(ops, p1, p2, p3, p4):
-    # (C, I, C_cl, Q, K) of correlation_report, for one state (ops = _FLOATS)
-    # or a grid of them (baths._arrays())
-    xlog2x, conditional = ops.xlog2x, ops.conditional
+    # (C, I, C_cl, Q, K) of correlation_report, for one state (ops = _FLOATS) or a
+    # chunk (baths._arrays()); augmented assignments act in place on the arrays made
+    # here, never on p1..p4, and rebind floats; each is dropped at its last use
+    xlog2x = ops.xlog2x
     s14 = p1 + p4
-    u, v = s14 + 2.0 * p2, s14 + 2.0 * p3  # twice the marginal eigenvalues
-    xu, xv = xlog2x(u), xlog2x(v)
-    k = ops.hypot(p2 - p3, p1 - p4)
-    i = 2.0 - xu - xv + xlog2x(p1) + xlog2x(p2) + xlog2x(p3) + xlog2x(p4)
-    # measurement along z: outcome weights u/2 and v/2, diagonal conditional states
-    half = 0.5 * s14
-    s_z = (
-        conditional(p2, 2.0 * p2, u)
-        + conditional(half, s14, u)
-        + conditional(half, s14, v)
-        + conditional(p3, 2.0 * p3, v)
-    )
+    # x log2 x of u = s14 + 2 P2 and v = s14 + 2 P3, twice the marginal eigenvalues
+    xu, xv = xlog2x(s14 + 2.0 * p2), xlog2x(s14 + 2.0 * p3)
+    x2, x3 = xlog2x(p2), xlog2x(p3)
+    i = 2.0 - xu
+    i -= xv
+    i += xlog2x(p1)
+    i += x2
+    i += x3
+    i += xlog2x(p4)
+    s_b = xu + xv  # S(B) = 1 - (x(u) + x(v))/2
+    s_b *= -0.5
+    s_b += 1.0
+    # along z: (x(u) + x(v))/2 - (P2 + P3) - x(P2) - x(P3) - x(P1 + P4), x(u) - 2 P2
+    # and x(v) - 2 P3 formed first, which cancel exactly near pure state 2 or 3
+    s_z = xu
+    s_z -= 2.0 * p2
+    xv -= 2.0 * p3
+    s_z += xv
+    s_z *= 0.5
+    s_z -= x2
+    s_z -= x3
+    s_z -= xlog2x(s14)
+    del xu, xv, x2, x3, s14
     # equatorial measurement: both outcomes yield spectrum (1 +- K)/2
-    s_x = 1.0 - 0.5 * (xlog2x(1.0 - k) + xlog2x(1.0 + k))
-    s_b = 1.0 - 0.5 * (xu + xv)
+    k = ops.hypot(p2 - p3, p1 - p4)
+    s_x = xlog2x(1.0 - k)
+    s_x += xlog2x(1.0 + k)
+    s_x *= -0.5
+    s_x += 1.0
     c_cl = ops.maximum(s_b - ops.minimum(s_z, s_x), 0.0)
+    del s_b, s_z, s_x
     q = i - c_cl
     q = ops.select((q < 0.0) & (q > -1e-12), 0.0, q)
     root = ops.sqrt(p2 * p3)
     top = ops.maximum(ops.maximum(p1, p4), root)
-    return ops.maximum(2.0 * top - p1 - p4 - 2.0 * root, 0.0), i, c_cl, q, k
+    top *= 2.0
+    top -= p1
+    top -= p4
+    root *= 2.0
+    top -= root
+    return ops.maximum(top, 0.0), i, c_cl, q, k
 
 
-def correlation_kernel(rates, a_inverted: bool, offset: int = 0):
+def correlation_kernel(rates, a_inverted: bool, offset: int = 0, out=None):
     """Steady-state populations and correlation measures at one point or over a grid.
 
     ``rates`` is the tuple of eight rates, floats or arrays, returned by
@@ -93,7 +117,10 @@ def correlation_kernel(rates, a_inverted: bool, offset: int = 0):
     kappa. Returns P1, P2, P3, P4, concurrence, discord, mutual information
     and classical correlation by the closed forms of
     ``solver.steady_populations`` and :func:`correlation_report`: a tuple of
-    floats for one point (numpy unused), an (8, n) array for a grid. Raises
+    floats for one point (numpy unused); for a grid, ``out`` with the values
+    written into its eight rows (an (8, n) array, or eight float arrays as
+    long as the rates, such as rows of a larger table), or a new (8, n)
+    array where ``out`` is None. Raises
     ``NonUniqueSteadyStateError`` where a channel carries no rates, then
     ``ValueError`` where the populations fail the ``Populations`` check (one
     point) or a value is not finite (a grid), naming a grid point by its
@@ -113,12 +140,20 @@ def correlation_kernel(rates, a_inverted: bool, offset: int = 0):
             f"a channel carries no rates at grid point {offset + int(np.argmax(stuck))}; "
             "the stationary state is not unique"
         )
+    if out is None:
+        out = np.empty((8, w12.size))
     with np.errstate(all="ignore"):
-        pops = _product_state(w12, da, w13, db)
-        conc, mi, ccl, disc, _ = _measures(ops, *pops)
-    out = np.array((*pops, conc, disc, mi, ccl))
-    bad = ~np.isfinite(out).all(axis=0)
-    if bad.any():
-        i = offset + int(np.argmax(bad))
+        for row, value in zip(out, _product_state(w12, da, w13, db)):
+            row[...] = value
+        conc, mi, ccl, disc, _ = _measures(ops, *out[:4])
+        for row, value in zip(out[4:], (conc, disc, mi, ccl)):
+            row[...] = value
+        # finite values here are at most 2, so the sum is finite where all eight are
+        total = out[0] + out[1]
+        for row in out[2:]:
+            total += row
+    finite = np.isfinite(total)
+    if not finite.all():
+        i = offset + int(np.argmin(finite))
         raise ValueError(f"populations or correlations not finite at grid point {i}")
     return out

@@ -6,7 +6,8 @@ A single point (:func:`solve_point`) and a grid (:func:`run_sweep`,
 and ``correlations.correlation_kernel``: on Python floats for a point,
 building no intermediate objects and importing no numpy, and for a grid
 on numpy arrays, a few thousand points at a time, into the one read-only
-float64 array that its rows are read from.
+float64 array that its rows are read from: ``correlation_kernel`` writes a
+sweep's populations and correlations in place into that array's rows.
 The public layer functions (``channel_rates``, ``steady_populations``,
 ``heat_current``, ``correlation_report``) wrap the same closed forms. The
 sudden-death threshold is a closed form of its own, valid at any equilibrium.
@@ -224,8 +225,8 @@ def _solve_grid(params, kind, gamma_left, gamma_right, t_left, t_right, j, out=N
         rates, j[part] = transport_kernel(params, kind, gamma_left, gamma_right,
                                           t_left[part], t_right[part])
         if out is not None:
-            state = correlation_kernel(rates, params.epsilon > params.kappa, start)
-            out[2:6, part], out[7:, part] = state[:4], state[4:]
+            correlation_kernel(rates, params.epsilon > params.kappa, start,
+                               (*out[2:6, part], *out[7:, part]))
 
 
 def sudden_death_temperature(

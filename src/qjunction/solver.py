@@ -145,7 +145,8 @@ def _product_state(w12, da, w13, db):
     # P1..P4 of two independent channels, da and db nonzero
     fa = w12 / da  # weight of the channel-a side containing state 1
     fb = w13 / db  # weight of the channel-b side containing state 1
-    return fa * fb, (1.0 - fa) * fb, fa * (1.0 - fb), (1.0 - fa) * (1.0 - fb)
+    ga, gb = 1.0 - fa, 1.0 - fb
+    return fa * fb, ga * fb, fa * gb, ga * gb
 
 
 def _point_state(a_inverted, rates):

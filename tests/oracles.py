@@ -130,13 +130,16 @@ def _xlog2x(x: np.ndarray) -> np.ndarray:
     return x * np.log2(x, out=np.zeros_like(x), where=x > 0.0)
 
 
-def classical_correlation_grid(pops, n_theta: int = 200, n_phi: int = 200) -> float:
+def classical_correlation_grid(pops, n_theta: int = 200) -> float:
     """Classical correlation by grid search over projective measurements.
 
-    Minimizes the measured conditional entropy over measurement axes
-    n(theta, phi) on one qubit (the state is exchange symmetric, so the
-    side is immaterial) and subtracts it from the entropy of the other
-    qubit's diagonal marginal, diag(P2 + c, c + P3) with c = (P1 + P4)/2.
+    Minimizes the measured conditional entropy over measurement axes at
+    ``n_theta`` polar angles theta in [0, pi/2] on one qubit (the state is
+    exchange symmetric, so the side is immaterial) and subtracts it from the
+    entropy of the other qubit's diagonal marginal, diag(P2 + c, c + P3)
+    with c = (P1 + P4)/2. The azimuth phi of the axis only rotates the
+    phase of the conditional states' off-diagonal element, so the
+    conditional entropy does not depend on it and no phi is scanned.
     A finite grid can only overestimate the true minimum, so the result is
     a lower bound on the classical correlation up to grid resolution. For a
     two-outcome measurement on an X state the outcome weight and the
@@ -148,11 +151,10 @@ def classical_correlation_grid(pops, n_theta: int = 200, n_phi: int = 200) -> fl
     d = 0.5 * (p4 - p1)
     s_b = -float(_xlog2x(np.array([p2 + c, c + p3])).sum())
     theta = np.linspace(0.0, 0.5 * np.pi, n_theta)
-    ct = np.broadcast_to(np.cos(theta)[:, None], (n_theta, n_phi))
-    st = np.broadcast_to(np.sin(theta)[:, None], (n_theta, n_phi))
-    # |off-diagonal| of the conditional state; phi only rotates its phase
+    ct, st = np.cos(theta), np.sin(theta)
+    # |off-diagonal| of the conditional state
     beta2 = (0.5 * d * st) ** 2
-    cond = np.zeros((n_theta, n_phi))
+    cond = np.zeros(n_theta)
     for s in (1.0, -1.0):
         alpha = 0.5 * (p2 * (1.0 + s * ct) + c * (1.0 - s * ct))
         gamma = 0.5 * (c * (1.0 + s * ct) + p3 * (1.0 - s * ct))

@@ -313,7 +313,7 @@ def test_criterion_13_measurement_grid_oracle():
     for _ in range(200):
         p = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
         closed = correlation_report(p).classical_correlation
-        grid = classical_correlation_grid(p, n_theta=200, n_phi=200)
+        grid = classical_correlation_grid(p, n_theta=200)
         worst = max(worst, abs(closed - grid))
         # the axis measurements sit on the grid, so the scan can never do
         # worse than the two-branch closed form

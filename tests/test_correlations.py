@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import gibbs_populations
 from oracles import classical_correlation_grid, density_matrix_uncoupled, wootters_concurrence
-from qjunction import SystemParams, correlation_report
+from qjunction import (BathKind, SweepSpec, SweepVariable, SystemParams, correlation_report,
+                       run_sweep, solve_point)
 
 SINGLET = (1.0, 0.0, 0.0, 0.0)
 MIXED = (0.25, 0.25, 0.25, 0.25)
@@ -141,6 +143,64 @@ class TestDiscord:
         params = SystemParams(epsilon=0.2, kappa=1.0)
         pops = gibbs_populations(params, 0.05)
         assert abs(discord(pops) - concurrence(pops)) < 0.01
+
+
+def _four_term_reference(pops):
+    """(C_cl, Q) of the closed forms at exactly these populations, to 50 digits.
+
+    The z-measurement conditional entropy is summed as its four conditional
+    terms, -w log2(conditional weight / outcome weight), not as the x log2 x
+    terms the library reuses.
+    """
+    with mpmath.workdps(50):
+        p1, p2, p3, p4 = (mpmath.mpf(float(p)) for p in pops)
+
+        def x(t):
+            return t * mpmath.log(t, 2) if t > 0 else mpmath.mpf(0)
+
+        def conditional(w, num, den):
+            return -w * mpmath.log(num / den, 2) if w > 0 else mpmath.mpf(0)
+
+        s14 = p1 + p4
+        u, v = s14 + 2 * p2, s14 + 2 * p3
+        mutual = 2 - x(u) - x(v) + x(p1) + x(p2) + x(p3) + x(p4)
+        s_z = (conditional(p2, 2 * p2, u) + conditional(s14 / 2, s14, u)
+               + conditional(s14 / 2, s14, v) + conditional(p3, 2 * p3, v))
+        k = mpmath.sqrt((p2 - p3) ** 2 + (p1 - p4) ** 2)
+        s_x = 1 - (x(1 - k) + x(1 + k)) / 2
+        c_cl = max(1 - (x(u) + x(v)) / 2 - min(s_z, s_x), 0)
+        q = mutual - c_cl
+        return c_cl, mpmath.mpf(0) if -mpmath.mpf("1e-12") < q < 0 else q
+
+
+class TestHighPrecision:
+    # criterion 11's junction: kappa = 2 at mean temperature 1, couplings 1:0.05
+    PARAMS = SystemParams(epsilon=0.2, kappa=2.0)
+
+    def _states(self):
+        rng = np.random.default_rng(67)
+        for _ in range(200):
+            p = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
+            yield tuple(p), correlation_report(p)
+        for kind in BathKind:
+            for t_left, t_right in ((0.05, 1.95), (1.95, 0.05), (0.0, 1.0), (1.0, 0.0),
+                                    (0.0, 0.0)):
+                row = solve_point(self.PARAMS, kind, 1.0, 0.05, t_left, t_right)
+                yield row[2:6], row
+            # the same junction over a grid, where the closed forms run on arrays
+            spec = SweepSpec(self.PARAMS, kind, 1.0, 0.05, SweepVariable.DELTA_T,
+                             -0.975, 0.975, 79, t_avg=1.0)
+            for row in run_sweep(spec):
+                yield row[2:6], row
+
+    def test_classical_correlation_and_discord_against_50_digits(self):
+        worst = 0.0
+        for pops, measures in self._states():
+            c_cl, q = _four_term_reference(pops)
+            worst = max(worst, abs(measures.classical_correlation - c_cl),
+                        abs(measures.discord - q))
+        print(f"max error of C_cl and Q against 50 digits: {float(worst):.1e}")
+        assert worst <= 1e-15
 
 
 class TestReportAndInvariants:

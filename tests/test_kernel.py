@@ -143,6 +143,39 @@ def test_kernel_populations_equal_steady_populations_exactly():
         assert grid[:4].T.tolist() == [list(steady_populations(rs)) for rs in rate_sets]
 
 
+def test_correlation_kernel_writes_into_the_rows_it_is_given():
+    # run_sweep hands the kernel eight row views of its table; the kernel
+    # writes the bits of its own (8, n) array into them and nothing else
+    temperatures = np.linspace(0.0, 3.0, 500)
+    for params in (SystemParams(0.2, 1.0), SystemParams(1.0, 0.2)):
+        inverted = params.epsilon > params.kappa
+        for kind in BathKind:
+            rates, _ = solver.transport_kernel(params, kind, 1.3, 0.4, temperatures,
+                                               temperatures[::-1].copy())
+            table = np.full((11, temperatures.size + 3), np.nan)
+            rows = (*table[2:6, 1:-2], *table[7:, 1:-2])
+            written = correlation_kernel(rates, inverted, 0, rows)
+            assert all(np.shares_memory(row, table) for row in written)
+            own = correlation_kernel(rates, inverted)
+            assert np.array(rows).tobytes() == own.tobytes()
+            assert np.isnan(table[[0, 1, 6]]).all()
+            assert np.isnan(table[:, [0, -2, -1]]).all()
+
+
+def test_correlation_kernel_errors_name_the_point_plus_the_offset():
+    # channel a carries no rates at point 17 of a chunk that starts at 8192;
+    # then its W12 is inf there, which makes the populations NaN
+    rates = [np.ones(50) for _ in range(8)]
+    for rate in rates[:4]:
+        rate[17] = 0.0
+    rows = tuple(np.empty((8, 50)))
+    with pytest.raises(qjunction.NonUniqueSteadyStateError, match="at grid point 8209;"):
+        correlation_kernel(tuple(rates), False, 8192, rows)
+    rates[0][17] = math.inf
+    with pytest.raises(ValueError, match="not finite at grid point 8209$"):
+        correlation_kernel(tuple(rates), False, 8192, rows)
+
+
 def _bias_scans():
     """(system, T_a, biases, indices to check) of a scan per CASES sweep, then
     one whose forward and reversed points together span four chunks."""

@@ -1,9 +1,11 @@
-"""The public surface of ``qjunction`` and the independence of the test oracles."""
+"""The public surface of ``qjunction``, the namespaces its closed forms run over, and the
+independence of the test oracles."""
 
 import ast
 from pathlib import Path
 
 import qjunction
+from qjunction import baths
 
 PUBLIC = [
     "BathKind",
@@ -36,6 +38,12 @@ def test_public_names():
     assert sorted(qjunction.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(qjunction, name).__module__.startswith("qjunction.")
+
+
+def test_float_and_array_namespaces_offer_the_same_operations():
+    # each closed form is written once, over baths._FLOATS for a point and
+    # baths._arrays() for a grid, so the two must name the same members
+    assert sorted(vars(baths._FLOATS)) == sorted(vars(baths._arrays()))
 
 
 def test_oracles_import_nothing_from_qjunction():
