@@ -8,8 +8,7 @@ of the resulting X state, for boson or spin reservoirs of arbitrary
 temperatures and coupling asymmetry.
 """
 
-from .baths import BathKind, BathSpec, occupation, rate_pair
-from .correlations import CorrelationReport, correlation_report
+from .baths import BathKind
 from .experiments import (
     RectificationPoint,
     SweepRow,
@@ -21,40 +20,21 @@ from .experiments import (
     sudden_death_temperature,
 )
 from .model import DegeneratePhysicsError, SystemParams
-from .solver import (
-    ChannelRates,
-    NonUniqueSteadyStateError,
-    Populations,
-    RateSet,
-    channel_rates,
-    heat_current,
-    steady_populations,
-)
+from .solver import NonUniqueSteadyStateError
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BathKind",
-    "BathSpec",
-    "ChannelRates",
-    "CorrelationReport",
     "DegeneratePhysicsError",
     "NonUniqueSteadyStateError",
-    "Populations",
-    "RateSet",
     "RectificationPoint",
     "SweepRow",
     "SweepSpec",
     "SweepVariable",
     "SystemParams",
-    "channel_rates",
-    "correlation_report",
-    "heat_current",
-    "occupation",
-    "rate_pair",
     "rectification_scan",
     "run_sweep",
     "solve_point",
-    "steady_populations",
     "sudden_death_temperature",
 ]

@@ -4,12 +4,20 @@ A reservoir is characterized only by its statistics, a flat (frequency
 independent) coupling strength Gamma, and a temperature. The microscopic
 bath operators never appear: they are folded into Gamma and the thermal
 occupation factor of the transition frequency.
+
+Across a transition of gap omega > 0 a bath has two rates: ``down`` relaxes
+toward the lower level, ``up`` excites against the gap. With x = omega/T,
+a boson bath has occupation n_B = 1/(e^x - 1), down = Gamma (n_B + 1) and
+up = Gamma n_B; a spin bath has n_S = 1/(e^x + 1), bounded by 1/2, down =
+Gamma / (e^{-x} + 1) and up = Gamma n_S. Both kinds obey detailed balance,
+down/up = e^x. At T = 0, or where x passes the floating-point exponent
+range, the occupation takes its zero-temperature limit 0. Temperatures and
+couplings must be nonnegative and finite.
 """
 
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 # exp(x) overflows IEEE doubles near x ~ 709; past this the occupation is
@@ -24,22 +32,6 @@ class BathKind(enum.Enum):
     SPIN = "spin"
 
 
-@dataclass(frozen=True)
-class BathSpec:
-    """One reservoir: statistics ``kind``, coupling ``gamma``, ``temperature``.
-
-    gamma is a rate (energy-flat), temperature is in energy units (k_B = 1);
-    both must be nonnegative and finite.
-    """
-
-    kind: BathKind
-    gamma: float
-    temperature: float
-
-    def __post_init__(self):
-        _check_bath(self.gamma, self.temperature)
-
-
 def _check_bath(gamma, temperature):
     if not 0.0 <= gamma < math.inf:
         raise ValueError(f"gamma must be {'finite' if gamma == math.inf else '>= 0'}, got {gamma}")
@@ -47,52 +39,9 @@ def _check_bath(gamma, temperature):
         raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
 
 
-def _check_omega(omega):
-    if not omega > 0.0:
-        raise ValueError(f"omega must be positive, got {omega}")
-
-
-def occupation(kind: BathKind, omega: float, temperature: float) -> float:
-    """Thermal occupation of a reservoir mode at frequency ``omega`` > 0.
-
-    Parameters
-    ----------
-    kind : BathKind
-        Reservoir statistics. Boson gives the Bose-Einstein factor
-        1/(e^{w/T} - 1); spin gives 1/(e^{w/T} + 1).
-    omega : float
-        Transition frequency, strictly positive.
-    temperature : float
-        Reservoir temperature, finite and >= 0. At T = 0 the limit value 0
-        is returned for either kind, and omega/T beyond the floating-point
-        exponent range clamps to the same limit.
-
-    Returns
-    -------
-    float
-        Occupation number; nonnegative, and bounded by 1/2 for spin baths.
-    """
-    # the occupation is the up rate of a bath of unit coupling
-    _check_omega(omega)
-    _check_bath(1.0, temperature)
-    return _float_pair(kind, 1.0, omega, temperature)[1]
-
-
-def rate_pair(bath: BathSpec, omega: float) -> tuple[float, float]:
-    """(down, up) golden-rule rates across a transition of gap ``omega`` > 0.
-
-    ``down`` relaxes toward the lower level, ``up`` excites against the gap.
-    Boson: down = Gamma (n_B + 1), up = Gamma n_B. Spin: down =
-    Gamma n_S(-omega) = Gamma / (e^{-omega/T} + 1), up = Gamma n_S(omega).
-    Both kinds obey detailed balance, down/up = e^{omega/T}.
-    """
-    _check_omega(omega)
-    return _float_pair(bath.kind, bath.gamma, omega, bath.temperature)
-
-
 def _rates(ops, kind: BathKind, gamma: float, x, n):
-    # (down, up) of rate_pair from x = omega/T and the occupation n, for one
-    # temperature (ops = _FLOATS) or an array of them (_arrays()), gamma > 0
+    # (down, up) from x = omega/T and the occupation n, for one temperature
+    # (ops = _FLOATS) or an array of them (_arrays()), gamma > 0
     if kind is BathKind.BOSON:
         return gamma * (n + 1.0), gamma * n
     # exp underflows gracefully to 0 for large gaps, giving down -> Gamma
@@ -120,7 +69,7 @@ def _float_quotient(num, den, size, fallback, ops, omega, ld, lu, rd, ru, twice_
 
 
 def _float_pair(kind, gamma, omega, temperature):
-    # rate_pair past its omega check: one bath's (down, up) at one temperature
+    # one bath's (down, up) at one temperature, for a gap omega > 0
     if gamma == 0.0:
         return 0.0, 0.0
     if temperature == 0.0:

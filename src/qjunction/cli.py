@@ -1,9 +1,10 @@
 """Command-line front end: solve, sweep, rectify, locate sudden death; emit CSV.
 
-Exit codes: 0 success, 2 invalid flags or out-of-domain values, 3 degenerate
-physics (for example epsilon == kappa). All numeric CSV fields use the
-shortest round-trip decimal representation, so identical invocations produce
-byte-identical output.
+Exit codes: 0 success, 2 invalid flags or out-of-domain values, an ``--out``
+path that cannot be written or a grid that does not fit in memory, 3
+degenerate physics (for example epsilon == kappa). All numeric CSV fields
+use the shortest round-trip decimal representation, so identical
+invocations produce byte-identical output.
 """
 
 import argparse
@@ -177,14 +178,17 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         _check_domain(args)
-        lines = _run(args)
+        _emit(_run(args), args.out)
     except DegeneratePhysicsError as exc:
         print(f"qjunction: degenerate physics: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"qjunction: {exc}", file=sys.stderr)
         return 2
-    _emit(lines, args.out)
+    except MemoryError:
+        # only sweep and rect allocate in proportion to their input, --n
+        print(f"qjunction: a grid of {args.n} points does not fit in memory", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -3,12 +3,31 @@
 The stationary state is an X state in the product basis, so concurrence,
 mutual information, classical correlation and discord all reduce to closed
 forms in the four eigenstate populations. Entropies are in bits, with the
-0 log 0 = 0 convention throughout. :func:`correlation_report` evaluates
-them for one state and :func:`correlation_kernel` over a whole grid of rate
-sets at once, by the same closed forms on floats or on numpy arrays. Their
-brute-force counterparts, computed from the density matrix itself (the
-Wootters construction and a grid search over measurements), live in
-``tests/oracles.py``, which shares no code with this module.
+0 log 0 = 0 convention throughout. For populations (P1, P2, P3, P4):
+
+- Concurrence C = max(2 P_max - P1 - P4 - 2 sqrt(P2 P3), 0) with
+  P_max = max(P1, P4, sqrt(P2 P3)); zero exactly for separable states.
+- Mutual information I = S(A) + S(B) - S(AB). Both marginals are
+  diagonal with eigenvalues u/2 and v/2, where u = P1 + P4 + 2 P2 and
+  v = P1 + P4 + 2 P3 (that is, 1 +- (P2 - P3)), and the joint spectrum
+  is the populations themselves, so I = 2 - log2[u^u v^v] +
+  sum_n P_n log2 P_n. u and v are formed as sums of populations, never
+  as 1 - P2 + P3, so a side that carries weight never rounds to zero.
+- Classical correlation C_cl = S(B) - min S(B|A), the minimum taken over
+  the z-axis and the equatorial projective measurements, the two
+  candidates that are optimal for this state family. With x = p log2 p,
+  S(B) = 1 - (x(u) + x(v))/2, the z branch gives S(B|A) = (x(u) +
+  x(v))/2 - (P2 + P3) - x(P2) - x(P3) - x(P1 + P4) (Ali, Rau & Alber,
+  PRA 81, 042105) and the equatorial one 1 - (x(1 - K) + x(1 + K))/2.
+- Discord Q = I - C_cl, clamped at zero within rounding noise.
+- K = sqrt((P2 - P3)^2 + (P1 - P4)^2), in [0, 1].
+
+:func:`correlation_kernel` evaluates them, with the populations, at one
+point or over a whole grid of rate sets at once, by the same closed forms
+on floats or on numpy arrays. Their brute-force counterparts, computed from
+the density matrix itself (the Wootters construction and a search over
+measurements), live in ``tests/oracles.py``, which shares no code with
+this module.
 
 The measured side of the classical correlation follows the X-state
 prescription: the optimum over projective measurements is taken as the
@@ -19,49 +38,13 @@ oracle exists to flag (not fail) inputs where an intermediate measurement
 axis does better.
 """
 
-from dataclasses import dataclass
-
 from .baths import _FLOATS, _namespace
 from .solver import (NonUniqueSteadyStateError, _check_populations, _point_state,
                      _product_state, _sides)
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
-    """All four measures for one steady state, plus the auxiliary coefficient K."""
-
-    concurrence: float
-    mutual_information: float
-    classical_correlation: float
-    discord: float
-    k_coefficient: float
-
-
-def correlation_report(pops) -> CorrelationReport:
-    """All four correlation measures of one population vector (P1, P2, P3, P4).
-
-    - Concurrence C = max(2 P_max - P1 - P4 - 2 sqrt(P2 P3), 0) with
-      P_max = max(P1, P4, sqrt(P2 P3)); zero exactly for separable states.
-    - Mutual information I = S(A) + S(B) - S(AB). Both marginals are
-      diagonal with eigenvalues u/2 and v/2, where u = P1 + P4 + 2 P2 and
-      v = P1 + P4 + 2 P3 (that is, 1 +- (P2 - P3)), and the joint spectrum
-      is the populations themselves, so I = 2 - log2[u^u v^v] +
-      sum_n P_n log2 P_n. u and v are formed as sums of populations, never
-      as 1 - P2 + P3, so a side that carries weight never rounds to zero.
-    - Classical correlation C_cl = S(B) - min S(B|A), the minimum taken over
-      the z-axis and the equatorial projective measurements, the two
-      candidates that are optimal for this state family. With x = p log2 p,
-      S(B) = 1 - (x(u) + x(v))/2, the z branch gives S(B|A) = (x(u) +
-      x(v))/2 - (P2 + P3) - x(P2) - x(P3) - x(P1 + P4) (Ali, Rau & Alber,
-      PRA 81, 042105) and the equatorial one 1 - (x(1 - K) + x(1 + K))/2.
-    - Discord Q = I - C_cl, clamped at zero within rounding noise.
-    - K = sqrt((P2 - P3)^2 + (P1 - P4)^2), in [0, 1].
-    """
-    return CorrelationReport(*_measures(_FLOATS, *map(float, pops)))
-
-
 def _measures(ops, p1, p2, p3, p4):
-    # (C, I, C_cl, Q, K) of correlation_report, for one state (ops = _FLOATS) or a
+    # (C, I, C_cl, Q, K) of P1..P4, for one state (ops = _FLOATS) or a
     # chunk (baths._arrays()); augmented assignments act in place on the arrays made
     # here, never on p1..p4, and rebind floats; each is dropped at its last use
     xlog2x = ops.xlog2x
@@ -114,17 +97,16 @@ def correlation_kernel(rates, a_inverted: bool, offset: int = 0, out=None):
 
     ``rates`` is the tuple of eight rates, floats or arrays, returned by
     ``solver.transport_kernel``; ``a_inverted`` is True when epsilon >
-    kappa. Returns P1, P2, P3, P4, concurrence, discord, mutual information
-    and classical correlation by the closed forms of
-    ``solver.steady_populations`` and :func:`correlation_report`: a tuple of
-    floats for one point (numpy unused); for a grid, ``out`` with the values
-    written into its eight rows (an (8, n) array, or eight float arrays as
-    long as the rates, such as rows of a larger table), or a new (8, n)
-    array where ``out`` is None. Raises
-    ``NonUniqueSteadyStateError`` where a channel carries no rates, then
-    ``ValueError`` where the populations fail the ``Populations`` check (one
-    point) or a value is not finite (a grid), naming a grid point by its
-    index plus ``offset``.
+    kappa. Returns P1, P2, P3, P4 by the closed form of the ``solver``
+    module, then concurrence, discord, mutual information and classical
+    correlation by those above: a tuple of floats for one point (numpy
+    unused); for a grid, ``out`` with the values written into its eight rows
+    (an (8, n) array, or eight float arrays as long as the rates, such as
+    rows of a larger table), or a new (8, n) array where ``out`` is None.
+    Raises ``NonUniqueSteadyStateError`` where a channel carries no rates,
+    then ``ValueError`` where the populations leave [0, 1] or do not sum to
+    1 within 1e-9 (one point) or a value is not finite (a grid), naming a
+    grid point by its index plus ``offset``.
     """
     ops = _namespace(rates[0])
     if ops is _FLOATS:

@@ -8,9 +8,8 @@ building no intermediate objects and importing no numpy, and for a grid
 on numpy arrays, a few thousand points at a time, into the one read-only
 float64 array that its rows are read from: ``correlation_kernel`` writes a
 sweep's populations and correlations in place into that array's rows.
-The public layer functions (``channel_rates``, ``steady_populations``,
-``heat_current``, ``correlation_report``) wrap the same closed forms. The
-sudden-death threshold is a closed form of its own, valid at any equilibrium.
+The sudden-death threshold is a closed form of its own, valid at any
+equilibrium.
 """
 
 import enum
@@ -251,8 +250,7 @@ def sudden_death_temperature(
     ``NonUniqueSteadyStateError`` is raised (CLI exit 3), as solving the
     equilibrium itself would. Raises ``ValueError`` when T_d overflows.
     """
-    if not (0.0 <= gamma_left < math.inf and 0.0 <= gamma_right < math.inf):
-        raise ValueError("couplings must be nonnegative and finite")
+    _check_couplings(gamma_left, gamma_right)
     if gamma_left == 0.0 and gamma_right == 0.0:
         raise NonUniqueSteadyStateError(
             "no channel carries rates; the equilibrium state is not unique"

@@ -11,67 +11,23 @@ stationary distribution is the product
 
 using W24 = W13 and W34 = W12 (equal qubit splittings, equal coupling
 weights). The steady-state heat current out of the left reservoir is the
-second-order two-channel expression implemented in :func:`heat_current`;
-the variant written in terms of bath-system coherences has no closed
-evaluation route here and is not provided.
+second-order two-channel expression that :func:`transport_kernel`
+documents; the variant written in terms of bath-system coherences has no
+closed evaluation route here and is not provided.
 
-:func:`transport_kernel` evaluates :func:`channel_rates` and
-:func:`heat_current` at one temperature pair or over a grid, building no
-objects. All of them run the same closed forms, on floats or on numpy
-arrays (see ``baths._FLOATS`` and ``baths._arrays``); numpy is imported
-by the first grid, never by a point.
+:func:`transport_kernel` evaluates the eight rates and the heat current at
+one temperature pair or over a grid, building no objects; the populations
+follow from its rates in ``correlations.correlation_kernel``. Both run the
+same closed forms on floats or on numpy arrays (see ``baths._FLOATS`` and
+``baths._arrays``); numpy is imported by the first grid, never by a point.
 """
 
-from dataclasses import dataclass
-
-from .baths import _FLOATS, BathKind, BathSpec, _namespace, rate_pair
+from .baths import _FLOATS, BathKind, _namespace
 from .model import DegeneratePhysicsError, SystemParams
 
 
 class NonUniqueSteadyStateError(DegeneratePhysicsError):
     """A transition channel carries no rates at all, so the kernel is degenerate."""
-
-
-@dataclass(frozen=True)
-class ChannelRates:
-    """Per-bath (down, up) rates across one transition channel of gap ``omega``."""
-
-    omega: float
-    left_down: float
-    left_up: float
-    right_down: float
-    right_up: float
-
-
-@dataclass(frozen=True)
-class RateSet:
-    """The eight golden-rule rates of the junction plus the channel layout.
-
-    ``a`` is the |kappa - epsilon| channel (pairs 1<->2, 3<->4), ``b`` the
-    kappa + epsilon channel (pairs 1<->3, 2<->4). ``a_inverted`` is True
-    when epsilon > kappa, i.e. state |2> lies below |1> and the label-based
-    rate W12 (2 -> 1) is an excitation rather than a relaxation.
-    """
-
-    a: ChannelRates
-    b: ChannelRates
-    a_inverted: bool
-
-
-@dataclass(frozen=True)
-class Populations:
-    """Normalized steady-state occupations of the four eigenstates."""
-
-    p1: float
-    p2: float
-    p3: float
-    p4: float
-
-    def __post_init__(self):
-        _check_populations((self.p1, self.p2, self.p3, self.p4))
-
-    def __iter__(self):
-        return iter((self.p1, self.p2, self.p3, self.p4))
 
 
 def _check_populations(vals):
@@ -120,7 +76,7 @@ def _over_sum(ops, omega, ld, lu, rd, ru, twice_sum):
 
 
 def _channel_current(ops, omega, ld, lu, rd, ru):
-    # one channel's term of heat_current, and its rates as the term was
+    # one channel's term of the heat current, and its rates as the term was
     # formed (rescaled where they pass the ceiling); no rates give 0
     ld, lu, rd, ru, total, scale = _rescaled(ops, ld, lu, rd, ru)
     twice_sum = 2.0 * total
@@ -159,50 +115,6 @@ def _point_state(a_inverted, rates):
     return _product_state(w12, da, w13, db)
 
 
-def channel_rates(params: SystemParams, left: BathSpec, right: BathSpec) -> RateSet:
-    """Assemble both channels' rates from the two reservoir specifications.
-
-    Channel a uses the gap |kappa - epsilon| with up/down oriented by the
-    sign of kappa - epsilon; channel b uses kappa + epsilon.
-    """
-    gap_a = abs(params.kappa - params.epsilon)
-    gap_b = params.kappa + params.epsilon
-    return RateSet(
-        a=ChannelRates(gap_a, *rate_pair(left, gap_a), *rate_pair(right, gap_a)),
-        b=ChannelRates(gap_b, *rate_pair(left, gap_b), *rate_pair(right, gap_b)),
-        a_inverted=params.epsilon > params.kappa,
-    )
-
-
-def steady_populations(rates: RateSet) -> Populations:
-    """Closed-form stationary populations; normalized by construction."""
-    a, b = rates.a, rates.b
-    scaled = (_rescaled(_FLOATS, a.left_down, a.left_up, a.right_down, a.right_up)[:4]
-              + _rescaled(_FLOATS, b.left_down, b.left_up, b.right_down, b.right_up)[:4])
-    return Populations(*_point_state(rates.a_inverted, scaled))
-
-
-def heat_current(rates: RateSet) -> float:
-    """Steady-state heat current J_L out of the left reservoir.
-
-    Sum over the two channels c of
-
-        omega_c (kL_up kR_down - kL_down kR_up)
-        / (2 [kL_up + kR_down + kL_down + kR_up]),
-
-    with omega_c the channel's gap, :attr:`ChannelRates.omega`. Positive
-    values mean heat flows from the left bath into the system; a channel
-    with no rates contributes its limit value 0. The expression is written
-    in down/up form, which makes it valid for either sign of
-    kappa - epsilon.
-    """
-    total = 0.0
-    for ch in (rates.a, rates.b):
-        total += _channel_current(_FLOATS, ch.omega, ch.left_down, ch.left_up,
-                                  ch.right_down, ch.right_up)[1]
-    return total
-
-
 def _channels(ops, params, kind, gamma_left, gamma_right, t_left, t_right):
     # transport_kernel's rates and current, unchecked; a function of its own
     # so that only the array route pays for np.errstate
@@ -222,14 +134,27 @@ def transport_kernel(params: SystemParams, kind: BathKind, gamma_left: float,
 
     ``t_left`` and ``t_right`` are validated temperatures (finite, >= 0):
     two floats, or two equal-length float arrays. Returns ``(rates,
-    j_left)``: ``rates`` is a tuple of eight floats or arrays, the
-    :class:`ChannelRates` fields (left_down, left_up, right_down, right_up)
-    of channel a, then of channel b, and ``j_left`` is :func:`heat_current`
-    at each point. Where a channel's rates sum past 2**1020 they are
-    returned divided by the power of two that :func:`heat_current` divides
-    them by, which leaves every ratio of rates, and so the populations,
-    exact. On floats nothing is checked and numpy is not used; on arrays
-    ``ValueError`` is raised where the current is not finite.
+    j_left)``. ``rates`` is a tuple of eight floats or arrays, the (down,
+    up) rates (see ``baths``) of the left bath, then of the right bath,
+    across channel a, then across channel b: (left_down, left_up,
+    right_down, right_up) at the gap |kappa - epsilon|, then at kappa +
+    epsilon. Channel a is inverted when epsilon > kappa: state |2> then lies
+    below |1>, and the rate W12 (2 -> 1) is an excitation, not a relaxation.
+    ``j_left`` is the heat current out of the left reservoir, the sum over
+    the two channels c of
+
+        omega_c (kL_up kR_down - kL_down kR_up)
+        / (2 [kL_up + kR_down + kL_down + kR_up]),
+
+    with omega_c the channel's gap. Positive values mean heat flows from the
+    left bath into the system; a channel with no rates contributes its
+    limit value 0. The expression is written in down/up form, which makes
+    it valid for either sign of kappa - epsilon. Where a channel's rates
+    sum past 2**1020 they are returned divided by the power of two that the
+    current's term divides them by, which leaves every ratio of rates, and
+    so the populations, exact. On floats nothing is checked and numpy is
+    not used; on arrays ``ValueError`` is raised where the current is not
+    finite.
     """
     ops = _namespace(t_left)
     if ops is _FLOATS:

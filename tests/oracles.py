@@ -14,7 +14,9 @@ reading of the same algebra:
   density matrix, and :func:`density_matrix_uncoupled` the steady state in
   the product basis;
 - :func:`classical_correlation_grid` minimizes the measured conditional
-  entropy over a grid of projective measurements;
+  entropy over a grid of projective measurements, and
+  :func:`classical_correlation_refined` refines its best angle by a
+  golden-section search;
 - :func:`exact_boson_point` evaluates the boson steady state and current in
   exact rational arithmetic, where floating-point rates would overflow.
 """
@@ -130,6 +132,36 @@ def _xlog2x(x: np.ndarray) -> np.ndarray:
     return x * np.log2(x, out=np.zeros_like(x), where=x > 0.0)
 
 
+def _measured_side(pops):
+    """S(B) and the conditional entropy S(B|A) of the measurements at polar angles theta.
+
+    ``pops`` is one population vector, or a stack of them, one per row; then
+    each state is a row of the results, and theta may hold a row of angles
+    per state.
+    """
+    p1, p2, p3, p4 = np.asarray(pops, dtype=float).T[..., None]
+    c = 0.5 * (p1 + p4)
+    d = 0.5 * (p4 - p1)
+    s_b = -_xlog2x(np.array([p2 + c, c + p3])).sum(axis=0)
+
+    def conditional(theta):
+        ct, st = np.cos(theta), np.sin(theta)
+        # |off-diagonal| of the conditional state
+        beta2 = (0.5 * d * st) ** 2
+        cond = 0.0
+        for s in (1.0, -1.0):
+            alpha = 0.5 * (p2 * (1.0 + s * ct) + c * (1.0 - s * ct))
+            gamma = 0.5 * (c * (1.0 + s * ct) + p3 * (1.0 - s * ct))
+            weight = alpha + gamma
+            radius = np.sqrt((alpha - gamma) ** 2 + 4.0 * beta2)
+            lam_hi = np.clip(0.5 * (weight + radius), 0.0, None)
+            lam_lo = np.clip(0.5 * (weight - radius), 0.0, None)
+            cond = cond + (_xlog2x(weight) - _xlog2x(lam_hi) - _xlog2x(lam_lo))
+        return cond
+
+    return s_b, conditional
+
+
 def classical_correlation_grid(pops, n_theta: int = 200) -> float:
     """Classical correlation by grid search over projective measurements.
 
@@ -146,24 +178,35 @@ def classical_correlation_grid(pops, n_theta: int = 200) -> float:
     conditional spectrum are available in closed form, which keeps the
     scan a pure array computation.
     """
-    p1, p2, p3, p4 = (float(x) for x in pops)
-    c = 0.5 * (p1 + p4)
-    d = 0.5 * (p4 - p1)
-    s_b = -float(_xlog2x(np.array([p2 + c, c + p3])).sum())
+    s_b, conditional = _measured_side(pops)
+    return float(s_b[0] - conditional(np.linspace(0.0, 0.5 * np.pi, n_theta)).min())
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def classical_correlation_refined(states, n_theta: int = 200, steps: int = 40) -> np.ndarray:
+    """:func:`classical_correlation_grid` of each row of ``states``, refined between grid angles.
+
+    For each state a golden-section search on theta runs for ``steps``
+    steps between the two grid neighbours of its best grid angle, which
+    narrows that bracket to 0.618**steps of its width. The result is the
+    classical correlation of the best axis found, on the grid or off it,
+    so it is never below the grid's value.
+    """
+    s_b, conditional = _measured_side(states)
     theta = np.linspace(0.0, 0.5 * np.pi, n_theta)
-    ct, st = np.cos(theta), np.sin(theta)
-    # |off-diagonal| of the conditional state
-    beta2 = (0.5 * d * st) ** 2
-    cond = np.zeros(n_theta)
-    for s in (1.0, -1.0):
-        alpha = 0.5 * (p2 * (1.0 + s * ct) + c * (1.0 - s * ct))
-        gamma = 0.5 * (c * (1.0 + s * ct) + p3 * (1.0 - s * ct))
-        weight = alpha + gamma
-        radius = np.sqrt((alpha - gamma) ** 2 + 4.0 * beta2)
-        lam_hi = np.clip(0.5 * (weight + radius), 0.0, None)
-        lam_lo = np.clip(0.5 * (weight - radius), 0.0, None)
-        cond += _xlog2x(weight) - _xlog2x(lam_hi) - _xlog2x(lam_lo)
-    return s_b - float(cond.min())
+    cond = conditional(theta)
+    best = cond.argmin(axis=1)
+    lo = theta[np.maximum(best - 1, 0)][:, None]
+    hi = theta[np.minimum(best + 1, n_theta - 1)][:, None]
+    for _ in range(steps):
+        x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+        f1, f2 = conditional(x1), conditional(x2)
+        # keep the part of the bracket that holds the lower of the two
+        hi, lo = np.where(f1 <= f2, x2, hi), np.where(f1 <= f2, lo, x1)
+    found = np.minimum(f1, f2)[:, 0]
+    return s_b[:, 0] - np.minimum(cond.min(axis=1), found)
 
 
 def exact_boson_point(eps, kap, gl, gr, tl, tr):

@@ -26,6 +26,7 @@ import math
 
 import numpy as np
 
+from conftest import measures
 from oracles import (
     classical_correlation_grid,
     density_matrix_uncoupled,
@@ -34,17 +35,12 @@ from oracles import (
 )
 from qjunction import (
     BathKind,
-    BathSpec,
     SweepSpec,
     SweepVariable,
     SystemParams,
-    channel_rates,
-    correlation_report,
-    heat_current,
     rectification_scan,
     run_sweep,
     solve_point,
-    steady_populations,
     sudden_death_temperature,
 )
 from qjunction.cli import main
@@ -75,11 +71,6 @@ def _gibbs(params: SystemParams, temperature: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _solve(params, kind, gl, gr, tl, tr):
-    rates = channel_rates(params, BathSpec(kind, gl, tl), BathSpec(kind, gr, tr))
-    return rates, steady_populations(rates)
-
-
 def _random_point(rng):
     eps = rng.uniform(0.05, 2.0)
     kap = rng.uniform(0.05, 2.0)
@@ -94,8 +85,8 @@ def test_criterion_01_equilibrium_gibbs():
     for temperature in TEMPERATURES:
         for ratio in COUPLING_RATIOS:
             for kind in BathKind:
-                _, pops = _solve(BASE, kind, ratio, 1.0, temperature, temperature)
-                gap = np.array(tuple(pops)) - _gibbs(BASE, temperature)
+                row = solve_point(BASE, kind, ratio, 1.0, temperature, temperature)
+                gap = np.array(row[2:6]) - _gibbs(BASE, temperature)
                 worst = max(worst, np.max(np.abs(gap)))
     _report(1, "equilibrium Gibbs state", worst < 1e-12,
             f"max |P - Gibbs| = {worst:.2e} over 5x5x2 grid (tol 1e-12)")
@@ -112,13 +103,13 @@ def test_criterion_02_oracle_equivalence():
     for i in range(1000):
         params, gl, gr, tl, tr = _random_point(rng)
         kind = BathKind.BOSON if i % 2 == 0 else BathKind.SPIN
-        rates, pops = _solve(params, kind, gl, gr, tl, tr)
+        row = solve_point(params, kind, gl, gr, tl, tr)
         route, current = hamiltonian_route(params.epsilon, params.kappa, kind.value,
                                            gl, gr, tl, tr)
-        worst_pop = max(worst_pop, np.max(np.abs(np.array(tuple(pops)) - route)))
-        worst_j = max(worst_j, abs(heat_current(rates) - current))
+        worst_pop = max(worst_pop, np.max(np.abs(np.array(row[2:6]) - route)))
+        worst_j = max(worst_j, abs(row.heat_current - current))
         p = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
-        worst_conc = max(worst_conc, abs(correlation_report(p).concurrence
+        worst_conc = max(worst_conc, abs(measures(p).concurrence
                                          - wootters_concurrence(density_matrix_uncoupled(p))))
     ok = worst_pop < 1e-12 and worst_j < 1e-12 and worst_conc < 1e-10
     _report(2, "independent steady-state and entanglement routes", ok,
@@ -131,8 +122,8 @@ def test_criterion_03_zero_current_at_equilibrium():
     for temperature in TEMPERATURES:
         for ratio in COUPLING_RATIOS:
             for kind in BathKind:
-                rates, _ = _solve(BASE, kind, ratio, 1.0, temperature, temperature)
-                worst = max(worst, abs(heat_current(rates)))
+                row = solve_point(BASE, kind, ratio, 1.0, temperature, temperature)
+                worst = max(worst, abs(row.heat_current))
     _report(3, "equilibrium current vanishes", worst < 1e-14,
             f"max |J_L| = {worst:.2e} including asymmetric couplings (tol 1e-14)")
 
@@ -145,16 +136,15 @@ def test_criterion_04_second_law():
         while abs(tl - tr) < 1e-3:
             tr = rng.uniform(0.05, 3.0)
         kind = BathKind.BOSON if i % 2 == 0 else BathKind.SPIN
-        rates, _ = _solve(params, kind, gl, gr, tl, tr)
-        if math.copysign(1.0, heat_current(rates)) != math.copysign(1.0, tl - tr):
+        j = solve_point(params, kind, gl, gr, tl, tr).heat_current
+        if math.copysign(1.0, j) != math.copysign(1.0, tl - tr):
             violations += 1
     _report(4, "heat flows from hot to cold", violations == 0,
             f"{violations} sign violations in 1000 nonequilibrium draws, both kinds")
 
 
 def test_criterion_05_reference_current_value():
-    rates, _ = _solve(BASE, BathKind.BOSON, 1.0, 1.0, 1.5, 0.5)
-    j = heat_current(rates)
+    j = solve_point(BASE, BathKind.BOSON, 1.0, 1.0, 1.5, 0.5).heat_current
     err = abs(j - J_REFERENCE)
     _report(5, "pinned nonequilibrium current", err < 1e-9,
             f"J_L = {j!r}, |J - {J_REFERENCE}| = {err:.2e} (tol 1e-9)")
@@ -312,7 +302,7 @@ def test_criterion_13_measurement_grid_oracle():
     worst = 0.0
     for _ in range(200):
         p = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
-        closed = correlation_report(p).classical_correlation
+        closed = measures(p).classical_correlation
         grid = classical_correlation_grid(p, n_theta=200)
         worst = max(worst, abs(closed - grid))
         # the axis measurements sit on the grid, so the scan can never do

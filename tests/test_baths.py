@@ -4,12 +4,24 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from qjunction import BathKind, BathSpec, occupation, rate_pair
+from qjunction import BathKind, SystemParams, solve_point
+from qjunction.baths import _float_pair
+
+PARAMS = SystemParams(epsilon=0.2, kappa=1.0)
 
 # arbitrary-precision evaluations of the closed forms (mpmath, 40 digits):
 #   1/(exp(0.8/1.5) - 1), 1/(exp(0.8/0.5) - 1)
 N_B_08_15 = 1.4192351617412369
 N_B_08_05 = 0.2529703510218533
+
+
+def occupation(kind: BathKind, omega: float, temperature: float) -> float:
+    # the occupation is the up rate of a bath of unit coupling
+    return _float_pair(kind, 1.0, omega, temperature)[1]
+
+
+def rate_pair(kind: BathKind, gamma: float, temperature: float, omega: float):
+    return _float_pair(kind, gamma, omega, temperature)
 
 
 def mp_occupation(kind: BathKind, omega, temperature):
@@ -34,14 +46,9 @@ class TestOccupation:
         assert got == pytest.approx(float(mp_occupation(BathKind.BOSON, "0.8", "1.5")),
                                     rel=1e-14)
 
-    def test_rejects_nonpositive_frequency(self):
-        for bad in (0.0, -0.3):
-            with pytest.raises(ValueError):
-                occupation(BathKind.BOSON, bad, 1.0)
-
     def test_rejects_negative_temperature(self):
-        with pytest.raises(ValueError):
-            occupation(BathKind.SPIN, 1.0, -0.1)
+        with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
+            solve_point(PARAMS, BathKind.SPIN, 1.0, 1.0, -0.1, 1.0)
 
     def test_exponent_clamp(self):
         # omega/T far past the IEEE range returns the zero-temperature limit
@@ -51,24 +58,20 @@ class TestOccupation:
 
 class TestRatePair:
     def test_boson_values(self):
-        down, up = rate_pair(BathSpec(BathKind.BOSON, 1.0, 1.5), 0.8)
+        down, up = rate_pair(BathKind.BOSON, 1.0, 1.5, 0.8)
         assert up == pytest.approx(N_B_08_15, rel=1e-14)
         assert down == pytest.approx(N_B_08_15 + 1.0, rel=1e-14)
 
     def test_decoupled_bath(self):
         for kind in BathKind:
-            assert rate_pair(BathSpec(kind, 0.0, 1.3), 0.7) == (0.0, 0.0)
+            assert rate_pair(kind, 0.0, 1.3, 0.7) == (0.0, 0.0)
 
     def test_spin_zero_temperature_relaxes_only(self):
-        down, up = rate_pair(BathSpec(BathKind.SPIN, 1.0, 0.0), 0.8)
+        down, up = rate_pair(BathKind.SPIN, 1.0, 0.0, 0.8)
         assert (down, up) == (1.0, 0.0)
-        down, up = rate_pair(BathSpec(BathKind.SPIN, 1.0, 1e-6), 0.8)
+        down, up = rate_pair(BathKind.SPIN, 1.0, 1e-6, 0.8)
         assert down == pytest.approx(1.0, abs=1e-12)
         assert up == 0.0  # excitation underflows the clamp
-
-    def test_rejects_nonpositive_frequency(self):
-        with pytest.raises(ValueError):
-            rate_pair(BathSpec(BathKind.BOSON, 1.0, 1.0), -0.8)
 
     def test_detailed_balance(self):
         rng = np.random.default_rng(3)
@@ -77,12 +80,12 @@ class TestRatePair:
             gamma = rng.uniform(0.01, 3.0)
             omega = rng.uniform(0.05, 3.0)
             temp = rng.uniform(0.02, 5.0)
-            down, up = rate_pair(BathSpec(kind, gamma, temp), omega)
+            down, up = rate_pair(kind, gamma, temp, omega)
             assert down / up == pytest.approx(math.exp(omega / temp), rel=1e-12)
 
     def test_excitation_monotone_in_temperature(self):
         for kind in BathKind:
-            ups = [rate_pair(BathSpec(kind, 1.0, t), 0.9)[1]
+            ups = [rate_pair(kind, 1.0, t, 0.9)[1]
                    for t in np.linspace(0.01, 6.0, 60)]
             assert all(b >= a for a, b in zip(ups, ups[1:]))
 
@@ -90,35 +93,33 @@ class TestRatePair:
         rng = np.random.default_rng(8)
         for _ in range(100):
             gamma = rng.uniform(0.01, 3.0)
-            down, up = rate_pair(
-                BathSpec(BathKind.BOSON, gamma, rng.uniform(0.05, 5.0)),
-                rng.uniform(0.05, 3.0),
-            )
+            down, up = rate_pair(BathKind.BOSON, gamma, rng.uniform(0.05, 5.0),
+                                 rng.uniform(0.05, 3.0))
             assert down - up == pytest.approx(gamma, rel=1e-12)
 
     def test_spin_rate_bounds(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
             gamma = rng.uniform(0.01, 3.0)
-            down, up = rate_pair(
-                BathSpec(BathKind.SPIN, gamma, rng.uniform(0.02, 5.0)),
-                rng.uniform(0.05, 3.0),
-            )
+            down, up = rate_pair(BathKind.SPIN, gamma, rng.uniform(0.02, 5.0),
+                                 rng.uniform(0.05, 3.0))
             assert up <= gamma / 2.0 <= down
-        down, up = rate_pair(BathSpec(BathKind.SPIN, 1.0, 1e9), 0.5)
+        down, up = rate_pair(BathKind.SPIN, 1.0, 1e9, 0.5)
         assert up == pytest.approx(0.5, abs=1e-9)
         assert down == pytest.approx(0.5, abs=1e-9)
 
 
 class TestBathSpec:
+    # each bath's coupling and temperature, as solve_point checks them
+
     def test_rejects_negative_gamma(self):
-        with pytest.raises(ValueError):
-            BathSpec(BathKind.BOSON, -1.0, 1.0)
+        with pytest.raises(ValueError, match="gamma must be >= 0, got -1.0"):
+            solve_point(PARAMS, BathKind.BOSON, -1.0, 1.0, 1.0, 1.0)
 
     def test_rejects_infinite_gamma_by_name(self):
         with pytest.raises(ValueError, match="gamma must be finite, got inf"):
-            BathSpec(BathKind.BOSON, math.inf, 1.0)
+            solve_point(PARAMS, BathKind.BOSON, math.inf, 1.0, 1.0, 1.0)
 
     def test_rejects_negative_temperature(self):
-        with pytest.raises(ValueError):
-            BathSpec(BathKind.SPIN, 1.0, -0.5)
+        with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
+            solve_point(PARAMS, BathKind.SPIN, 1.0, 1.0, 1.0, -0.5)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from oracles import exact_boson_point
-from qjunction import BathKind, SystemParams, solve_point
+from qjunction import BathKind, SystemParams, cli, solve_point
 from qjunction.cli import main
 
 POINT_HEADER = (
@@ -120,6 +120,13 @@ class TestDeterminismAndOutput:
         assert code == 0
         assert target.read_bytes().decode("ascii") == out
 
+    def test_out_path_that_cannot_be_opened_exits_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "point", "--tl", "1", "--tr", "0.5",
+                                 "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("qjunction: [Errno 2] ") and str(target) in err
+
 
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
@@ -157,6 +164,23 @@ class TestExitCodes:
     def test_missing_subcommand(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("sub, extra, grid_function", [
+        ("sweep", ("--var", "ta"), "run_sweep"),
+        ("rect", ("--ta", "1"), "rectification_scan"),
+    ])
+    def test_grid_that_does_not_fit_in_memory_exits_two(self, capsys, monkeypatch, sub,
+                                                         extra, grid_function):
+        # the grid function stands in for an allocation that fails, so no
+        # grid is allocated, whatever the operating system's overcommit policy
+        def refuse(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, grid_function, refuse)
+        code, out, err = run_cli(capsys, sub, *extra, "--lo", "0.1", "--hi", "0.9",
+                                 "--n", "12345")
+        assert code == 2 and out == ""
+        assert err == "qjunction: a grid of 12345 points does not fit in memory\n"
 
     @pytest.mark.parametrize("argv", [
         ("point", "--tl", "inf", "--tr", "0.5"),

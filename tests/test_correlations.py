@@ -4,10 +4,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import gibbs_populations
-from oracles import classical_correlation_grid, density_matrix_uncoupled, wootters_concurrence
-from qjunction import (BathKind, SweepSpec, SweepVariable, SystemParams, correlation_report,
-                       run_sweep, solve_point)
+from conftest import gibbs_populations, measures
+from oracles import (classical_correlation_grid, classical_correlation_refined,
+                     density_matrix_uncoupled, wootters_concurrence)
+from qjunction import BathKind, SweepSpec, SweepVariable, SystemParams, run_sweep, solve_point
 
 SINGLET = (1.0, 0.0, 0.0, 0.0)
 MIXED = (0.25, 0.25, 0.25, 0.25)
@@ -45,19 +45,19 @@ def mutual_information_eigen(pops) -> float:
 
 
 def concurrence(pops) -> float:
-    return correlation_report(pops).concurrence
+    return measures(pops).concurrence
 
 
 def mutual_information(pops) -> float:
-    return correlation_report(pops).mutual_information
+    return measures(pops).mutual_information
 
 
 def classical_correlation(pops) -> float:
-    return correlation_report(pops).classical_correlation
+    return measures(pops).classical_correlation
 
 
 def discord(pops) -> float:
-    return correlation_report(pops).discord
+    return measures(pops).discord
 
 
 class TestConcurrence:
@@ -129,6 +129,35 @@ class TestClassicalCorrelation:
             assert classical_correlation(p) <= classical_correlation_grid(p) + 1e-9
 
 
+def _extreme_steady_states():
+    """solve_point rows at both kinds and orientations, couplings 1:0.05 and
+    0.05:1, biases near +-T_a and one bath at T = 0."""
+    biases = (-0.999999, -0.999, -0.99, -0.9, 0.9, 0.99, 0.999, 0.999999)
+    for kind in BathKind:
+        for eps, kap in ((0.2, 1.0), (1.0, 0.2)):
+            params = SystemParams(eps, kap)
+            for gl, gr in ((1.0, 0.05), (0.05, 1.0)):
+                yield solve_point(params, kind, gl, gr, 0.0, 0.0)
+                for t_avg in (0.25, 1.0, 4.0):
+                    for x in biases:
+                        yield solve_point(params, kind, gl, gr, t_avg * (1 + x), t_avg * (1 - x))
+                    for t in (0.1 * t_avg, t_avg, 10.0 * t_avg):
+                        yield solve_point(params, kind, gl, gr, 0.0, t)
+                        yield solve_point(params, kind, gl, gr, t, 0.0)
+
+
+class TestClassicalCorrelationOnSteadyStates:
+    def test_no_measurement_axis_beats_the_closed_form(self):
+        # the refined scan can only find an axis better than the z-axis and
+        # the equatorial measurement; on the steady-state family it finds none
+        rows = list(_extreme_steady_states())
+        closed = np.array([row.classical_correlation for row in rows])
+        excess = classical_correlation_refined([row[2:6] for row in rows]) - closed
+        print(f"max (refined scan - closed-form C_cl) = {excess.max():.1e} "
+              f"over {len(rows)} states")
+        assert excess.max() <= 1e-12
+
+
 class TestDiscord:
     def test_pure_singlet_one_bit(self):
         assert discord(SINGLET) == 1.0
@@ -181,7 +210,7 @@ class TestHighPrecision:
         rng = np.random.default_rng(67)
         for _ in range(200):
             p = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
-            yield tuple(p), correlation_report(p)
+            yield tuple(p), measures(p)
         for kind in BathKind:
             for t_left, t_right in ((0.05, 1.95), (1.95, 0.05), (0.0, 1.0), (1.0, 0.0),
                                     (0.0, 0.0)):
@@ -205,19 +234,23 @@ class TestHighPrecision:
 
 class TestReportAndInvariants:
     def test_k_example(self):
-        assert correlation_report(P_EXAMPLE).k_coefficient == pytest.approx(K_EXAMPLE, rel=1e-12)
+        assert measures(P_EXAMPLE).k_coefficient == pytest.approx(K_EXAMPLE, rel=1e-12)
 
     def test_report_bundles_consistently(self):
-        rep = correlation_report(P_EXAMPLE)
-        assert rep == correlation_report(np.array(P_EXAMPLE))
+        rep = measures(P_EXAMPLE)
         assert rep.discord == pytest.approx(
             rep.mutual_information - rep.classical_correlation, abs=1e-12)
+        # a solved row carries the measures of its own populations
+        row = solve_point(SystemParams(0.2, 1.0), BathKind.BOSON, 1.0, 1.0, 1.5, 0.5)
+        rep = measures(row[2:6])
+        assert (row.concurrence, row.mutual_information, row.classical_correlation,
+                row.discord) == rep[:4]
 
     def test_ranges_randomized(self):
         rng = np.random.default_rng(59)
         for _ in range(300):
             p = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
-            rep = correlation_report(p)
+            rep = measures(p)
             assert 0.0 <= rep.concurrence <= 1.0
             assert rep.mutual_information >= -1e-12
             assert -1e-12 <= rep.classical_correlation

@@ -247,7 +247,9 @@ class TestSuddenDeath:
 
     @pytest.mark.parametrize("gl, gr", [(-1.0, 1.0), (1.0, math.nan), (math.inf, 1.0)])
     def test_rejects_bad_couplings(self, gl, gr):
-        with pytest.raises(ValueError):
+        # the messages SweepSpec and rectification_scan give
+        message = "finite" if math.inf in (gl, gr) else "nonnegative"
+        with pytest.raises(ValueError, match=f"^couplings must be {message}$"):
             sudden_death_temperature(PARAMS, BathKind.BOSON, gl, gr)
 
 

@@ -1,17 +1,13 @@
-"""The kernels behind solve_point, run_sweep and rectification_scan, against the public chain.
+"""The kernels behind solve_point, run_sweep and rectification_scan, point against grid.
 
 ``solver.transport_kernel`` and ``correlations.correlation_kernel`` solve a
 single point on Python floats and a grid on numpy arrays, by the same
-closed forms. The public layer functions ``channel_rates``,
-``steady_populations``, ``heat_current`` and ``correlation_report`` wrap
-those forms too; chained, they are the reference here. On a single point
-both routes run the same float arithmetic, so ``solve_point`` equals the
-chain bit for bit, errors included. On a grid the populations are sums,
-products and quotients of the rates, which numpy rounds exactly as floats
-do, so given the same rates they agree bit for bit too. Everything else on
-a grid is asserted to 1e-12: the rates go through exp and expm1, the
-entropies through log2 and K through hypot, and numpy may round those
-differently from the math module by an ulp.
+closed forms; the point route is the reference here. On a grid the
+populations are sums, products and quotients of the rates, which numpy
+rounds exactly as floats do, so given the same rates the two routes agree
+bit for bit. Everything else on a grid is asserted to 1e-12: the rates go
+through exp and expm1, the entropies through log2 and K through hypot, and
+numpy may round those differently from the math module by an ulp.
 
 A grid comes back as a read-only table over the kernel's columns. The tests
 after ``test_empty_bias_grid`` pin that it builds no row until one is read,
@@ -37,21 +33,16 @@ import qjunction
 from oracles import exact_boson_point
 from qjunction import (
     BathKind,
-    BathSpec,
     RectificationPoint,
     SweepRow,
     SweepSpec,
     SweepVariable,
     SystemParams,
-    channel_rates,
-    correlation_report,
-    heat_current,
     rectification_scan,
     run_sweep,
     solve_point,
-    steady_populations,
 )
-from qjunction import baths, cli, correlations, experiments, solver
+from qjunction import cli, experiments, solver
 from qjunction.correlations import correlation_kernel
 
 TOL = 1e-12
@@ -94,9 +85,7 @@ CASES = _draw_cases()
 
 
 def _scalar_current(params, kind, gamma_left, gamma_right, t_left, t_right):
-    rates = channel_rates(params, BathSpec(kind, gamma_left, t_left),
-                          BathSpec(kind, gamma_right, t_right))
-    return heat_current(rates)
+    return solver.transport_kernel(params, kind, gamma_left, gamma_right, t_left, t_right)[1]
 
 
 def _chunk_edges(count):
@@ -128,19 +117,16 @@ def test_run_sweep_matches_solve_point_row_by_row():
 
 
 def test_kernel_populations_equal_steady_populations_exactly():
+    # the grid route, given the eight rates of each point as the point route
+    # forms them, gives solve_point's populations bit for bit
     for spec in CASES:
-        rate_sets = [
-            channel_rates(spec.params, BathSpec(spec.kind, spec.gamma_left, row.t_left),
-                          BathSpec(spec.kind, spec.gamma_right, row.t_right))
-            for row in run_sweep(spec)
-        ]
-        # the eight rate arrays transport_kernel returns, in its order
-        per_point = [(rs.a.left_down, rs.a.left_up, rs.a.right_down, rs.a.right_up,
-                      rs.b.left_down, rs.b.left_up, rs.b.right_down, rs.b.right_up)
-                     for rs in rate_sets]
+        args = (spec.params, spec.kind, spec.gamma_left, spec.gamma_right)
+        temperatures = [(row.t_left, row.t_right) for row in run_sweep(spec)]
+        per_point = [solver.transport_kernel(*args, *ts)[0] for ts in temperatures]
         grid = correlation_kernel(tuple(np.array(per_point).T),
                                   spec.params.epsilon > spec.params.kappa)
-        assert grid[:4].T.tolist() == [list(steady_populations(rs)) for rs in rate_sets]
+        assert grid[:4].T.tolist() == [list(solve_point(*args, *ts)[2:6])
+                                       for ts in temperatures]
 
 
 def test_correlation_kernel_writes_into_the_rows_it_is_given():
@@ -326,8 +312,8 @@ class TestNonFinite:
             rectification_scan(self.PARAMS, BathKind.BOSON, 1.0, 1.0, math.inf, [0.5])
 
     def test_bath_rejects_infinite_temperature(self):
-        with pytest.raises(ValueError):
-            BathSpec(BathKind.BOSON, 1.0, math.inf)
+        with pytest.raises(ValueError, match="temperature must be finite"):
+            solve_point(self.PARAMS, BathKind.BOSON, 1.0, 1.0, math.inf, 1.0)
 
     def test_huge_temperature_is_a_typed_error(self):
         with pytest.raises(ValueError):
@@ -463,10 +449,9 @@ def _fresh_python(script, *args):
 _WITHOUT_NUMPY = '''
 import json, sys
 sys.modules["numpy"] = None  # from here on, any import of numpy raises
-from qjunction import (BathKind, BathSpec, SystemParams, channel_rates, correlation_report,
-                       heat_current, occupation, rate_pair, solve_point, steady_populations,
-                       sudden_death_temperature)
+from qjunction import BathKind, SystemParams, solve_point, sudden_death_temperature
 from qjunction.cli import main
+from qjunction.solver import transport_kernel
 
 assert main(["point", "--tl", "1.5", "--tr", "0.5"]) == 0
 assert main(["death", "--bath", "spin"]) == 0
@@ -474,12 +459,7 @@ for eps, kap, gl, gr, tl, tr in json.loads(sys.argv[1]):
     for kind in BathKind:
         solve_point(SystemParams(eps, kap), kind, gl, gr, tl, tr)
 sudden_death_temperature(SystemParams(0.2, 1.0), BathKind.BOSON)
-occupation(BathKind.SPIN, 0.8, 1.0)
-rate_pair(BathSpec(BathKind.BOSON, 1.0, 1.0), 0.8)
-rates = channel_rates(SystemParams(0.2, 1.0), BathSpec(BathKind.BOSON, 1.0, 1.5),
-                      BathSpec(BathKind.BOSON, 1.0, 0.5))
-heat_current(rates)
-correlation_report(steady_populations(rates))
+transport_kernel(SystemParams(0.2, 1.0), BathKind.SPIN, 1.0, 1.0, 1.5, 0.5)
 # the block still holds the "numpy" entry, and no part of numpy was loaded
 assert sys.modules["numpy"] is None
 assert not [name for name in sys.modules if name.startswith("numpy.")]
@@ -489,7 +469,7 @@ assert not [name for name in sys.modules if name.startswith("numpy.")]
 def test_points_and_death_never_import_numpy():
     # with numpy blocked, the CLI's point and death, every SINGLE_POINTS point
     # (rescaling, over-sum form, tiny couplings, T = 0, Gamma = 0), the
-    # sudden-death threshold and each public layer function still run
+    # sudden-death threshold and the rates of a point still run
     out = _fresh_python(_WITHOUT_NUMPY, json.dumps(SINGLE_POINTS))
     assert out.splitlines()[-1].startswith("T_death,")
 
@@ -503,52 +483,6 @@ def test_first_grid_imports_numpy():
         "print('numpy' in sys.modules)\n")
     lines = out.splitlines()
     assert lines[0] == "False" and lines[-1] == "True" and len(lines) == 6
-
-
-class _Unreachable:
-    def __init__(self, name):
-        self.name = name
-
-    def __call__(self, *args, **kwargs):
-        raise AssertionError(f"{self.name} built from a single point")
-
-    def __getattr__(self, attr):
-        raise AssertionError(f"{self.name}.{attr} reached from a single point")
-
-
-def test_single_points_build_no_layer_objects(monkeypatch):
-    # solve_point runs the kernels on floats and builds only its SweepRow
-    for module in (qjunction, baths, correlations, experiments, solver):
-        for name in ("BathSpec", "ChannelRates", "RateSet", "Populations",
-                     "CorrelationReport"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, _Unreachable(name))
-    for eps, kap, gl, gr, tl, tr in SINGLE_POINTS:
-        for kind in BathKind:
-            row = solve_point(SystemParams(eps, kap), kind, gl, gr, tl, tr)
-            assert type(row) is SweepRow and all(type(value) is float for value in row)
-
-
-def _public_chain(params, kind, gamma_left, gamma_right, t_left, t_right):
-    # solve_point composed from the public layer functions, its checks in its
-    # order: the baths, a finite current, a unique state, the populations
-    rates = channel_rates(params, BathSpec(kind, gamma_left, t_left),
-                          BathSpec(kind, gamma_right, t_right))
-    current = heat_current(rates)
-    if not math.isfinite(current):
-        raise ValueError(f"heat current is not finite at T_L = {t_left}, T_R = {t_right}")
-    pops = steady_populations(rates)
-    rep = correlation_report(pops)
-    return SweepRow(float(t_left), float(t_right), *pops, current, rep.concurrence,
-                    rep.discord, rep.mutual_information, rep.classical_correlation)
-
-
-def _bits(fn, *args):
-    # the result as (type, bit pattern) pairs, or the error's type and message
-    try:
-        return tuple((type(value), value.hex()) for value in fn(*args))
-    except ValueError as exc:
-        return type(exc), str(exc)
 
 
 # single points whose solve_point raises (for one bath kind or both): no
@@ -568,20 +502,21 @@ ERROR_EDGES = [
 ]
 
 
-def test_solve_point_equals_the_public_chain():
-    points = [(spec.params, spec.kind, spec.gamma_left, spec.gamma_right,
-               row.t_left, row.t_right) for spec in CASES for row in run_sweep(spec)]
-    for eps, kap, gl, gr, tl, tr in SINGLE_POINTS + ERROR_EDGES:
-        points += [(SystemParams(eps, kap), kind, gl, gr, tl, tr) for kind in BathKind]
+def test_error_edges_raise_each_kind_of_check():
+    # every edge raises for one bath kind or both, a ValueError naming what
+    # failed; finite rates give populations in [0, 1], and rates that
+    # overflow give a current that is not finite, which is checked first, so
+    # the populations check never fires
     errors = set()
-    for args in points:
-        got = _bits(solve_point, *args)
-        assert got == _bits(_public_chain, *args), args
-        if type(got[0]) is not tuple:  # an error: its type and message
-            errors.add(got[1].split(" ")[0])
-    # every kind of check fired on the error edges; finite rates give
-    # populations in [0, 1], and rates that overflow give a current that is
-    # not finite, which is checked first, so the populations check never fires
+    for eps, kap, gl, gr, tl, tr in ERROR_EDGES:
+        raised = 0
+        for kind in BathKind:
+            try:
+                solve_point(SystemParams(eps, kap), kind, gl, gr, tl, tr)
+            except ValueError as exc:
+                errors.add(str(exc).split(" ")[0])
+                raised += 1
+        assert raised, (eps, kap, gl, gr, tl, tr)
     assert errors == {"a", "heat", "omega/T", "gamma", "temperature"}
 
 
@@ -595,18 +530,16 @@ _GAMMAS = st.one_of(st.sampled_from([0.0, 1e-300, 1e300]), st.floats(1e-3, 1e3),
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
 @given(eps=st.floats(1e-3, 10.0), kap=st.floats(1e-3, 10.0), kind=st.sampled_from(BathKind),
        gl=_GAMMAS, gr=_GAMMAS, tl=_TEMPERATURES, tr=_TEMPERATURES, same=st.booleans())
-def test_single_points_are_finite_normalized_and_equal_the_public_chain(
-        eps, kap, kind, gl, gr, tl, tr, same):
+def test_single_points_are_finite_and_normalized(eps, kap, kind, gl, gr, tl, tr, same):
     # both orientations are drawn (epsilon above or below kappa); only what
     # holds at any bias is asserted, so no sign or linear-response property
     assume(eps != kap)
-    args = (SystemParams(eps, kap), kind, gl, gr, tl, tl if same else tr)
-    got = _bits(solve_point, *args)
-    assert got == _bits(_public_chain, *args)
-    if type(got[0]) is tuple:  # solved; an error, (type, message), is a ValueError
-        row = solve_point(*args)
-        assert all(type(value) is float and math.isfinite(value) for value in row)
-        assert abs(row.p1 + row.p2 + row.p3 + row.p4 - 1.0) <= 1e-9
+    try:
+        row = solve_point(SystemParams(eps, kap), kind, gl, gr, tl, tl if same else tr)
+    except ValueError:  # any other error fails the test
+        return
+    assert all(type(value) is float and math.isfinite(value) for value in row)
+    assert abs(row.p1 + row.p2 + row.p3 + row.p4 - 1.0) <= 1e-9
 
 
 def test_huge_couplings_match_exact_evaluation_on_every_route():

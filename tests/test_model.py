@@ -2,23 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import gaps
 from oracles import density_matrix_uncoupled, eigenbasis, squared_elements
-from qjunction import (
-    BathKind,
-    BathSpec,
-    DegeneratePhysicsError,
-    SystemParams,
-    channel_rates,
-    solve_point,
-)
+from qjunction import BathKind, DegeneratePhysicsError, SystemParams, solve_point
 
 ALLOWED = {(1, 2), (1, 3), (2, 4), (3, 4)}
-
-
-def gaps(params):
-    rs = channel_rates(params, BathSpec(BathKind.BOSON, 1.0, 1.0),
-                       BathSpec(BathKind.BOSON, 1.0, 1.0))
-    return rs.a.omega, rs.b.omega, rs.a_inverted
 
 
 class TestEigensystem:

@@ -9,27 +9,16 @@ from qjunction import baths
 
 PUBLIC = [
     "BathKind",
-    "BathSpec",
-    "ChannelRates",
-    "CorrelationReport",
     "DegeneratePhysicsError",
     "NonUniqueSteadyStateError",
-    "Populations",
-    "RateSet",
     "RectificationPoint",
     "SweepRow",
     "SweepSpec",
     "SweepVariable",
     "SystemParams",
-    "channel_rates",
-    "correlation_report",
-    "heat_current",
-    "occupation",
-    "rate_pair",
     "rectification_scan",
     "run_sweep",
     "solve_point",
-    "steady_populations",
     "sudden_death_temperature",
 ]
 
@@ -56,6 +45,23 @@ def test_oracles_import_nothing_from_qjunction():
             imported.add("." * node.level + (node.module or ""))
     # a relative import reads as a leading "."
     assert imported and all(name.split(".")[0] not in ("qjunction", "") for name in imported)
+
+
+def test_every_import_is_used():
+    # the project has no linter: each name a module imports is used in that
+    # module or exported through its __all__
+    sources = sorted(Path(qjunction.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        imported, used = set(), set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and ast.unparse(node.targets) == "__all__":
+                used.update(ast.literal_eval(node.value))
+        assert imported <= used, (path.name, sorted(imported - used))
 
 
 def _run_on_import(node):
