@@ -88,7 +88,8 @@ def _float_pair(kind, gamma, omega, temperature):
 
 _FLOATS = SimpleNamespace(
     exp=math.exp, sqrt=math.sqrt, hypot=math.hypot, frexp=math.frexp, ldexp=math.ldexp,
-    maximum=max, minimum=min,
+    # max and min of two with the builtins' choice: the first unless the second is greater (less)
+    maximum=lambda a, b: b if b > a else a, minimum=lambda a, b: b if b < a else a,
     pair=_float_pair,
     top=lambda x: x,  # the value tested against the rescaling ceiling
     select=lambda cond, if_true, if_false: if_true if cond else if_false,
@@ -141,8 +142,3 @@ def _arrays():
         xlog2x=xlog2x,
     )
     return ops
-
-
-def _namespace(x):
-    # _arrays() for an array x, _FLOATS for a float, an int or a numpy scalar
-    return _arrays() if getattr(x, "ndim", 0) else _FLOATS

@@ -9,6 +9,7 @@ invocations produce byte-identical output.
 
 import argparse
 import math
+import re
 import sys
 
 from .baths import BathKind
@@ -84,6 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("death", parents=[common],
                    help="equilibrium temperature where concurrence vanishes")
+    # a flag's value may be negative in any float form: Python 3.11's argparse
+    # takes only -1 and -.5 for numbers, and -1e-3 for an option
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     return parser
 
 

@@ -1,13 +1,14 @@
 """Parameter-sweep drivers: equilibrium scans, bias sweeps, rectification,
 and the entanglement sudden-death threshold.
 
-A single point (:func:`solve_point`) and a grid (:func:`run_sweep`,
-:func:`rectification_scan`) are both solved by ``solver.transport_kernel``
-and ``correlations.correlation_kernel``: on Python floats for a point,
-building no intermediate objects and importing no numpy, and for a grid
-on numpy arrays, a few thousand points at a time, into the one read-only
-float64 array that its rows are read from: ``correlation_kernel`` writes a
-sweep's populations and correlations in place into that array's rows.
+A single point (:func:`solve_point`) runs the float closed forms in turn
+(``solver._channels``, ``solver._point_state``, ``correlations._measures``),
+building only its row and importing no numpy. A grid (:func:`run_sweep`,
+:func:`rectification_scan`) is solved by ``solver.transport_kernel`` and
+``correlations.correlation_kernel`` on numpy arrays, a few thousand points
+at a time, into the one read-only float64 array that its rows are read
+from: ``correlation_kernel`` writes a sweep's populations and correlations
+in place into that array's rows.
 The sudden-death threshold is a closed form of its own, valid at any
 equilibrium.
 """
@@ -19,10 +20,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .baths import BathKind, _check_bath
-from .correlations import correlation_kernel
+from .baths import _FLOATS, BathKind, _check_bath
+from .correlations import _measures, correlation_kernel
 from .model import DegeneratePhysicsError, SystemParams
-from .solver import NonUniqueSteadyStateError, _current_not_finite, transport_kernel
+from .solver import (NonUniqueSteadyStateError, _channels, _check_populations,
+                     _current_not_finite, _point_state, transport_kernel)
 
 
 class SweepVariable(enum.Enum):
@@ -147,11 +149,13 @@ def solve_point(
     """
     _check_bath(gamma_left, t_left)
     _check_bath(gamma_right, t_right)
-    rates, current = transport_kernel(params, kind, gamma_left, gamma_right, t_left, t_right)
+    rates, current = _channels(_FLOATS, params, kind, gamma_left, gamma_right, t_left, t_right)
     if not math.isfinite(current):
         raise _current_not_finite(t_left, t_right)
-    state = correlation_kernel(rates, params.epsilon > params.kappa)
-    return SweepRow(float(t_left), float(t_right), *state[:4], current, *state[4:])
+    pops = _point_state(params.epsilon > params.kappa, rates)
+    _check_populations(pops)
+    conc, mi, ccl, disc, _ = _measures(_FLOATS, *pops)
+    return SweepRow(float(t_left), float(t_right), *pops, current, conc, disc, mi, ccl)
 
 
 def run_sweep(spec: SweepSpec) -> Sequence[SweepRow]:

@@ -17,12 +17,13 @@ closed evaluation route here and is not provided.
 
 :func:`transport_kernel` evaluates the eight rates and the heat current at
 one temperature pair or over a grid, building no objects; the populations
-follow from its rates in ``correlations.correlation_kernel``. Both run the
-same closed forms on floats or on numpy arrays (see ``baths._FLOATS`` and
-``baths._arrays``); numpy is imported by the first grid, never by a point.
+follow from its rates in ``_point_state`` (a point) or in
+``correlations.correlation_kernel`` (a grid). The closed forms run on floats
+or numpy arrays (``baths._FLOATS``, ``baths._arrays``); numpy is imported by
+the first grid, never by a point.
 """
 
-from .baths import _FLOATS, BathKind, _namespace
+from .baths import _FLOATS, BathKind, _arrays
 from .model import DegeneratePhysicsError, SystemParams
 
 
@@ -32,7 +33,9 @@ class NonUniqueSteadyStateError(DegeneratePhysicsError):
 
 def _check_populations(vals):
     # written so that NaN fails both tests
-    if not all(-1e-9 <= p <= 1.0 + 1e-9 for p in vals):
+    p1, p2, p3, p4 = vals
+    if not (-1e-9 <= p1 <= 1.0 + 1e-9 and -1e-9 <= p2 <= 1.0 + 1e-9
+            and -1e-9 <= p3 <= 1.0 + 1e-9 and -1e-9 <= p4 <= 1.0 + 1e-9):
         raise ValueError(f"populations outside [0, 1]: {vals}")
     if not abs(sum(vals) - 1.0) <= 1e-9:
         raise ValueError(f"populations do not sum to 1: {vals}")
@@ -156,12 +159,11 @@ def transport_kernel(params: SystemParams, kind: BathKind, gamma_left: float,
     not used; on arrays ``ValueError`` is raised where the current is not
     finite.
     """
-    ops = _namespace(t_left)
-    if ops is _FLOATS:
-        return _channels(ops, params, kind, gamma_left, gamma_right, t_left, t_right)
+    if not getattr(t_left, "ndim", 0):  # a float, an int or a numpy scalar
+        return _channels(_FLOATS, params, kind, gamma_left, gamma_right, t_left, t_right)
     import numpy as np
     with np.errstate(all="ignore"):
-        rates, j = _channels(ops, params, kind, gamma_left, gamma_right, t_left, t_right)
+        rates, j = _channels(_arrays(), params, kind, gamma_left, gamma_right, t_left, t_right)
     bad = ~np.isfinite(j)
     if bad.any():
         i = int(np.argmax(bad))

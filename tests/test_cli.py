@@ -67,6 +67,12 @@ class TestSweep:
                                "--hi", "0.5", "--n", "5", "--ta", "1.0")
         assert code == 2 and err != ""
 
+    def test_negative_value_in_exponent_form_follows_its_flag(self, capsys):
+        argv = ("sweep", "--var", "dt", "--ta", "1", "--hi", "0.5", "--n", "3")
+        code, out, err = run_cli(capsys, *argv, "--lo", "-1e-3")
+        assert code == 0 and err == ""
+        assert out == run_cli(capsys, *argv, "--lo=-1e-3")[1]
+
 
 class TestRect:
     def test_header_and_rows(self, capsys):

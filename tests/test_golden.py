@@ -3,9 +3,9 @@
 Each case runs twice in-process and must reproduce its pinned file under
 ``tests/golden`` byte for byte. The cases cover all four subcommands, both
 bath kinds, inverted splittings (epsilon > kappa), T = 0, one-sided
-Gamma = 0 and the edges of the float range. A change that moves any output,
-even by an ulp, shows here; a deliberate one rewrites the file with
-``python -m qjunction.cli <argv>``.
+Gamma = 0, T_L = T_R, a separable state and the edges of the float range.
+A change that moves any output, even by an ulp, shows here; a deliberate
+one rewrites the file with ``python -m qjunction.cli <argv>``.
 """
 
 from pathlib import Path
@@ -23,6 +23,15 @@ CASES = {
     "point_zero_temperature": ["point", "--epsilon", "0.5", "--kappa", "0.3",
                                "--tl", "0", "--tr", "0.8"],
     "point_one_sided": ["point", "--bath", "spin", "--tl", "1.2", "--tr", "0.4", "--gr", "0"],
+    # T_L = T_R with unequal couplings: J is the rounding residue of two nearly
+    # equal products; a hot separable state, whose concurrence is clamped to 0;
+    # an inverted boson junction with Gamma_L = 0; a spin bath at T_R = 0
+    "point_equal_temperatures": ["point", "--tl", "1.3", "--tr", "1.3", "--gl", "0.37",
+                                 "--gr", "2.9"],
+    "point_hot_separable": ["point", "--tl", "5", "--tr", "4"],
+    "point_inverted_boson_one_sided": ["point", "--epsilon", "1.0", "--kappa", "0.2",
+                                       "--gl", "0", "--tl", "1.5", "--tr", "0.5"],
+    "point_spin_zero_right": ["point", "--bath", "spin", "--tl", "1.0", "--tr", "0"],
     "sweep_ta_boson": ["sweep", "--var", "ta", "--lo", "0", "--hi", "3", "--n", "25"],
     "sweep_tr_spin_inverted": ["sweep", "--var", "tr", "--bath", "spin", "--epsilon", "1.0",
                                "--kappa", "0.2", "--lo", "0.01", "--hi", "1.5", "--n", "20",

@@ -1,8 +1,9 @@
 """The kernels behind solve_point, run_sweep and rectification_scan, point against grid.
 
-``solver.transport_kernel`` and ``correlations.correlation_kernel`` solve a
-single point on Python floats and a grid on numpy arrays, by the same
-closed forms; the point route is the reference here. On a grid the
+A single point runs the closed forms on Python floats (``solver._channels``,
+``solver._point_state``, ``correlations._measures``); a grid runs the same
+ones on numpy arrays through ``solver.transport_kernel`` and
+``correlations.correlation_kernel``. The point route is the reference here. On a grid the
 populations are sums, products and quotients of the rates, which numpy
 rounds exactly as floats do, so given the same rates the two routes agree
 bit for bit. Everything else on a grid is asserted to 1e-12: the rates go

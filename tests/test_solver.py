@@ -209,3 +209,11 @@ class TestPopulationsType:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="do not sum to 1"):
             _check_populations((0.5, 0.5, 0.5, 0.5))
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_rejects_nan_in_any_position(self, position):
+        # NaN compares false both ways, so it fails the range test
+        pops = [0.25] * 4
+        pops[position] = math.nan
+        with pytest.raises(ValueError, match="outside"):
+            _check_populations(tuple(pops))

@@ -2,6 +2,8 @@
 independence of the test oracles."""
 
 import ast
+import itertools
+import math
 from pathlib import Path
 
 import qjunction
@@ -33,6 +35,15 @@ def test_float_and_array_namespaces_offer_the_same_operations():
     # each closed form is written once, over baths._FLOATS for a point and
     # baths._arrays() for a grid, so the two must name the same members
     assert sorted(vars(baths._FLOATS)) == sorted(vars(baths._arrays()))
+
+
+def test_float_extrema_match_the_builtins():
+    # the float namespace's maximum and minimum keep the builtins' choice on
+    # ties, signed zeros and NaN, to the bit
+    values = (math.nan, -0.0, 0.0, 1.0, -math.inf, math.inf)
+    for a, b in itertools.product(values, repeat=2):
+        assert repr(baths._FLOATS.maximum(a, b)) == repr(max(a, b))
+        assert repr(baths._FLOATS.minimum(a, b)) == repr(min(a, b))
 
 
 def test_oracles_import_nothing_from_qjunction():
