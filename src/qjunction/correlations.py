@@ -6,19 +6,17 @@ forms in the four eigenstate populations. Entropies are in bits, with the
 0 log 0 = 0 convention throughout. For populations (P1, P2, P3, P4):
 
 - Concurrence C = max(2 P_max - P1 - P4 - 2 sqrt(P2 P3), 0) with
-  P_max = max(P1, P4, sqrt(P2 P3)); zero exactly for separable states.
+  P_max = max(P1, P4); zero exactly for separable states. The general
+  X-state form also lets sqrt(P2 P3) be P_max, where C is 0 either way.
 - Mutual information I = S(A) + S(B) - S(AB). Both marginals are
   diagonal with eigenvalues u/2 and v/2, where u = P1 + P4 + 2 P2 and
   v = P1 + P4 + 2 P3 (that is, 1 +- (P2 - P3)), and the joint spectrum
   is the populations themselves, so I = 2 - log2[u^u v^v] +
   sum_n P_n log2 P_n. u and v are formed as sums of populations, never
   as 1 - P2 + P3, so a side that carries weight never rounds to zero.
-- Classical correlation C_cl = S(B) - min S(B|A), the minimum taken over
-  the z-axis and the equatorial projective measurements, the two
-  candidates that are optimal for this state family. With x = p log2 p,
-  S(B) = 1 - (x(u) + x(v))/2, the z branch gives S(B|A) = (x(u) +
-  x(v))/2 - (P2 + P3) - x(P2) - x(P3) - x(P1 + P4) (Ali, Rau & Alber,
-  PRA 81, 042105) and the equatorial one 1 - (x(1 - K) + x(1 + K))/2.
+- Classical correlation C_cl = max(S(B) - S_x, 0): S(B) = 1 - (x(u) +
+  x(v))/2 with x(p) = p log2 p, and S_x = 1 - (x(1 - K) + x(1 + K))/2 is
+  the conditional entropy of the equatorial measurement (see below).
 - Discord Q = I - C_cl, clamped at zero within rounding noise.
 - K = sqrt((P2 - P3)^2 + (P1 - P4)^2), in [0, 1].
 
@@ -29,15 +27,27 @@ computed from the density matrix itself (the Wootters construction and a
 search over measurements), live in ``tests/oracles.py``, which shares no
 code with this module.
 
-The measured side of the classical correlation follows the X-state
-prescription: the optimum over projective measurements is taken as the
-better of the z-axis and equatorial measurements. The state is symmetric
-under qubit exchange, so which qubit is measured does not matter. That
-two-branch prescription is exact only on a subclass of X states. On this
-model's steady states ``tests/test_correlations.py`` asserts it: a scan of
-measurement angles, refined by golden-section search, finds no axis that
-beats C_cl by more than 1e-12 on 344 states. On general X states,
-acceptance criterion 13 only flags draws where another axis does better.
+Why the equatorial measurement alone: on an X state the optimum over
+measurements of one qubit is the better of it and the z-axis measurement
+(Ali, Rau & Alber, PRA 81, 042105 (2010); Chen et al., PRA 84, 042313
+(2011)), but a steady state is a product of two channel weights, so
+P1 P4 = P2 P3, and then S_z >= S_x. Proof: take x = P3 - P2 >= 0 (qubit
+exchange flips its sign), w = (P1 - P4)^2 in [0, (1 - x)^2], K^2 = x^2 + w,
+e_u = x - w/(1 + x), e_d = x + w/(1 - x), g(r) = h((1 + r)/2) with h the
+binary entropy. Then S_x = g(K), S_z = ((1 + x) g(e_u) + (1 - x) g(e_d))/2,
+and Phi = S_z - S_x (i) is 0 at w = 0, where e_u = e_d = K; (ii) is
+h(p)/(2 - p) - h(q) >= 0 at w = (1 - x)^2, with p = 2x/(1 + x) and q <= 1/2
+solving q(1 - q) = p(1 - p)/(2 - p)^2 <= p(1 - p), as h(q)/sqrt(q(1 - q)) is
+nondecreasing on (0, 1/2] (its log-derivative has the sign of psi = 2q(1 -
+q)h' - (1 - 2q)h, with psi'' = (1 - 2q)h'' <= 0 and psi(0+) = psi(1/2) = 0);
+(iii) is concave in w: ln 2 Phi_ww = -1/(2(1 + x)(1 - e_u^2)) - 1/(2(1 -
+x)(1 - e_d^2)) + (1/(1 - K^2) - artanh(K)/K)/(4K^2), whose last term is at
+most 1/(4(1 - K^2)) (artanh K >= K), which the e_d term outweighs, since
+(1 - x)(2(1 - K^2) - (1 - x)(1 - e_d^2)) = w^2 - 2(1 - x)^2 w + (1 - x^2)^2
+has discriminant -16x(1 - x)^2 <= 0. A concave Phi with nonnegative ends is
+nonnegative. On a general X state this C_cl is a lower bound (criterion 13
+reports the gap); ``tests/test_correlations.py`` checks S_z >= S_x at 50
+digits and scans measurement angles on 344 ``solve_point`` states.
 """
 
 from .baths import _arrays
@@ -49,42 +59,31 @@ def _measures(ops, p1, p2, p3, p4):
     # chunk (baths._arrays()); augmented assignments act in place on the arrays made
     # here, never on p1..p4, and rebind floats; each is dropped at its last use
     xlog2x = ops.xlog2x
-    s14 = p1 + p4
-    # x log2 x of u = s14 + 2 P2 and v = s14 + 2 P3, twice the marginal eigenvalues
-    xu, xv = xlog2x(s14 + 2.0 * p2), xlog2x(s14 + 2.0 * p3)
-    x2, x3 = xlog2x(p2), xlog2x(p3)
+    # x log2 x of u = P1 + P4 + 2 P2 and v = P1 + P4 + 2 P3, twice the marginal eigenvalues
+    xu, xv = xlog2x(p1 + p4 + 2.0 * p2), xlog2x(p1 + p4 + 2.0 * p3)
     i = 2.0 - xu
     i -= xv
     i += xlog2x(p1)
-    i += x2
-    i += x3
+    i += xlog2x(p2)
+    i += xlog2x(p3)
     i += xlog2x(p4)
-    s_b = xu + xv  # S(B) = 1 - (x(u) + x(v))/2
-    s_b *= -0.5
-    s_b += 1.0
-    # along z: (x(u) + x(v))/2 - (P2 + P3) - x(P2) - x(P3) - x(P1 + P4), x(u) - 2 P2
-    # and x(v) - 2 P3 formed first, which cancel exactly near pure state 2 or 3
-    s_z = xu
-    s_z -= 2.0 * p2
-    xv -= 2.0 * p3
-    s_z += xv
-    s_z *= 0.5
-    s_z -= x2
-    s_z -= x3
-    s_z -= xlog2x(s14)
-    del xu, xv, x2, x3, s14
-    # equatorial measurement: both outcomes yield spectrum (1 +- K)/2
+    c_cl = xu + xv  # S(B) = 1 - (x(u) + x(v))/2
+    del xu, xv
+    c_cl *= -0.5
+    c_cl += 1.0
+    # minus S_x: the equatorial measurement leaves spectrum (1 +- K)/2 on both outcomes
     k = ops.hypot(p2 - p3, p1 - p4)
     s_x = xlog2x(1.0 - k)
     s_x += xlog2x(1.0 + k)
     s_x *= -0.5
     s_x += 1.0
-    c_cl = ops.maximum(s_b - ops.minimum(s_z, s_x), 0.0)
-    del s_b, s_z, s_x
+    c_cl -= s_x
+    del s_x
+    c_cl = ops.maximum(c_cl, 0.0)
     q = i - c_cl
     q = ops.select((q < 0.0) & (q > -1e-12), 0.0, q)
     root = ops.sqrt(p2 * p3)
-    top = ops.maximum(ops.maximum(p1, p4), root)
+    top = ops.maximum(p1, p4)
     top *= 2.0
     top -= p1
     top -= p4

@@ -241,9 +241,8 @@ def sudden_death_temperature(
     """Equilibrium temperature at which the concurrence vanishes.
 
     At T_L = T_R = T the steady state is the Gibbs state for either bath
-    kind and any couplings, so sqrt(P2 P3) = 1/Z, P1 is the largest of P1,
-    P4 and sqrt(P2 P3), and C = 2 (sinh(kappa/T) - 1) / Z. That is zero
-    exactly at
+    kind and any couplings, so sqrt(P2 P3) = 1/Z, P1 >= P4 and
+    C = 2 (sinh(kappa/T) - 1) / Z. That is zero exactly at
 
         T_d = kappa / asinh(1) = kappa / ln(1 + sqrt(2)),
 

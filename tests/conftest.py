@@ -40,7 +40,9 @@ def measures(pops) -> Measures:
     """The correlation measures and K of any population vector (P1, P2, P3, P4).
 
     They come from the closed forms that ``solve_point`` runs on a point, so
-    states no junction reaches (Dirichlet draws, the singlet) can be tested too.
+    states no junction reaches (Dirichlet draws, the singlet) can be tested too;
+    on those the classical correlation is a lower bound (the ``correlations``
+    module docstring says where it is exact).
     """
     return Measures(*correlations._measures(baths._FLOATS, *map(float, pops)))
 

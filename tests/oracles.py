@@ -18,12 +18,14 @@ reading of the same algebra:
   :func:`classical_correlation_refined` refines its best angle by a
   golden-section search;
 - :func:`exact_boson_point` evaluates the boson steady state and current in
-  exact rational arithmetic, where floating-point rates would overflow.
+  exact rational arithmetic from 80-digit Bose factors, where floating-point
+  rates would overflow or cancel.
 """
 
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 
 # product basis |dd>, |du>, |ud>, |uu>, qubit 1 (left bath) first; sigma^z|d> = -|d>
@@ -209,17 +211,26 @@ def classical_correlation_refined(states, n_theta: int = 200, steps: int = 40) -
     return s_b[:, 0] - np.minimum(cond.min(axis=1), found)
 
 
+def _bose_factor(omega, temperature):
+    # 1/expm1(omega/T) at 80 digits, as the exact rational of that 80-digit value
+    with mpmath.workdps(80):
+        man, exp = (1 / mpmath.expm1(mpmath.mpf(omega) / temperature)).man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
 def exact_boson_point(eps, kap, gl, gr, tl, tr):
     """P1..P4 and J_L from the occupation form, in exact rational arithmetic.
 
-    Only the Bose factors n = 1/expm1(omega/T) are floats. Channel c of gap
-    omega has down rates Gamma (n + 1) and up rates Gamma n, so it carries
-    J_c = omega Gamma_L Gamma_R (n_L - n_R) / (2 sum of its rates), and its
-    side holding state 1 has weight down/total (up/total when inverted).
+    The Bose factors n = 1/expm1(omega/T) are evaluated to 80 digits, so
+    n_L - n_R stays accurate at small bias; every other step is exact, at
+    the float gaps the solver takes. Channel c of gap omega has down rates
+    Gamma (n + 1) and up rates Gamma n, so it carries J_c = omega Gamma_L
+    Gamma_R (n_L - n_R) / (2 sum of its rates), and its side holding
+    state 1 has weight down/total (up/total when inverted).
     """
     current, weights = Fraction(0), []
     for omega, inverted in ((abs(kap - eps), eps > kap), (kap + eps, False)):
-        n_l, n_r = (Fraction(1.0 / math.expm1(omega / t)) for t in (tl, tr))
+        n_l, n_r = (_bose_factor(omega, t) for t in (tl, tr))
         down = Fraction(gl) * (n_l + 1) + Fraction(gr) * (n_r + 1)
         up = Fraction(gl) * n_l + Fraction(gr) * n_r
         current += Fraction(omega) * Fraction(gl) * Fraction(gr) * (n_l - n_r) / (2 * (down + up))

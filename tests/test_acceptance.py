@@ -305,8 +305,9 @@ def test_criterion_13_measurement_grid_oracle():
         closed = measures(p).classical_correlation
         grid = classical_correlation_grid(p, n_theta=200)
         worst = max(worst, abs(closed - grid))
-        # the axis measurements sit on the grid, so the scan can never do
-        # worse than the two-branch closed form
+        # the equatorial measurement sits on the grid, so the scan can never
+        # do worse than the closed form, which is exact on steady states and
+        # a lower bound on these general X states
         hard_violation = max(hard_violation, closed - grid)
         if abs(closed - grid) > 1e-3:
             flagged.append((tuple(p), closed, grid))

@@ -121,12 +121,39 @@ class TestClassicalCorrelation:
         assert abs(classical_correlation(P_EXAMPLE) - grid) < 1e-3
 
     def test_grid_never_beats_closed_form_axes(self):
-        # theta = 0 and theta = pi/2 are grid points, so the scan is at
-        # least as good as the two-branch closed form
+        # theta = pi/2, the equatorial measurement, is a grid point, so the
+        # scan is at least as good as the closed form
         rng = np.random.default_rng(53)
         for _ in range(20):
             p = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
             assert classical_correlation(p) <= classical_correlation_grid(p) + 1e-9
+
+
+def _x(t):
+    return t * mpmath.log(t, 2) if t > 0 else mpmath.mpf(0)
+
+
+def _steady_state(fa, fb):
+    """P1..P4 of a product of two channel weights, so P1 P4 = P2 P3."""
+    return fa * fb, (1 - fa) * fb, fa * (1 - fb), (1 - fa) * (1 - fb)
+
+
+def _conditional_entropies(p1, p2, p3, p4):
+    """(S_z, S_x) of mpmath populations: the conditional entropies, in bits,
+    of the z-axis and the equatorial measurement.
+
+    S_z is summed as its four conditional terms, -w log2(conditional weight
+    / outcome weight), not from x log2 x of the marginal and joint weights.
+    """
+    def conditional(w, num, den):
+        return -w * mpmath.log(num / den, 2) if w > 0 else mpmath.mpf(0)
+
+    s14 = p1 + p4
+    u, v = s14 + 2 * p2, s14 + 2 * p3
+    s_z = (conditional(p2, 2 * p2, u) + conditional(s14 / 2, s14, u)
+           + conditional(s14 / 2, s14, v) + conditional(p3, 2 * p3, v))
+    k = mpmath.sqrt((p2 - p3) ** 2 + (p1 - p4) ** 2)
+    return s_z, 1 - (_x(1 - k) + _x(1 + k)) / 2
 
 
 def _extreme_steady_states():
@@ -148,14 +175,34 @@ def _extreme_steady_states():
 
 class TestClassicalCorrelationOnSteadyStates:
     def test_no_measurement_axis_beats_the_closed_form(self):
-        # the refined scan can only find an axis better than the z-axis and
-        # the equatorial measurement; on the steady-state family it finds none
+        # the refined scan can only find an axis better than the equatorial
+        # measurement; on the steady-state family it finds none
         rows = list(_extreme_steady_states())
         closed = np.array([row.classical_correlation for row in rows])
         excess = classical_correlation_refined([row[2:6] for row in rows]) - closed
         print(f"max (refined scan - closed-form C_cl) = {excess.max():.1e} "
               f"over {len(rows)} states")
         assert excess.max() <= 1e-12
+
+    def test_z_axis_never_beats_the_equatorial_measurement(self):
+        # the bound the correlations module proves for P1 P4 = P2 P3, checked
+        # at 50 digits on states built from exact channel weights (fa, fb),
+        # with mpmath alone: S_z >= S_x, with equality where fa + fb = 1
+        with mpmath.workdps(50):
+            tiny = mpmath.mpf("1e-12")
+            edges = [mpmath.mpf(0), tiny, mpmath.mpf("1e-6"), mpmath.mpf("0.01")]
+            weights = edges + [mpmath.mpf(k) / 10 for k in range(1, 10)] + [1 - e for e in edges]
+            pairs = [(fa, fb) for fa in weights
+                     for fb in weights + [1 - fa + tiny, 1 - fa - tiny] if 0 <= fb <= 1]
+            gaps = [s_z - s_x for s_z, s_x in
+                    (_conditional_entropies(*_steady_state(fa, fb)) for fa, fb in pairs)]
+            on_line = [s_z - s_x for s_z, s_x in
+                       (_conditional_entropies(*_steady_state(fa, 1 - fa)) for fa in weights)]
+        worst_equal = max(map(abs, on_line))
+        print(f"min (S_z - S_x) = {float(min(gaps)):.1e} over {len(pairs)} states; "
+              f"max |S_z - S_x| on fa + fb = 1: {float(worst_equal):.1e}")
+        assert min(gaps) >= -1e-45
+        assert worst_equal <= 1e-45
 
 
 class TestDiscord:
@@ -175,29 +222,14 @@ class TestDiscord:
 
 
 def _four_term_reference(pops):
-    """(C_cl, Q) of the closed forms at exactly these populations, to 50 digits.
-
-    The z-measurement conditional entropy is summed as its four conditional
-    terms, -w log2(conditional weight / outcome weight), not as the x log2 x
-    terms the library reuses.
-    """
+    """(C_cl, Q) at exactly these populations, to 50 digits, from the better
+    of the z-axis and equatorial measurements (:func:`_conditional_entropies`)."""
     with mpmath.workdps(50):
         p1, p2, p3, p4 = (mpmath.mpf(float(p)) for p in pops)
-
-        def x(t):
-            return t * mpmath.log(t, 2) if t > 0 else mpmath.mpf(0)
-
-        def conditional(w, num, den):
-            return -w * mpmath.log(num / den, 2) if w > 0 else mpmath.mpf(0)
-
-        s14 = p1 + p4
-        u, v = s14 + 2 * p2, s14 + 2 * p3
+        x = _x
+        u, v = p1 + p4 + 2 * p2, p1 + p4 + 2 * p3
         mutual = 2 - x(u) - x(v) + x(p1) + x(p2) + x(p3) + x(p4)
-        s_z = (conditional(p2, 2 * p2, u) + conditional(s14 / 2, s14, u)
-               + conditional(s14 / 2, s14, v) + conditional(p3, 2 * p3, v))
-        k = mpmath.sqrt((p2 - p3) ** 2 + (p1 - p4) ** 2)
-        s_x = 1 - (x(1 - k) + x(1 + k)) / 2
-        c_cl = max(1 - (x(u) + x(v)) / 2 - min(s_z, s_x), 0)
+        c_cl = max(1 - (x(u) + x(v)) / 2 - min(_conditional_entropies(p1, p2, p3, p4)), 0)
         q = mutual - c_cl
         return c_cl, mpmath.mpf(0) if -mpmath.mpf("1e-12") < q < 0 else q
 
@@ -207,10 +239,12 @@ class TestHighPrecision:
     PARAMS = SystemParams(epsilon=0.2, kappa=2.0)
 
     def _states(self):
+        # steady states of uniform channel weights: the family the closed
+        # form is exact on (a general X state only gets a lower bound)
         rng = np.random.default_rng(67)
-        for _ in range(200):
-            p = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
-            yield tuple(p), measures(p)
+        for fa, fb in rng.uniform(size=(200, 2)):
+            p = _steady_state(fa, fb)
+            yield p, measures(p)
         for kind in BathKind:
             for t_left, t_right in ((0.05, 1.95), (1.95, 0.05), (0.0, 1.0), (1.0, 0.0),
                                     (0.0, 0.0)):
