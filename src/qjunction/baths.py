@@ -87,7 +87,7 @@ def _float_pair(kind, gamma, omega, temperature):
 
 
 _FLOATS = SimpleNamespace(
-    exp=math.exp, sqrt=math.sqrt, hypot=math.hypot, frexp=math.frexp, ldexp=math.ldexp,
+    exp=math.exp, sqrt=math.sqrt, frexp=math.frexp, ldexp=math.ldexp,
     # max and min of two with the builtins' choice: the first unless the second is greater (less)
     maximum=lambda a, b: b if b > a else a, minimum=lambda a, b: b if b < a else a,
     pair=_float_pair,
@@ -133,7 +133,7 @@ def _arrays():
         return y
 
     ops = SimpleNamespace(
-        exp=np.exp, sqrt=np.sqrt, hypot=np.hypot, frexp=np.frexp, ldexp=np.ldexp,
+        exp=np.exp, sqrt=np.sqrt, frexp=np.frexp, ldexp=np.ldexp,
         maximum=np.maximum, minimum=np.minimum,
         pair=pair,
         top=lambda x: x.max(initial=0.0),

@@ -1,27 +1,29 @@
 """Quantum correlation measures of the steady state.
 
-The stationary state is an X state in the product basis, so concurrence,
-mutual information, classical correlation and discord all reduce to closed
-forms in the four eigenstate populations. Entropies are in bits, with the
-0 log 0 = 0 convention throughout. For populations (P1, P2, P3, P4):
+The stationary state is an X state in the product basis, and a product of
+two channel weights (``solver``): P1 = fa fb, P2 = ga fb, P3 = fa gb,
+P4 = ga gb, with fa + ga = fb + gb = 1. Concurrence, mutual information,
+classical correlation and discord all reduce to closed forms in the four
+weights, none of which cancels. Entropies are in bits, with the 0 log 0 = 0
+convention throughout, and x(p) = p log2 p.
 
-- Concurrence C = max(2 P_max - P1 - P4 - 2 sqrt(P2 P3), 0) with
-  P_max = max(P1, P4); zero exactly for separable states. The general
-  X-state form also lets sqrt(P2 P3) be P_max, where C is 0 either way.
+- Concurrence C = max(|P1 - P4| - 2 sqrt(P2 P3), 0) = max(|fa - gb| -
+  2 sqrt(fa ga fb gb), 0), since P1 - P4 = fa - gb and P2 P3 = fa ga fb gb;
+  zero exactly for separable states.
 - Mutual information I = S(A) + S(B) - S(AB). Both marginals are
-  diagonal with eigenvalues u/2 and v/2, where u = P1 + P4 + 2 P2 and
-  v = P1 + P4 + 2 P3 (that is, 1 +- (P2 - P3)), and the joint spectrum
-  is the populations themselves, so I = 2 - log2[u^u v^v] +
-  sum_n P_n log2 P_n. u and v are formed as sums of populations, never
-  as 1 - P2 + P3, so a side that carries weight never rounds to zero.
+  diagonal with eigenvalues u/2 and v/2, where u = P1 + P4 + 2 P2 = fb + ga
+  and v = P1 + P4 + 2 P3 = fa + gb, and the joint spectrum is the
+  populations themselves, whose x(P) sum to x(fa) + x(ga) + x(fb) + x(gb).
+  So I = 2 - x(u) - x(v) + x(fa) + x(ga) + x(fb) + x(gb).
 - Classical correlation C_cl = max(S(B) - S_x, 0): S(B) = 1 - (x(u) +
-  x(v))/2 with x(p) = p log2 p, and S_x = 1 - (x(1 - K) + x(1 + K))/2 is
-  the conditional entropy of the equatorial measurement (see below).
+  x(v))/2, and S_x = 1 - (x(1 - K) + x(1 + K))/2 is the conditional
+  entropy of the equatorial measurement (see below), with K^2 = (P2 -
+  P3)^2 + (P1 - P4)^2 in [0, 1]. As P2 - P3 = fb - fa, 1 - K^2 = 2 (fa ga +
+  fb gb); K is its complement's root, and 1 - K = (1 - K^2)/(1 + K).
 - Discord Q = I - C_cl, clamped at zero within rounding noise.
-- K = sqrt((P2 - P3)^2 + (P1 - P4)^2), in [0, 1].
 
 ``_measures`` writes them once, for floats and numpy arrays alike:
-``experiments.solve_point`` runs it on one point's populations and
+``experiments.solve_point`` runs it on one point's weights and
 :func:`correlation_kernel` on a grid's. Their brute-force counterparts,
 computed from the density matrix itself (the Wootters construction and a
 search over measurements), live in ``tests/oracles.py``, which shares no
@@ -45,89 +47,91 @@ x)(1 - e_d^2)) + (1/(1 - K^2) - artanh(K)/K)/(4K^2), whose last term is at
 most 1/(4(1 - K^2)) (artanh K >= K), which the e_d term outweighs, since
 (1 - x)(2(1 - K^2) - (1 - x)(1 - e_d^2)) = w^2 - 2(1 - x)^2 w + (1 - x^2)^2
 has discriminant -16x(1 - x)^2 <= 0. A concave Phi with nonnegative ends is
-nonnegative. On a general X state this C_cl is a lower bound (criterion 13
-reports the gap); ``tests/test_correlations.py`` checks S_z >= S_x at 50
-digits and scans measurement angles on 344 ``solve_point`` states.
+nonnegative. ``tests/test_correlations.py`` checks S_z >= S_x at 50 digits
+and scans measurement angles on 344 ``solve_point`` states.
 """
 
 from .baths import _arrays
-from .solver import NonUniqueSteadyStateError, _product_state, _sides
+from .solver import NonUniqueSteadyStateError, _state
 
 
-def _measures(ops, p1, p2, p3, p4):
-    # (C, I, C_cl, Q, K) of P1..P4, for one state (ops = _FLOATS) or a
+def _measures(ops, fa, ga, fb, gb):
+    # (C, I, C_cl, Q) of the channel weights, for one state (ops = _FLOATS) or a
     # chunk (baths._arrays()); augmented assignments act in place on the arrays made
-    # here, never on p1..p4, and rebind floats; each is dropped at its last use
+    # here, never on the weights, and rebind floats; each is dropped at its last use
     xlog2x = ops.xlog2x
-    # x log2 x of u = P1 + P4 + 2 P2 and v = P1 + P4 + 2 P3, twice the marginal eigenvalues
-    xu, xv = xlog2x(p1 + p4 + 2.0 * p2), xlog2x(p1 + p4 + 2.0 * p3)
-    i = 2.0 - xu
-    i -= xv
-    i += xlog2x(p1)
-    i += xlog2x(p2)
-    i += xlog2x(p3)
-    i += xlog2x(p4)
-    c_cl = xu + xv  # S(B) = 1 - (x(u) + x(v))/2
-    del xu, xv
-    c_cl *= -0.5
-    c_cl += 1.0
-    # minus S_x: the equatorial measurement leaves spectrum (1 +- K)/2 on both outcomes
-    k = ops.hypot(p2 - p3, p1 - p4)
-    s_x = xlog2x(1.0 - k)
-    s_x += xlog2x(1.0 + k)
-    s_x *= -0.5
-    s_x += 1.0
-    c_cl -= s_x
-    del s_x
+    # x(u) + x(v), with u = fb + ga and v = fa + gb twice the marginal eigenvalues
+    xuv = xlog2x(fb + ga)
+    xuv += xlog2x(fa + gb)
+    i = 2.0 - xuv
+    i += xlog2x(fa)
+    i += xlog2x(ga)
+    i += xlog2x(fb)
+    i += xlog2x(gb)
+    # C_cl = S(B) - S_x = (x(1 + K) + x(1 - K) - x(u) - x(v))/2, as the equatorial
+    # measurement leaves spectrum (1 +- K)/2 on both outcomes; with a = fa ga and
+    # b = fb gb, 1 - K^2 = 2 (a + b) and P2 P3 = a b
+    a, b = fa * ga, fb * gb
+    root = ops.sqrt(a * b)
+    a += b
+    del b
+    a *= 2.0
+    # 1 - K^2 may pass 1 by an ulp, as fa + ga and fb + gb may
+    k = ops.sqrt(ops.maximum(1.0 - a, 0.0))
+    k += 1.0
+    a /= k  # 1 - K = (1 - K^2)/(1 + K), which does not cancel near a pure state
+    c_cl = xlog2x(k)
+    del k
+    c_cl += xlog2x(a)
+    del a
+    c_cl -= xuv
+    del xuv
+    c_cl *= 0.5
     c_cl = ops.maximum(c_cl, 0.0)
     q = i - c_cl
     q = ops.select((q < 0.0) & (q > -1e-12), 0.0, q)
-    root = ops.sqrt(p2 * p3)
-    top = ops.maximum(p1, p4)
-    top *= 2.0
-    top -= p1
-    top -= p4
+    conc = abs(fa - gb)  # |P1 - P4|
     root *= 2.0
-    top -= root
-    return ops.maximum(top, 0.0), i, c_cl, q, k
+    conc -= root
+    return ops.maximum(conc, 0.0), i, c_cl, q
 
 
-def correlation_kernel(rates, a_inverted: bool, offset: int = 0, out=None):
+def correlation_kernel(rates, a_inverted: bool, offset: int, out):
     """Steady-state populations and correlation measures over a grid.
 
     ``rates`` is the tuple of eight arrays returned by
     ``solver.transport_kernel`` on a grid; ``a_inverted`` is True when
-    epsilon > kappa. Computes P1, P2, P3, P4 by the closed form of the
-    ``solver`` module, then concurrence, discord, mutual information and
-    classical correlation by those above, and returns ``out`` with the
-    values written into its eight rows (an (8, n) array, or eight float
-    arrays as long as the rates, such as rows of a larger table), or a new
-    (8, n) array where ``out`` is None. Raises ``NonUniqueSteadyStateError``
-    where a channel carries no rates, then ``ValueError`` where a value is
-    not finite, naming the grid point by its index plus ``offset``.
+    epsilon > kappa. Writes P1..P4 (``solver._state``), then concurrence,
+    discord, mutual information and classical correlation into the eight
+    rows of ``out`` (an (8, n) array, or eight float arrays as long as the
+    rates, such as rows of a larger table), the channel weights held in the
+    last four until the measures replace them, and returns ``out``. Raises
+    ``NonUniqueSteadyStateError`` where a channel carries no rates, then
+    ``ValueError`` where a value is not finite, naming the grid point by its
+    index plus ``offset``.
     """
     import numpy as np
-    w12, da, w13, db = _sides(a_inverted, *rates)
-    stuck = (da == 0.0) | (db == 0.0)
-    if stuck.any():
-        raise NonUniqueSteadyStateError(
-            f"a channel carries no rates at grid point {offset + int(np.argmax(stuck))}; "
-            "the stationary state is not unique"
-        )
-    if out is None:
-        out = np.empty((8, w12.size))
     with np.errstate(all="ignore"):
-        for row, value in zip(out, _product_state(w12, da, w13, db)):
+        state = _state(a_inverted, *rates)
+        for row, value in zip((*out[4:], *out[:4]), state):
             row[...] = value
-        conc, mi, ccl, disc, _ = _measures(_arrays(), *out[:4])
+        del state
+        conc, mi, ccl, disc = _measures(_arrays(), *out[4:])
         for row, value in zip(out[4:], (conc, disc, mi, ccl)):
             row[...] = value
         # finite values here are at most 2, so the sum is finite where all eight are
         total = out[0] + out[1]
         for row in out[2:]:
             total += row
-    finite = np.isfinite(total)
-    if not finite.all():
-        i = offset + int(np.argmin(finite))
-        raise ValueError(f"populations or correlations not finite at grid point {i}")
+        finite = np.isfinite(total)
+        if not finite.all():
+            # a channel with no rates divided 0 by 0
+            stuck = (sum(rates[:4]) == 0.0) | (sum(rates[4:]) == 0.0)
+            if stuck.any():
+                raise NonUniqueSteadyStateError(
+                    f"a channel carries no rates at grid point {offset + int(np.argmax(stuck))}; "
+                    "the stationary state is not unique"
+                )
+            i = offset + int(np.argmin(finite))
+            raise ValueError(f"populations or correlations not finite at grid point {i}")
     return out

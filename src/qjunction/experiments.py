@@ -2,7 +2,7 @@
 and the entanglement sudden-death threshold.
 
 A single point (:func:`solve_point`) runs the float closed forms in turn
-(``solver._channels``, ``solver._point_state``, ``correlations._measures``),
+(``solver._channels``, ``solver._state``, ``correlations._measures``),
 building only its row and importing no numpy. A grid (:func:`run_sweep`,
 :func:`rectification_scan`) is solved by ``solver.transport_kernel`` and
 ``correlations.correlation_kernel`` on numpy arrays, a few thousand points
@@ -24,7 +24,7 @@ from .baths import _FLOATS, BathKind, _check_bath
 from .correlations import _measures, correlation_kernel
 from .model import DegeneratePhysicsError, SystemParams
 from .solver import (NonUniqueSteadyStateError, _channels, _check_populations,
-                     _current_not_finite, _point_state, transport_kernel)
+                     _current_not_finite, _state, transport_kernel)
 
 
 class SweepVariable(enum.Enum):
@@ -152,10 +152,15 @@ def solve_point(
     rates, current = _channels(_FLOATS, params, kind, gamma_left, gamma_right, t_left, t_right)
     if not math.isfinite(current):
         raise _current_not_finite(t_left, t_right)
-    pops = _point_state(params.epsilon > params.kappa, rates)
-    _check_populations(pops)
-    conc, mi, ccl, disc, _ = _measures(_FLOATS, *pops)
-    return SweepRow(float(t_left), float(t_right), *pops, current, conc, disc, mi, ccl)
+    try:
+        fa, ga, fb, gb, p1, p2, p3, p4 = _state(params.epsilon > params.kappa, *rates)
+    except ZeroDivisionError:
+        raise NonUniqueSteadyStateError(
+            "a channel carries no rates; the stationary state is not unique") from None
+    _check_populations((p1, p2, p3, p4))
+    conc, mi, ccl, disc = _measures(_FLOATS, fa, ga, fb, gb)
+    return SweepRow(float(t_left), float(t_right), p1, p2, p3, p4, current,
+                    conc, disc, mi, ccl)
 
 
 def run_sweep(spec: SweepSpec) -> Sequence[SweepRow]:

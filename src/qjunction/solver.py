@@ -4,21 +4,23 @@ The secular population dynamics splits into two independent two-level
 channels: channel a flips the pairs 1<->2 and 3<->4 (gap |kappa - epsilon|),
 channel b flips 1<->3 and 2<->4 (gap kappa + epsilon). With W_mn denoting
 the total rate from eigenstate n to m summed over both baths, the unique
-stationary distribution is the product
+stationary distribution is a product of two channel weights,
 
-    P1 = W12 W13 / D   P2 = W21 W13 / D
-    P3 = W12 W31 / D   P4 = W21 W31 / D,   D = (W12 + W21)(W13 + W31),
+    P1 = fa fb   P2 = ga fb   P3 = fa gb   P4 = ga gb,
 
-using W24 = W13 and W34 = W12 (equal qubit splittings, equal coupling
-weights). The steady-state heat current out of the left reservoir is the
-second-order two-channel expression that :func:`transport_kernel`
-documents; the variant written in terms of bath-system coherences has no
-closed evaluation route here and is not provided.
+where fa = W12/(W12 + W21) and ga = W21/(W12 + W21) weigh the two sides of
+channel a ({1, 3} and {2, 4}), and fb = W13/(W13 + W31) and gb =
+W31/(W13 + W31) those of channel b ({1, 2} and {3, 4}), using W24 = W13 and
+W34 = W12 (equal qubit splittings, equal coupling weights). The heat current
+out of the left reservoir is the second-order two-channel expression that
+:func:`transport_kernel` documents; the variant written in terms of
+bath-system coherences has no closed evaluation route here and is not
+provided.
 
 :func:`transport_kernel` evaluates the eight rates and the heat current at
-one temperature pair or over a grid, building no objects; the populations
-follow from its rates in ``_point_state`` (a point) or in
-``correlations.correlation_kernel`` (a grid). The closed forms run on floats
+one temperature pair or over a grid, building no objects; ``_state`` forms
+the channel weights and the populations from its rates, for a point or, in
+``correlations.correlation_kernel``, a grid. The closed forms run on floats
 or numpy arrays (``baths._FLOATS``, ``baths._arrays``); numpy is imported by
 the first grid, never by a point.
 """
@@ -91,31 +93,19 @@ def _channel_current(ops, omega, ld, lu, rd, ru):
     return (ld, lu, rd, ru), j if scale is None else j * scale
 
 
-def _sides(a_inverted, ld_a, lu_a, rd_a, ru_a, ld_b, lu_b, rd_b, ru_b):
-    # W12 and W13, the total rates into the side of channel a and of channel
-    # b that holds state 1, each with its channel's total rate
+def _state(a_inverted, ld_a, lu_a, rd_a, ru_a, ld_b, lu_b, rd_b, ru_b):
+    # the channel weights (fa, ga, fb, gb), each its side's in-rate over its
+    # channel's total rate (divided in place on a grid), then P1..P4; a channel
+    # with no rates divides 0 by 0: ZeroDivisionError on floats, NaN on arrays
     down_a, up_a = ld_a + rd_a, lu_a + ru_a
-    w12, w21 = (up_a, down_a) if a_inverted else (down_a, up_a)
-    w13 = ld_b + rd_b
-    return w12, w12 + w21, w13, w13 + (lu_b + ru_b)
-
-
-def _product_state(w12, da, w13, db):
-    # P1..P4 of two independent channels, da and db nonzero
-    fa = w12 / da  # weight of the channel-a side containing state 1
-    fb = w13 / db  # weight of the channel-b side containing state 1
-    ga, gb = 1.0 - fa, 1.0 - fb
-    return fa * fb, ga * fb, fa * gb, ga * gb
-
-
-def _point_state(a_inverted, rates):
-    # P1..P4 of one point from transport_kernel's eight rates
-    w12, da, w13, db = _sides(a_inverted, *rates)
-    if da == 0.0 or db == 0.0:
-        raise NonUniqueSteadyStateError(
-            "a channel carries no rates; the stationary state is not unique"
-        )
-    return _product_state(w12, da, w13, db)
+    fa, ga = (up_a, down_a) if a_inverted else (down_a, up_a)
+    fb, gb = ld_b + rd_b, lu_b + ru_b
+    da, db = fa + ga, fb + gb
+    fa /= da
+    ga /= da
+    fb /= db
+    gb /= db
+    return fa, ga, fb, gb, fa * fb, ga * fb, fa * gb, ga * gb
 
 
 def _channels(ops, params, kind, gamma_left, gamma_right, t_left, t_right):

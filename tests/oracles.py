@@ -17,13 +17,17 @@ reading of the same algebra:
   entropy over a grid of projective measurements, and
   :func:`classical_correlation_refined` refines its best angle by a
   golden-section search;
-- :func:`exact_boson_point` evaluates the boson steady state and current in
-  exact rational arithmetic from 80-digit Bose factors, where floating-point
-  rates would overflow or cancel.
+- :func:`x_state_measures` gives the four correlation measures of an X
+  state's populations in mpmath, the classical correlation from the better
+  of the z-axis and the equatorial measurement
+  (:func:`conditional_entropies`), and :func:`exact_point` every output
+  field of a point (populations, current and measures) for either
+  reservoir statistics at 80 digits, where floating-point rates would
+  overflow or cancel.
 """
 
 import math
-from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -116,18 +120,25 @@ def density_matrix_uncoupled(pops) -> np.ndarray:
 _SIGMA_YY = np.kron(_SY, _SY).real
 
 
+def _psd_root(m: np.ndarray) -> np.ndarray:
+    """Square root of a Hermitian positive semidefinite matrix, by eigh."""
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
 def wootters_concurrence(rho: np.ndarray) -> float:
     """Concurrence of an arbitrary two-qubit density matrix (Wootters route).
 
-    Square roots of the eigenvalues of rho (sigma_y x sigma_y) rho*
-    (sigma_y x sigma_y), sorted descending; C = max(0, l1 - l2 - l3 - l4).
+    The l_i are the eigenvalues of sqrt(sqrt(rho) rho~ sqrt(rho)), with
+    rho~ = (sigma_y x sigma_y) rho* (sigma_y x sigma_y), sorted descending;
+    C = max(0, l1 - l2 - l3 - l4). They are taken as the singular values of
+    sqrt(rho) sqrt(rho~), never as square roots of the eigenvalues of the
+    non-normal rho rho~, whose rounding of order 1e-16 would put a small l_i
+    about 1e-8 off.
     """
-    rho = np.asarray(rho, dtype=complex)
-    flipped = _SIGMA_YY @ rho.conj() @ _SIGMA_YY
-    ev = np.linalg.eigvals(rho @ flipped)
-    # tiny negative eigenvalues are rounding artefacts of the non-normal product
-    lam = np.sqrt(np.abs(np.sort(ev.real)))
-    return float(max(0.0, lam[3] - lam[2] - lam[1] - lam[0]))
+    root = _psd_root(np.asarray(rho, dtype=complex))
+    lam = np.linalg.svd(root @ (_SIGMA_YY @ root.conj() @ _SIGMA_YY), compute_uv=False)
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
 def _xlog2x(x: np.ndarray) -> np.ndarray:
@@ -211,30 +222,89 @@ def classical_correlation_refined(states, n_theta: int = 200, steps: int = 40) -
     return s_b[:, 0] - np.minimum(cond.min(axis=1), found)
 
 
-def _bose_factor(omega, temperature):
-    # 1/expm1(omega/T) at 80 digits, as the exact rational of that 80-digit value
-    with mpmath.workdps(80):
-        man, exp = (1 / mpmath.expm1(mpmath.mpf(omega) / temperature)).man_exp
-    return Fraction(man) * Fraction(2) ** exp
+class ExactPoint(NamedTuple):
+    """Every output field of one point, as mpmath values at 80 digits."""
+
+    p1: mpmath.mpf
+    p2: mpmath.mpf
+    p3: mpmath.mpf
+    p4: mpmath.mpf
+    heat_current: mpmath.mpf
+    concurrence: mpmath.mpf
+    discord: mpmath.mpf
+    mutual_information: mpmath.mpf
+    classical_correlation: mpmath.mpf
 
 
-def exact_boson_point(eps, kap, gl, gr, tl, tr):
-    """P1..P4 and J_L from the occupation form, in exact rational arithmetic.
+def _occupation(kind, omega, temperature):
+    # n = 1/(e^x - 1) (boson) or 1/(e^x + 1) (spin) at x = omega/T, 0 at T = 0
+    if temperature == 0.0:
+        return mpmath.mpf(0)
+    x = mpmath.mpf(omega) / mpmath.mpf(temperature)
+    return 1 / mpmath.expm1(x) if kind == "boson" else 1 / (mpmath.exp(x) + 1)
 
-    The Bose factors n = 1/expm1(omega/T) are evaluated to 80 digits, so
-    n_L - n_R stays accurate at small bias; every other step is exact, at
-    the float gaps the solver takes. Channel c of gap omega has down rates
-    Gamma (n + 1) and up rates Gamma n, so it carries J_c = omega Gamma_L
-    Gamma_R (n_L - n_R) / (2 sum of its rates), and its side holding
-    state 1 has weight down/total (up/total when inverted).
+
+def _mp_xlog2x(t):
+    return t * mpmath.log(t, 2) if t > 0 else mpmath.mpf(0)
+
+
+def conditional_entropies(p1, p2, p3, p4):
+    """(S_z, S_x) of mpmath populations: the conditional entropies, in bits,
+    of the z-axis and the equatorial measurement of one qubit.
+
+    S_z is summed as its four conditional terms, -w log2(conditional weight
+    / outcome weight), not from x log2 x of the marginal and joint weights.
     """
-    current, weights = Fraction(0), []
-    for omega, inverted in ((abs(kap - eps), eps > kap), (kap + eps, False)):
-        n_l, n_r = (_bose_factor(omega, t) for t in (tl, tr))
-        down = Fraction(gl) * (n_l + 1) + Fraction(gr) * (n_r + 1)
-        up = Fraction(gl) * n_l + Fraction(gr) * n_r
-        current += Fraction(omega) * Fraction(gl) * Fraction(gr) * (n_l - n_r) / (2 * (down + up))
-        weights.append((up if inverted else down) / (down + up))
-    fa, fb = weights
-    pops = [fa * fb, (1 - fa) * fb, fa * (1 - fb), (1 - fa) * (1 - fb)]
-    return [float(p) for p in pops], float(current)
+    def conditional(w, num, den):
+        return -w * mpmath.log(num / den, 2) if w > 0 else mpmath.mpf(0)
+
+    s14 = p1 + p4
+    u, v = s14 + 2 * p2, s14 + 2 * p3
+    s_z = (conditional(p2, 2 * p2, u) + conditional(s14 / 2, s14, u)
+           + conditional(s14 / 2, s14, v) + conditional(p3, 2 * p3, v))
+    k = mpmath.sqrt((p2 - p3) ** 2 + (p1 - p4) ** 2)
+    return s_z, 1 - (_mp_xlog2x(1 - k) + _mp_xlog2x(1 + k)) / 2
+
+
+def x_state_measures(p1, p2, p3, p4):
+    """(C, Q, I, C_cl) of the X state of mpmath populations P1..P4, from its
+    density-matrix forms: C = max(|P1 - P4| - 2 sqrt(P2 P3), 0), I = S(A) +
+    S(B) - S(AB), and C_cl = S(B) less the lesser of
+    :func:`conditional_entropies`."""
+    u, v = p1 + p4 + 2 * p2, p1 + p4 + 2 * p3  # twice the marginal eigenvalues
+    s_b = 1 - (_mp_xlog2x(u) + _mp_xlog2x(v)) / 2
+    mutual = 2 * s_b + sum(map(_mp_xlog2x, (p1, p2, p3, p4)))
+    c_cl = max(s_b - min(conditional_entropies(p1, p2, p3, p4)), 0)
+    conc = max(abs(p1 - p4) - 2 * mpmath.sqrt(p2 * p3), 0)
+    return conc, mutual - c_cl, mutual, c_cl
+
+
+def exact_point(eps, kap, kind, gl, gr, tl, tr):
+    """P1..P4, J_L and the four correlation measures of one point, at 80 digits.
+
+    ``kind`` is "boson" or "spin". Everything is formed from the parameters
+    (as the exact rationals of their floats) with mpmath at 80 digits, so
+    n_L - n_R stays accurate at small bias, at the float gaps the solver
+    takes, |kappa - epsilon| and kappa + epsilon. Channel c of gap omega has,
+    per bath, up rate Gamma n and down rate Gamma (n + 1) (boson) or Gamma
+    (1 - n) (spin), with n the occupation of omega at the bath's
+    temperature, so it carries J_c = omega Gamma_L Gamma_R (n_L - n_R) /
+    (2 sum of its rates), and its side holding state 1 has weight
+    down/total (up/total when inverted). The measures are those of the
+    density matrix of the product of the two channel weights.
+    """
+    with mpmath.workdps(80):
+        current, weights = mpmath.mpf(0), []
+        g_l, g_r = mpmath.mpf(gl), mpmath.mpf(gr)
+        for omega, inverted in ((abs(kap - eps), eps > kap), (kap + eps, False)):
+            n_l, n_r = (_occupation(kind, omega, t) for t in (tl, tr))
+            sign = 1 if kind == "boson" else -1  # down = Gamma (1 + sign n)
+            down = g_l * (1 + sign * n_l) + g_r * (1 + sign * n_r)
+            up = g_l * n_l + g_r * n_r
+            total = down + up
+            if total:
+                current += mpmath.mpf(omega) * g_l * g_r * (n_l - n_r) / (2 * total)
+            weights.append((up / total, down / total) if inverted else (down / total, up / total))
+        (fa, ga), (fb, gb) = weights
+        pops = (fa * fb, ga * fb, fa * gb, ga * gb)
+        return ExactPoint(*pops, current, *x_state_measures(*pops))

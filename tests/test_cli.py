@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from oracles import exact_boson_point
+from conftest import exact_boson
 from qjunction import BathKind, SystemParams, cli, solve_point
 from qjunction.cli import main
 
@@ -271,7 +271,7 @@ class TestTinyCouplings:
         assert code == 0 and err == ""
         current = float(out.splitlines()[1].split(",")[11])
         assert current == pytest.approx(
-            exact_boson_point(0.2, 1.0, 1e-170, 1e-170, 1.5, 0.5)[1], rel=1e-12, abs=0.0)
+            exact_boson(0.2, 1.0, 1e-170, 1e-170, 1.5, 0.5)[1], rel=1e-12, abs=0.0)
 
 
 class TestHugeCouplings:
@@ -284,7 +284,7 @@ class TestHugeCouplings:
                                  *self.COUPLINGS)
         assert code == 0 and err == ""
         fields = [float(x) for x in out.splitlines()[1].split(",")[7:12]]
-        pops, current = exact_boson_point(0.2, 1.0, 1e300, 1e300, 1.5, 0.5)
+        pops, current = exact_boson(0.2, 1.0, 1e300, 1e300, 1.5, 0.5)
         assert fields[:4] == pytest.approx(pops, abs=1e-12)
         assert fields[4] == pytest.approx(current, rel=1e-12)
 
@@ -298,6 +298,6 @@ class TestHugeCouplings:
             dt, forward, reverse = (float(x) for x in line.split(","))
             hot, cold = 1.0 + dt, 1.0 - dt
             assert forward == pytest.approx(
-                exact_boson_point(0.2, 1.0, 1e300, 1e300, hot, cold)[1], rel=1e-12)
+                exact_boson(0.2, 1.0, 1e300, 1e300, hot, cold)[1], rel=1e-12)
             assert reverse == pytest.approx(
-                exact_boson_point(0.2, 1.0, 1e300, 1e300, cold, hot)[1], rel=1e-12)
+                exact_boson(0.2, 1.0, 1e300, 1e300, cold, hot)[1], rel=1e-12)

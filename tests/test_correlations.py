@@ -4,24 +4,26 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import gibbs_populations, measures
+from conftest import channel_weights, gibbs_populations, measures, populations, random_weights
 from oracles import (classical_correlation_grid, classical_correlation_refined,
-                     density_matrix_uncoupled, wootters_concurrence)
+                     conditional_entropies, density_matrix_uncoupled, exact_point,
+                     wootters_concurrence, x_state_measures)
 from qjunction import BathKind, SweepSpec, SweepVariable, SystemParams, run_sweep, solve_point
 
-SINGLET = (1.0, 0.0, 0.0, 0.0)
-MIXED = (0.25, 0.25, 0.25, 0.25)
+# channel weights (fa, ga, fb, gb): the singlet P = (1, 0, 0, 0) and the
+# maximally mixed state
+SINGLET = (1.0, 0.0, 1.0, 0.0)
+MIXED = (0.5, 0.5, 0.5, 0.5)
 
-# Gibbs populations at T = 0.5 for epsilon = 0.2, kappa = 1, rounded to the
-# four digits used throughout as a worked example; the expected measure
-# values below are 40-digit mpmath evaluations of the closed forms at
-# exactly these inputs.
-P_EXAMPLE = (0.7628, 0.1540, 0.0692, 0.0140)
-C_EXAMPLE = 0.5423364438938436
-I_EXAMPLE = 0.9231485494658915
-CCL_EXAMPLE = 0.4562975433347751
-Q_EXAMPLE = 0.4668510061311164
-K_EXAMPLE = 0.7535864117670912
+# channel weights fa = 0.8 and fb = 0.9 as a worked example, the state
+# P = (0.72, 0.18, 0.08, 0.02); the expected measure values below are 40-digit
+# mpmath evaluations of the X-state forms in P (the better of the z-axis and
+# the equatorial measurement for C_cl) at exactly these weights
+EXAMPLE = (0.8, 0.2, 0.9, 0.1)
+C_EXAMPLE = 0.46
+I_EXAMPLE = 0.794625219498973
+CCL_EXAMPLE = 0.3918984172949522
+Q_EXAMPLE = 0.40272680220402085
 
 
 def entropy_bits(eigenvalues) -> float:
@@ -44,20 +46,24 @@ def mutual_information_eigen(pops) -> float:
     return s_a + s_b - s_ab
 
 
-def concurrence(pops) -> float:
-    return measures(pops).concurrence
+def concurrence(weights) -> float:
+    return measures(*weights).concurrence
 
 
-def mutual_information(pops) -> float:
-    return measures(pops).mutual_information
+def mutual_information(weights) -> float:
+    return measures(*weights).mutual_information
 
 
-def classical_correlation(pops) -> float:
-    return measures(pops).classical_correlation
+def classical_correlation(weights) -> float:
+    return measures(*weights).classical_correlation
 
 
-def discord(pops) -> float:
-    return measures(pops).discord
+def discord(weights) -> float:
+    return measures(*weights).discord
+
+
+def _state_matrix(weights) -> np.ndarray:
+    return density_matrix_uncoupled(populations(*weights))
 
 
 class TestConcurrence:
@@ -68,24 +74,22 @@ class TestConcurrence:
         assert concurrence(MIXED) == 0.0
 
     def test_example_value(self):
-        assert concurrence(P_EXAMPLE) == pytest.approx(C_EXAMPLE, rel=1e-12)
+        assert concurrence(EXAMPLE) == pytest.approx(C_EXAMPLE, rel=1e-12)
 
     def test_matches_wootters_on_example(self):
-        assert concurrence(P_EXAMPLE) == pytest.approx(
-            wootters_concurrence(density_matrix_uncoupled(P_EXAMPLE)), abs=1e-10)
+        assert concurrence(EXAMPLE) == pytest.approx(
+            wootters_concurrence(_state_matrix(EXAMPLE)), abs=1e-10)
 
     def test_matches_wootters_randomized(self):
-        rng = np.random.default_rng(41)
-        for _ in range(300):
-            p = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
-            assert concurrence(p) == pytest.approx(
-                wootters_concurrence(density_matrix_uncoupled(p)), abs=1e-10)
+        for w in random_weights(np.random.default_rng(41), 300):
+            assert concurrence(w) == pytest.approx(
+                wootters_concurrence(_state_matrix(w)), abs=1e-10)
 
     def test_invariant_under_corner_swap(self):
-        rng = np.random.default_rng(43)
-        for _ in range(50):
-            p1, p2, p3, p4 = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
-            assert concurrence((p1, p2, p3, p4)) == concurrence((p1, p3, p2, p4))
+        # (fa, ga, fb, gb) -> (fb, gb, fa, ga) swaps P2 and P3 alone
+        for fa, ga, fb, gb in random_weights(np.random.default_rng(43), 50):
+            assert concurrence((fa, ga, fb, gb)) == pytest.approx(
+                concurrence((fb, gb, fa, ga)), abs=1e-15)
 
 
 class TestMutualInformation:
@@ -96,14 +100,12 @@ class TestMutualInformation:
         assert mutual_information(MIXED) == pytest.approx(0.0, abs=1e-14)
 
     def test_example_value(self):
-        assert mutual_information(P_EXAMPLE) == pytest.approx(I_EXAMPLE, rel=1e-12)
+        assert mutual_information(EXAMPLE) == pytest.approx(I_EXAMPLE, rel=1e-12)
 
     def test_matches_eigendecomposition_route(self):
-        rng = np.random.default_rng(47)
-        for _ in range(100):
-            p = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
-            assert mutual_information(p) == pytest.approx(
-                mutual_information_eigen(p), abs=1e-10)
+        for w in random_weights(np.random.default_rng(47), 100):
+            assert mutual_information(w) == pytest.approx(
+                mutual_information_eigen(populations(*w)), abs=1e-10)
 
 
 class TestClassicalCorrelation:
@@ -114,46 +116,17 @@ class TestClassicalCorrelation:
         assert classical_correlation(MIXED) == pytest.approx(0.0, abs=1e-14)
 
     def test_example_value(self):
-        assert classical_correlation(P_EXAMPLE) == pytest.approx(CCL_EXAMPLE, rel=1e-12)
+        assert classical_correlation(EXAMPLE) == pytest.approx(CCL_EXAMPLE, rel=1e-12)
 
     def test_grid_oracle_agreement_on_example(self):
-        grid = classical_correlation_grid(P_EXAMPLE)
-        assert abs(classical_correlation(P_EXAMPLE) - grid) < 1e-3
+        grid = classical_correlation_grid(populations(*EXAMPLE))
+        assert abs(classical_correlation(EXAMPLE) - grid) < 1e-3
 
     def test_grid_never_beats_closed_form_axes(self):
         # theta = pi/2, the equatorial measurement, is a grid point, so the
         # scan is at least as good as the closed form
-        rng = np.random.default_rng(53)
-        for _ in range(20):
-            p = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
-            assert classical_correlation(p) <= classical_correlation_grid(p) + 1e-9
-
-
-def _x(t):
-    return t * mpmath.log(t, 2) if t > 0 else mpmath.mpf(0)
-
-
-def _steady_state(fa, fb):
-    """P1..P4 of a product of two channel weights, so P1 P4 = P2 P3."""
-    return fa * fb, (1 - fa) * fb, fa * (1 - fb), (1 - fa) * (1 - fb)
-
-
-def _conditional_entropies(p1, p2, p3, p4):
-    """(S_z, S_x) of mpmath populations: the conditional entropies, in bits,
-    of the z-axis and the equatorial measurement.
-
-    S_z is summed as its four conditional terms, -w log2(conditional weight
-    / outcome weight), not from x log2 x of the marginal and joint weights.
-    """
-    def conditional(w, num, den):
-        return -w * mpmath.log(num / den, 2) if w > 0 else mpmath.mpf(0)
-
-    s14 = p1 + p4
-    u, v = s14 + 2 * p2, s14 + 2 * p3
-    s_z = (conditional(p2, 2 * p2, u) + conditional(s14 / 2, s14, u)
-           + conditional(s14 / 2, s14, v) + conditional(p3, 2 * p3, v))
-    k = mpmath.sqrt((p2 - p3) ** 2 + (p1 - p4) ** 2)
-    return s_z, 1 - (_x(1 - k) + _x(1 + k)) / 2
+        for w in random_weights(np.random.default_rng(53), 20):
+            assert classical_correlation(w) <= classical_correlation_grid(populations(*w)) + 1e-9
 
 
 def _extreme_steady_states():
@@ -195,9 +168,11 @@ class TestClassicalCorrelationOnSteadyStates:
             pairs = [(fa, fb) for fa in weights
                      for fb in weights + [1 - fa + tiny, 1 - fa - tiny] if 0 <= fb <= 1]
             gaps = [s_z - s_x for s_z, s_x in
-                    (_conditional_entropies(*_steady_state(fa, fb)) for fa, fb in pairs)]
+                    (conditional_entropies(*populations(fa, 1 - fa, fb, 1 - fb))
+                     for fa, fb in pairs)]
             on_line = [s_z - s_x for s_z, s_x in
-                       (_conditional_entropies(*_steady_state(fa, 1 - fa)) for fa in weights)]
+                       (conditional_entropies(*populations(fa, 1 - fa, 1 - fa, fa))
+                        for fa in weights)]
         worst_equal = max(map(abs, on_line))
         print(f"min (S_z - S_x) = {float(min(gaps)):.1e} over {len(pairs)} states; "
               f"max |S_z - S_x| on fa + fb = 1: {float(worst_equal):.1e}")
@@ -213,25 +188,20 @@ class TestDiscord:
         assert discord(MIXED) == pytest.approx(0.0, abs=1e-14)
 
     def test_example_value(self):
-        assert discord(P_EXAMPLE) == pytest.approx(Q_EXAMPLE, rel=1e-12)
+        assert discord(EXAMPLE) == pytest.approx(Q_EXAMPLE, rel=1e-12)
 
     def test_cold_equilibrium_measures_agree(self):
         params = SystemParams(epsilon=0.2, kappa=1.0)
-        pops = gibbs_populations(params, 0.05)
-        assert abs(discord(pops) - concurrence(pops)) < 0.01
+        weights = channel_weights(gibbs_populations(params, 0.05))
+        assert abs(discord(weights) - concurrence(weights)) < 0.01
 
 
-def _four_term_reference(pops):
-    """(C_cl, Q) at exactly these populations, to 50 digits, from the better
-    of the z-axis and equatorial measurements (:func:`_conditional_entropies`)."""
+def _weights_reference(fa, fb):
+    """(C_cl, Q) of the state of exact channel weights fa and fb, to 50 digits."""
     with mpmath.workdps(50):
-        p1, p2, p3, p4 = (mpmath.mpf(float(p)) for p in pops)
-        x = _x
-        u, v = p1 + p4 + 2 * p2, p1 + p4 + 2 * p3
-        mutual = 2 - x(u) - x(v) + x(p1) + x(p2) + x(p3) + x(p4)
-        c_cl = max(1 - (x(u) + x(v)) / 2 - min(_conditional_entropies(p1, p2, p3, p4)), 0)
-        q = mutual - c_cl
-        return c_cl, mpmath.mpf(0) if -mpmath.mpf("1e-12") < q < 0 else q
+        fa, fb = mpmath.mpf(fa), mpmath.mpf(fb)
+        _, q, _, c_cl = x_state_measures(*populations(fa, 1 - fa, fb, 1 - fb))
+    return c_cl, q
 
 
 class TestHighPrecision:
@@ -239,67 +209,84 @@ class TestHighPrecision:
     PARAMS = SystemParams(epsilon=0.2, kappa=2.0)
 
     def _states(self):
-        # steady states of uniform channel weights: the family the closed
-        # form is exact on (a general X state only gets a lower bound)
-        rng = np.random.default_rng(67)
-        for fa, fb in rng.uniform(size=(200, 2)):
-            p = _steady_state(fa, fb)
-            yield p, measures(p)
+        # (reference, measures) of steady states: drawn channel weights, then
+        # solved points and a grid, where the closed forms run on arrays,
+        # against the state their parameters give at 80 digits
+        for w in random_weights(np.random.default_rng(67), 200):
+            yield _weights_reference(w[0], w[2]), measures(*w)
         for kind in BathKind:
-            for t_left, t_right in ((0.05, 1.95), (1.95, 0.05), (0.0, 1.0), (1.0, 0.0),
-                                    (0.0, 0.0)):
-                row = solve_point(self.PARAMS, kind, 1.0, 0.05, t_left, t_right)
-                yield row[2:6], row
-            # the same junction over a grid, where the closed forms run on arrays
-            spec = SweepSpec(self.PARAMS, kind, 1.0, 0.05, SweepVariable.DELTA_T,
-                             -0.975, 0.975, 79, t_avg=1.0)
-            for row in run_sweep(spec):
-                yield row[2:6], row
+            rows = [solve_point(self.PARAMS, kind, 1.0, 0.05, t_left, t_right)
+                    for t_left, t_right in ((0.05, 1.95), (1.95, 0.05), (0.0, 1.0),
+                                            (1.0, 0.0), (0.0, 0.0))]
+            rows += run_sweep(SweepSpec(self.PARAMS, kind, 1.0, 0.05, SweepVariable.DELTA_T,
+                                        -0.975, 0.975, 79, t_avg=1.0))
+            for row in rows:
+                exact = exact_point(0.2, 2.0, kind.value, 1.0, 0.05, row.t_left, row.t_right)
+                yield (exact.classical_correlation, exact.discord), row
 
     def test_classical_correlation_and_discord_against_50_digits(self):
         worst = 0.0
-        for pops, measures in self._states():
-            c_cl, q = _four_term_reference(pops)
+        for (c_cl, q), measures in self._states():
             worst = max(worst, abs(measures.classical_correlation - c_cl),
                         abs(measures.discord - q))
-        print(f"max error of C_cl and Q against 50 digits: {float(worst):.1e}")
+        print(f"max error of C_cl and Q against 50 and 80 digits: {float(worst):.1e}")
         assert worst <= 1e-15
+
+    def test_near_pure_states_against_50_digits(self):
+        # states about P = (1.8e-8, 1 - 2.8e-8, 1.7e-16, 9.2e-9), close to the
+        # pure state |2>: fa and gb from 10**-8.5 to 10**-7.5, multiples of
+        # 2**-53 so that 1 - fa and 1 - gb are exact. K is within 1e-7 of 1
+        # there, and 1 - K formed as a difference kept about 8 digits, which
+        # put C_cl and Q up to 1.0e-15 off; what is left is the rounding of the
+        # terms near 2 (x(u), x(1 + K)) that the small C_cl is formed from
+        rng = np.random.default_rng(71)
+        worst = 0.0
+        for fa, gb in np.round(10.0 ** rng.uniform(-8.5, -7.5, (50, 2)) * 2.0 ** 53).tolist():
+            fa, gb = fa * 2.0 ** -53, gb * 2.0 ** -53
+            got = measures(fa, 1.0 - fa, 1.0 - gb, gb)
+            c_cl, q = _weights_reference(fa, 1.0 - gb)
+            worst = max(worst, abs(got.classical_correlation - c_cl), abs(got.discord - q))
+        print(f"max error of C_cl and Q near a pure state: {float(worst):.1e}")
+        assert worst <= 7e-16
 
 
 class TestReportAndInvariants:
-    def test_k_example(self):
-        assert measures(P_EXAMPLE).k_coefficient == pytest.approx(K_EXAMPLE, rel=1e-12)
-
     def test_report_bundles_consistently(self):
-        rep = measures(P_EXAMPLE)
+        rep = measures(*EXAMPLE)
         assert rep.discord == pytest.approx(
             rep.mutual_information - rep.classical_correlation, abs=1e-12)
-        # a solved row carries the measures of its own populations
+        # a solved row carries the measures of its own state
         row = solve_point(SystemParams(0.2, 1.0), BathKind.BOSON, 1.0, 1.0, 1.5, 0.5)
-        rep = measures(row[2:6])
+        rep = measures(*channel_weights(row[2:6]))
         assert (row.concurrence, row.mutual_information, row.classical_correlation,
-                row.discord) == rep[:4]
+                row.discord) == pytest.approx(rep, abs=1e-15)
 
     def test_ranges_randomized(self):
-        rng = np.random.default_rng(59)
-        for _ in range(300):
-            p = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
-            rep = measures(p)
+        for w in random_weights(np.random.default_rng(59), 300):
+            rep = measures(*w)
             assert 0.0 <= rep.concurrence <= 1.0
             assert rep.mutual_information >= -1e-12
             assert -1e-12 <= rep.classical_correlation
             assert -1e-12 <= rep.discord <= rep.mutual_information + 1e-12
-            assert 0.0 <= rep.k_coefficient <= 1.0
             assert rep.discord == pytest.approx(
                 rep.mutual_information - rep.classical_correlation, abs=1e-12)
 
+    def test_weights_that_round_past_a_sum_of_one(self):
+        # the weights of in-rates 1.158594070777783 : 1.1585940489867415 and
+        # 0.7018398896467992 : 0.7018398847418487, so nearly 1/2 that
+        # 2 (fa ga + fb gb) = 1 - K^2 rounds to 1 + 2.2e-16; K is then 0, not
+        # the square root of a negative number
+        rep = measures(0.5000000047020442, 0.4999999952979559,
+                       0.5000000017471758, 0.49999999825282426)
+        assert rep.concurrence == 0.0
+        assert max(map(abs, rep)) <= 1e-15
+
     def test_exchange_symmetry(self):
-        # swapping P2<->P3 together with P1<->P4 relabels the two qubits
-        rng = np.random.default_rng(61)
-        for _ in range(50):
-            p1, p2, p3, p4 = rng.dirichlet([1.0, 1.0, 1.0, 1.0])
-            swapped = (p4, p3, p2, p1)
-            original = (p1, p2, p3, p4)
+        # (fa, ga, fb, gb) -> (ga, fa, gb, fb) swaps P2<->P3 together with
+        # P1<->P4, which relabels the two qubits
+        for fa, ga, fb, gb in random_weights(np.random.default_rng(61), 50):
+            swapped = (ga, fa, gb, fb)
+            original = (fa, ga, fb, gb)
             assert concurrence(swapped) == pytest.approx(concurrence(original), abs=1e-12)
             assert mutual_information(swapped) == pytest.approx(
                 mutual_information(original), abs=1e-12)
@@ -319,7 +306,7 @@ class TestEquilibriumConcurrenceClosedForm:
             for t in np.linspace(0.1, 3.5, 40):
                 z = 2.0 * math.cosh(kap / t) + 2.0 * math.cosh(eps / t)
                 expected = max((2.0 * math.sinh(kap / t) - 2.0) / z, 0.0)
-                got = concurrence(gibbs_populations(params, t))
+                got = concurrence(channel_weights(gibbs_populations(params, t)))
                 assert got == pytest.approx(expected, abs=1e-12)
                 assert (got > 0.0) == (t < threshold)
 

@@ -1,14 +1,14 @@
 """The kernels behind solve_point, run_sweep and rectification_scan, point against grid.
 
 A single point runs the closed forms on Python floats (``solver._channels``,
-``solver._point_state``, ``correlations._measures``); a grid runs the same
+``solver._state``, ``correlations._measures``); a grid runs the same
 ones on numpy arrays through ``solver.transport_kernel`` and
 ``correlations.correlation_kernel``. The point route is the reference here. On a grid the
-populations are sums, products and quotients of the rates, which numpy
-rounds exactly as floats do, so given the same rates the two routes agree
-bit for bit. Everything else on a grid is asserted to 1e-12: the rates go
-through exp and expm1, the entropies through log2 and K through hypot, and
-numpy may round those differently from the math module by an ulp.
+channel weights and populations are sums, products and quotients of the
+rates, which numpy rounds exactly as floats do, so given the same rates the
+two routes agree bit for bit. Everything else on a grid is asserted to
+1e-12: the rates go through exp and expm1 and the entropies through log2,
+and numpy may round those differently from the math module by an ulp.
 
 A grid comes back as a read-only table over the kernel's columns. The tests
 after ``test_empty_bias_grid`` pin that it builds no row until one is read,
@@ -31,7 +31,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qjunction
-from oracles import exact_boson_point
+from conftest import exact_boson
 from qjunction import (
     BathKind,
     RectificationPoint,
@@ -125,14 +125,15 @@ def test_kernel_populations_equal_steady_populations_exactly():
         temperatures = [(row.t_left, row.t_right) for row in run_sweep(spec)]
         per_point = [solver.transport_kernel(*args, *ts)[0] for ts in temperatures]
         grid = correlation_kernel(tuple(np.array(per_point).T),
-                                  spec.params.epsilon > spec.params.kappa)
+                                  spec.params.epsilon > spec.params.kappa, 0,
+                                  np.empty((8, len(temperatures))))
         assert grid[:4].T.tolist() == [list(solve_point(*args, *ts)[2:6])
                                        for ts in temperatures]
 
 
 def test_correlation_kernel_writes_into_the_rows_it_is_given():
     # run_sweep hands the kernel eight row views of its table; the kernel
-    # writes the bits of its own (8, n) array into them and nothing else
+    # writes into them the bits it writes into an (8, n) array, and nothing else
     temperatures = np.linspace(0.0, 3.0, 500)
     for params in (SystemParams(0.2, 1.0), SystemParams(1.0, 0.2)):
         inverted = params.epsilon > params.kappa
@@ -143,7 +144,7 @@ def test_correlation_kernel_writes_into_the_rows_it_is_given():
             rows = (*table[2:6, 1:-2], *table[7:, 1:-2])
             written = correlation_kernel(rates, inverted, 0, rows)
             assert all(np.shares_memory(row, table) for row in written)
-            own = correlation_kernel(rates, inverted)
+            own = correlation_kernel(rates, inverted, 0, np.empty((8, temperatures.size)))
             assert np.array(rows).tobytes() == own.tobytes()
             assert np.isnan(table[[0, 1, 6]]).all()
             assert np.isnan(table[:, [0, -2, -1]]).all()
@@ -344,7 +345,7 @@ NEAR_CEILING = [
 
 @pytest.mark.parametrize("eps, kap, gl, gr, tr", NEAR_CEILING)
 def test_rates_near_the_float_ceiling_match_exact_evaluation(eps, kap, gl, gr, tr):
-    pops, current = exact_boson_point(eps, kap, gl, gr, 1e308, tr)
+    pops, current = exact_boson(eps, kap, gl, gr, 1e308, tr)
     params = SystemParams(eps, kap)
     point = solve_point(params, BathKind.BOSON, gl, gr, 1e308, tr)
     first = run_sweep(SweepSpec(params, BathKind.BOSON, gl, gr, SweepVariable.T_RIGHT,
@@ -371,7 +372,7 @@ EXTREME_RATIOS = [
 
 @pytest.mark.parametrize("eps, kap, gl, gr, tl, tr", EXTREME_RATIOS)
 def test_extreme_rate_ratios_match_exact_evaluation(eps, kap, gl, gr, tl, tr):
-    pops, current = exact_boson_point(eps, kap, gl, gr, tl, tr)
+    pops, current = exact_boson(eps, kap, gl, gr, tl, tr)
     params = SystemParams(eps, kap)
     point = solve_point(params, BathKind.BOSON, gl, gr, tl, tr)
     last = run_sweep(SweepSpec(params, BathKind.BOSON, gl, gr, SweepVariable.T_RIGHT,
@@ -394,7 +395,7 @@ TINY_COUPLINGS = [(1e-160, 1e-160), (1e-170, 1e-170), (1e-300, 1e-300),
 def test_tiny_couplings_match_exact_evaluation_on_every_route(gl, gr):
     params = SystemParams(0.2, 1.0)
     args = (params, BathKind.BOSON, gl, gr)
-    pops, current = exact_boson_point(0.2, 1.0, gl, gr, 1.5, 0.5)
+    pops, current = exact_boson(0.2, 1.0, gl, gr, 1.5, 0.5)
     point = solve_point(*args, 1.5, 0.5)
     last = run_sweep(SweepSpec(*args, SweepVariable.T_RIGHT, 0.25, 0.5, 2, t_left=1.5))[-1]
     for row in (point, last):
@@ -404,7 +405,7 @@ def test_tiny_couplings_match_exact_evaluation_on_every_route(gl, gr):
     (rect,) = rectification_scan(*args, 1.0, [0.5])
     assert rect.j_forward == pytest.approx(current, rel=TOL, abs=0.0)
     assert rect.j_reverse == pytest.approx(
-        exact_boson_point(0.2, 1.0, gl, gr, 0.5, 1.5)[1], rel=TOL, abs=0.0)
+        exact_boson(0.2, 1.0, gl, gr, 0.5, 1.5)[1], rel=TOL, abs=0.0)
 
 
 def test_cold_points_skip_the_over_sum_form(monkeypatch):
@@ -548,16 +549,16 @@ def test_huge_couplings_match_exact_evaluation_on_every_route():
     # overflow unless the channel is first divided by a power of two
     params, gamma = SystemParams(0.2, 1.0), 1e300
     args = (params, BathKind.BOSON, gamma, gamma)
-    pops, current = exact_boson_point(0.2, 1.0, gamma, gamma, 1.5, 0.5)
+    pops, current = exact_boson(0.2, 1.0, gamma, gamma, 1.5, 0.5)
     point = solve_point(*args, 1.5, 0.5)
     assert point.heat_current == pytest.approx(current, rel=TOL)
     assert [point.p1, point.p2, point.p3, point.p4] == pytest.approx(pops, abs=TOL)
     for row in run_sweep(SweepSpec(*args, SweepVariable.T_RIGHT, 0.1, 1.0, 5, t_left=1.5)):
-        pops, current = exact_boson_point(0.2, 1.0, gamma, gamma, 1.5, row.t_right)
+        pops, current = exact_boson(0.2, 1.0, gamma, gamma, 1.5, row.t_right)
         assert row.heat_current == pytest.approx(current, rel=TOL)
         assert [row.p1, row.p2, row.p3, row.p4] == pytest.approx(pops, abs=TOL)
     (rect,) = rectification_scan(*args, 1.0, [0.5])
     assert rect.j_forward == pytest.approx(
-        exact_boson_point(0.2, 1.0, gamma, gamma, 1.5, 0.5)[1], rel=TOL)
+        exact_boson(0.2, 1.0, gamma, gamma, 1.5, 0.5)[1], rel=TOL)
     assert rect.j_reverse == pytest.approx(
-        exact_boson_point(0.2, 1.0, gamma, gamma, 0.5, 1.5)[1], rel=TOL)
+        exact_boson(0.2, 1.0, gamma, gamma, 0.5, 1.5)[1], rel=TOL)

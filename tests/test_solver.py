@@ -32,6 +32,16 @@ GIBBS_05 = (
 J_REFERENCE = 0.19944354433419976
 
 
+def gibbs_reference(eps, kap, temperature):
+    """Gibbs populations of the energies (-kappa, -epsilon, epsilon, kappa) at
+    T, and C = 2 (sinh(kappa/T) - 1)/Z where positive, with mpmath at 50 digits."""
+    with mp.workdps(50):
+        e, k, t = mp.mpf(eps), mp.mpf(kap), mp.mpf(temperature)
+        weights = [mp.exp(-energy / t) for energy in (-k, -e, e, k)]
+        z = mp.fsum(weights)
+        return [w / z for w in weights], max(2 * (mp.sinh(k / t) - 1) / z, 0)
+
+
 def rates_at(params, kind, gl, gr, tl, tr):
     """Channel a's and channel b's (left_down, left_up, right_down, right_up)."""
     rates, _ = transport_kernel(params, kind, gl, gr, tl, tr)
@@ -99,6 +109,25 @@ class TestSteadyPopulations:
             for gl, gr in ((1.0, 1.0), (1.0, 0.05), (20.0, 1.0)):
                 pops = pops_at(PARAMS, kind, gl, gr, 0.5, 0.5)
                 assert_allclose(pops, gibbs_populations(PARAMS, 0.5), atol=1e-12)
+
+    def test_equilibrium_against_50_digit_gibbs_state(self):
+        # every population relative to its Gibbs weight (where the weight
+        # passes 1e-300), and C against 2 (sinh(kappa/T) - 1)/Z, down to
+        # T = 0.01 and close to the degenerate splitting; weights formed as
+        # 1 - f read P3 = P4 = 0.0 at epsilon = 0.99, T = 0.05, not 2.9e-18
+        # and 2.3e-18, and C 2.3e-9 off
+        worst_p = worst_c = 0.0
+        for eps in (0.2, 0.9, 0.99, 0.999):
+            for t in np.linspace(0.01, 3.0, 60).tolist():
+                gibbs, conc = gibbs_reference(eps, 1.0, t)
+                for kind in BathKind:
+                    row = solve_point(SystemParams(eps, 1.0), kind, 1.0, 0.3, t, t)
+                    worst_p = max([worst_p] + [abs(p / g - 1) for p, g in zip(row[2:6], gibbs)
+                                               if g > 1e-300])
+                    worst_c = max(worst_c, abs(row.concurrence - conc))
+        print(f"480 equilibria: populations {float(worst_p):.1e} relative, "
+              f"concurrence {float(worst_c):.1e}")
+        assert worst_p <= 1e-13 and worst_c <= 1e-15
 
     def test_gibbs_frozen_value(self):
         pops = pops_at(PARAMS, BathKind.BOSON, 1.0, 1.0, 0.5, 0.5)
