@@ -4,8 +4,8 @@ The stationary state is an X state in the product basis, and a product of
 two channel weights (``solver``): P1 = fa fb, P2 = ga fb, P3 = fa gb,
 P4 = ga gb, with fa + ga = fb + gb = 1. Concurrence, mutual information,
 classical correlation and discord all reduce to closed forms in the four
-weights, none of which cancels. Entropies are in bits, with the 0 log 0 = 0
-convention throughout, and x(p) = p log2 p.
+weights, which form no complement as 1 - f. Entropies are in bits, with the
+0 log 0 = 0 convention throughout, and x(p) = p log2 p.
 
 - Concurrence C = max(|P1 - P4| - 2 sqrt(P2 P3), 0) = max(|fa - gb| -
   2 sqrt(fa ga fb gb), 0), since P1 - P4 = fa - gb and P2 P3 = fa ga fb gb;
