@@ -37,6 +37,7 @@ def _check_bath(gamma, temperature):
         raise ValueError(f"gamma must be {'finite' if gamma == math.inf else '>= 0'}, got {gamma}")
     if not 0.0 <= temperature < math.inf:
         raise ValueError(f"temperature must be finite and >= 0, got {temperature}")
+    return float(gamma)
 
 
 def _rates(ops, kind: BathKind, gamma: float, x, n):

@@ -147,14 +147,13 @@ def solve_point(
     Raises ``ValueError`` when the heat current is not finite, which it is
     not wherever the rates overflow, as ``run_sweep`` does on a grid.
     """
-    _check_bath(gamma_left, t_left)
-    _check_bath(gamma_right, t_right)
+    gamma_left, gamma_right = _check_bath(gamma_left, t_left), _check_bath(gamma_right, t_right)
     rates, current = _channels(_FLOATS, params, kind, gamma_left, gamma_right, t_left, t_right)
     if not math.isfinite(current):
         raise _current_not_finite(t_left, t_right)
     try:
         fa, ga, fb, gb, p1, p2, p3, p4 = _state(params.epsilon > params.kappa, *rates)
-    except ZeroDivisionError:
+    except ZeroDivisionError:  # of float couplings; a numpy scalar's 0/0 gives NaN
         raise NonUniqueSteadyStateError(
             "a channel carries no rates; the stationary state is not unique") from None
     _check_populations((p1, p2, p3, p4))

@@ -9,6 +9,7 @@ from oracles import (classical_correlation_grid, classical_correlation_refined,
                      conditional_entropies, density_matrix_uncoupled, exact_point,
                      wootters_concurrence, x_state_measures)
 from qjunction import BathKind, SweepSpec, SweepVariable, SystemParams, run_sweep, solve_point
+from qjunction.solver import _state, transport_kernel
 
 # channel weights (fa, ga, fb, gb): the singlet P = (1, 0, 0, 0) and the
 # maximally mixed state
@@ -88,8 +89,7 @@ class TestConcurrence:
     def test_invariant_under_corner_swap(self):
         # (fa, ga, fb, gb) -> (fb, gb, fa, ga) swaps P2 and P3 alone
         for fa, ga, fb, gb in random_weights(np.random.default_rng(43), 50):
-            assert concurrence((fa, ga, fb, gb)) == pytest.approx(
-                concurrence((fb, gb, fa, ga)), abs=1e-15)
+            assert concurrence((fa, ga, fb, gb)) == concurrence((fb, gb, fa, ga))
 
 
 class TestMutualInformation:
@@ -256,10 +256,12 @@ class TestReportAndInvariants:
         assert rep.discord == pytest.approx(
             rep.mutual_information - rep.classical_correlation, abs=1e-12)
         # a solved row carries the measures of its own state
-        row = solve_point(SystemParams(0.2, 1.0), BathKind.BOSON, 1.0, 1.0, 1.5, 0.5)
-        rep = measures(*channel_weights(row[2:6]))
+        params = SystemParams(0.2, 1.0)
+        row = solve_point(params, BathKind.BOSON, 1.0, 1.0, 1.5, 0.5)
+        rates, _ = transport_kernel(params, BathKind.BOSON, 1.0, 1.0, 1.5, 0.5)
+        rep = measures(*_state(params.epsilon > params.kappa, *rates)[:4])
         assert (row.concurrence, row.mutual_information, row.classical_correlation,
-                row.discord) == pytest.approx(rep, abs=1e-15)
+                row.discord) == tuple(rep)
 
     def test_ranges_randomized(self):
         for w in random_weights(np.random.default_rng(59), 300):

@@ -159,6 +159,14 @@ class TestSteadyPopulations:
         with pytest.raises(NonUniqueSteadyStateError):
             pops_at(PARAMS, BathKind.BOSON, 0.0, 0.0, 1.0, 1.0)
 
+    def test_stalled_channel_of_numpy_couplings_is_an_error(self):
+        # spin rates of couplings 5e-324 at T = 1e308 round to 0 on both channels,
+        # and the current is a finite 0; numpy scalars must not turn the 0/0 of
+        # the weights into NaN populations
+        g = np.float64(5e-324)
+        with pytest.raises(NonUniqueSteadyStateError):
+            solve_point(PARAMS, BathKind.SPIN, g, g, 1e308, 1e308)
+
 
 class TestRateMatrix:
     def test_single_bath_kernel_is_gibbs(self):
