@@ -42,11 +42,14 @@ def _check_bath(gamma, temperature):
 
 def _rates(ops, kind: BathKind, gamma: float, x, n):
     # (down, up) from x = omega/T and the occupation n, for one temperature
-    # (ops = _FLOATS) or an array of them (_arrays()), gamma > 0
+    # (ops = _FLOATS) or an array of them (_arrays(), where n is overwritten), gamma > 0
+    up = gamma * n
     if kind is BathKind.BOSON:
-        return gamma * (n + 1.0), gamma * n
+        n += 1.0
+        n *= gamma
+        return n, up
     # exp underflows gracefully to 0 for large gaps, giving down -> Gamma
-    return gamma / (ops.exp(-x) + 1.0), gamma * n
+    return gamma / (ops.exp(-x) + 1.0), up
 
 
 # The closed forms of the package are written once, over one of two
@@ -110,7 +113,8 @@ def _arrays():
             zero = np.zeros_like(temperature)
             return zero, zero
         x = omega / temperature
-        n = 1.0 / np.expm1(x) if kind is BathKind.BOSON else 1.0 / (np.exp(x) + 1.0)
+        n = np.expm1(x) if kind is BathKind.BOSON else np.exp(x) + 1.0
+        np.divide(1.0, n, out=n)
         n[x > _X_CLAMP] = 0.0
         return _rates(ops, kind, gamma, x, n)
 

@@ -3,12 +3,12 @@ and the entanglement sudden-death threshold.
 
 A single point (:func:`solve_point`) runs the float closed forms in turn
 (``solver._channels``, ``solver._state``, ``correlations._measures``),
-building only its row and importing no numpy. A grid (:func:`run_sweep`,
-:func:`rectification_scan`) is solved by ``solver.transport_kernel`` and
-``correlations.correlation_kernel`` on numpy arrays, a few thousand points
-at a time, into the one read-only float64 array that its rows are read
-from: ``correlation_kernel`` writes a sweep's populations and correlations
-in place into that array's rows.
+building only its row and importing no numpy. A grid is solved on numpy
+arrays, ``_CHUNK`` points at a time, into the one read-only float64 array
+its rows are read from: :func:`run_sweep` by ``solver.transport_kernel`` and
+``correlations.correlation_kernel``, which writes the states into that
+array's rows, and :func:`rectification_scan` by summing the channels' terms
+of the current (``solver._channel_terms``) into its rows.
 The sudden-death threshold is a closed form of its own, valid at any
 equilibrium.
 """
@@ -20,11 +20,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .baths import _FLOATS, BathKind, _check_bath
+from .baths import _FLOATS, BathKind, _arrays, _check_bath
 from .correlations import _measures, correlation_kernel
 from .model import DegeneratePhysicsError, SystemParams
-from .solver import (NonUniqueSteadyStateError, _channels, _check_populations,
-                     _current_not_finite, _state, transport_kernel)
+from .solver import (NonUniqueSteadyStateError, _channel_terms, _channels, _check_current,
+                     _check_populations, _current_not_finite, _state, transport_kernel)
 
 
 class SweepVariable(enum.Enum):
@@ -162,23 +162,37 @@ def solve_point(
                     conc, disc, mi, ccl)
 
 
+# Grids are solved _CHUNK points at a time. A 9,410-bias scan then holds at most 13
+# chunk arrays (416 KiB) besides its 221 KiB result, under the trim threshold glibc sets
+# once such a result is freed (twice the largest mmapped block freed), so the heap keeps
+# that memory for the next call instead of returning it, to be faulted in at ~2 us a page.
+_CHUNK = 4096
+
+
 def run_sweep(spec: SweepSpec) -> Sequence[SweepRow]:
     """Evaluate the sweep grid in ascending order of the sweep variable.
 
     ``np.asarray`` of the result is the (count, 11) array; it equals only itself.
     """
     import numpy as np
-    values = np.linspace(spec.lo, spec.hi, spec.count)
     out = np.empty((11, spec.count))
+    out[1] = np.linspace(spec.lo, spec.hi, spec.count)
     if spec.variable is SweepVariable.T_COMMON:
-        out[0] = out[1] = values
+        out[0] = out[1]
     elif spec.variable is SweepVariable.T_RIGHT:
-        out[0], out[1] = float(spec.t_left), values
+        out[0] = float(spec.t_left)
     else:
-        out[0], out[1] = spec.t_avg + values, spec.t_avg - values
+        out[0], out[1] = spec.t_avg + out[1], spec.t_avg - out[1]
     try:
-        _solve_grid(spec.params, spec.kind, spec.gamma_left, spec.gamma_right,
-                    out[0], out[1], out[6], out)
+        # J into row 6, the states into rows 2-5 and 7-10; where a channel can
+        # stall, J fails at all points or none (errors keep order)
+        for start in range(0, spec.count, _CHUNK):
+            part = slice(start, start + _CHUNK)
+            rates, out[6, part] = transport_kernel(spec.params, spec.kind, spec.gamma_left,
+                                                   spec.gamma_right, out[0, part], out[1, part])
+            correlation_kernel(rates, spec.params.epsilon > spec.params.kappa, start,
+                               (*out[2:6, part], *out[7:, part]))
+            del rates  # before the next chunk's are formed
     except DegeneratePhysicsError as exc:
         raise DegeneratePhysicsError(
             f"sweep aborted on the {spec.variable.value} grid: {exc}"
@@ -211,29 +225,22 @@ def rectification_scan(
     if dts.size and t_avg + float(dts.max()) == math.inf:
         raise ValueError(f"T_a + dT overflows at T_a = {t_avg}, dT = {float(dts.max())}")
     out = np.empty((3, dts.size))
-    out[0] = dts
-    # forward biases (hot left), then reversed: their currents fill out[1:] in turn
-    signed = np.concatenate((dts, -dts))
-    _solve_grid(params, kind, gamma_left, gamma_right,
-                t_avg + signed, t_avg - signed, out[1:].reshape(-1))
+    out[0], out[1:] = dts, 0.0  # calloc's zeros fault in more pages per call here
+    # forward biases (hot left), then reversed, a chunk at a time: temperatures from the
+    # slices of dts it spans, channel terms summed into out[1:], one channel's rates held
+    j, n = out[1:].reshape(-1), dts.size
+    with np.errstate(all="ignore"):
+        for start in range(0, 2 * n, _CHUNK):
+            part = slice(start, start + _CHUNK)
+            forward, reverse = dts[part], dts[max(start - n, 0):max(part.stop - n, 0)]
+            t_left = np.concatenate((t_avg + forward, t_avg - reverse))
+            t_right = np.concatenate((t_avg - forward, t_avg + reverse))
+            for channel in _channel_terms(_arrays(), params, kind, gamma_left, gamma_right,
+                                          t_left, t_right):
+                j[part] += channel[1]  # numpy skips the copy back onto the same view
+                del channel
+            _check_current(j[part], t_left, t_right)
     return _Table(RectificationPoint, out)
-
-
-# Grids are solved _CHUNK points at a time, so that the allocator reuses a
-# chunk's temporaries where a whole grid's are handed back and faulted in again.
-_CHUNK = 4096
-
-
-def _solve_grid(params, kind, gamma_left, gamma_right, t_left, t_right, j, out=None):
-    # J into j and, given a sweep's out, the states into its rows 2-5 and 7-10;
-    # where a channel can stall, J fails at all points or none (errors keep order)
-    for start in range(0, j.size, _CHUNK):
-        part = slice(start, start + _CHUNK)
-        rates, j[part] = transport_kernel(params, kind, gamma_left, gamma_right,
-                                          t_left[part], t_right[part])
-        if out is not None:
-            correlation_kernel(rates, params.epsilon > params.kappa, start,
-                               (*out[2:6, part], *out[7:, part]))
 
 
 def sudden_death_temperature(

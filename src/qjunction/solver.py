@@ -80,14 +80,15 @@ def _over_sum(ops, omega, ld, lu, rd, ru, twice_sum):
     return omega * (hi(lu, rd) / twice_sum * lo(lu, rd) - hi(ld, ru) / twice_sum * lo(ld, ru))
 
 
-def _channel_current(ops, omega, ld, lu, rd, ru):
-    # one channel's term of the heat current, and its rates as the term was
-    # formed (rescaled where they pass the ceiling); no rates give 0
-    ld, lu, rd, ru, total, scale = _rescaled(ops, ld, lu, rd, ru)
-    twice_sum = 2.0 * total
+def _channel_current(ops, omega, left, right):
+    # one channel's term of the heat current from its (down, up) pairs, and its rates
+    # as the term was formed (rescaled where they pass the ceiling); no rates give 0
+    (ld, lu), (rd, ru) = left, right
+    ld, lu, rd, ru, twice_sum, scale = _rescaled(ops, ld, lu, rd, ru)
+    twice_sum *= 2.0  # in place on a grid, as are num's steps below
     num, down = lu * rd, ld * ru
     size = num + down
-    num -= down  # in place on a grid, which allocates no further array
+    num -= down
     num *= omega
     j = ops.quotient(num, twice_sum, size, _over_sum, ops, omega, ld, lu, rd, ru, twice_sum)
     return (ld, lu, rd, ru), j if scale is None else j * scale
@@ -108,17 +109,19 @@ def _state(a_inverted, ld_a, lu_a, rd_a, ru_a, ld_b, lu_b, rd_b, ru_b):
     return fa, ga, fb, gb, fa * fb, ga * fb, fa * gb, ga * gb
 
 
+def _channel_terms(ops, params, kind, gamma_left, gamma_right, t_left, t_right):
+    # each channel's rates and term of the current, channel a first, none held once yielded
+    for omega in (abs(params.kappa - params.epsilon), params.kappa + params.epsilon):
+        yield _channel_current(ops, omega, ops.pair(kind, gamma_left, omega, t_left),
+                               ops.pair(kind, gamma_right, omega, t_right))
+
+
 def _channels(ops, params, kind, gamma_left, gamma_right, t_left, t_right):
     # transport_kernel's rates and current, unchecked; a function of its own
     # so that only the array route pays for np.errstate
-    rates, j = (), 0.0
-    for omega in (abs(params.kappa - params.epsilon), params.kappa + params.epsilon):
-        ld, lu = ops.pair(kind, gamma_left, omega, t_left)
-        rd, ru = ops.pair(kind, gamma_right, omega, t_right)
-        channel, j_channel = _channel_current(ops, omega, ld, lu, rd, ru)
-        rates += channel
-        j += j_channel
-    return rates, j
+    (rates_a, j_a), (rates_b, j_b) = _channel_terms(ops, params, kind, gamma_left,
+                                                   gamma_right, t_left, t_right)
+    return rates_a + rates_b, 0.0 + j_a + j_b
 
 
 def transport_kernel(params: SystemParams, kind: BathKind, gamma_left: float,
@@ -154,11 +157,17 @@ def transport_kernel(params: SystemParams, kind: BathKind, gamma_left: float,
     import numpy as np
     with np.errstate(all="ignore"):
         rates, j = _channels(_arrays(), params, kind, gamma_left, gamma_right, t_left, t_right)
+    _check_current(j, t_left, t_right)
+    return rates, j
+
+
+def _check_current(j, t_left, t_right):
+    # ValueError at the first point of a grid where the current is not finite
+    import numpy as np
     bad = ~np.isfinite(j)
     if bad.any():
         i = int(np.argmax(bad))
         raise _current_not_finite(float(t_left[i]), float(t_right[i]))
-    return rates, j
 
 
 def _current_not_finite(t_left, t_right):

@@ -21,8 +21,10 @@ numpy loaded already, so the tests that pin this run a fresh interpreter.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +192,77 @@ def test_rectification_scan_matches_scalar_heat_current():
             worst = max(worst, abs(point.j_forward - forward),
                         abs(point.j_reverse - reverse))
     assert worst <= TOL
+
+
+def _whole_grid_scan(params, kind, gamma_left, gamma_right, t_avg, dts):
+    """transport_kernel's currents over one grid: the forward biases, then the reversed."""
+    signed = np.concatenate((dts, -dts))
+    return solver.transport_kernel(params, kind, gamma_left, gamma_right,
+                                   t_avg + signed, t_avg - signed)[1]
+
+
+# grids whose currents (twice as many) end just before, on and just after a chunk
+# edge, fill one chunk and a half, or span four chunks with the seam inside one
+SEAM_SIZES = [experiments._CHUNK // 2 - 1, experiments._CHUNK // 2,
+              experiments._CHUNK // 2 + 1, experiments._CHUNK,
+              3 * experiments._CHUNK // 2 + 7]
+
+
+@pytest.mark.parametrize("n", SEAM_SIZES)
+def test_rectification_scan_equals_one_whole_grid_call_bit_for_bit(n):
+    # a scan forms each chunk's temperatures from the slices of the biases it
+    # spans, and sums the channels' terms into its own rows; the bits are those of
+    # one transport_kernel call on the whole forward-then-reversed grid
+    dts = np.linspace(1e-3, 1.69, n)
+    for kind in BathKind:
+        args = (SystemParams(0.2, 1.0), kind, 0.3, 2.1)
+        scan = np.asarray(rectification_scan(*args, 1.7, dts))
+        assert scan[:, 0].tobytes() == dts.tobytes()
+        assert scan[:, 1:].T.tobytes() == _whole_grid_scan(*args, 1.7, dts).tobytes()
+
+
+@pytest.mark.parametrize("n", [experiments._CHUNK // 2 + 1, 3 * experiments._CHUNK // 2 + 7])
+def test_rectification_scan_names_a_reversed_non_finite_current_as_one_call_would(n):
+    # boson rates of a 1e300 right coupling overflow once T_R passes some 1.4e8,
+    # which only the reversed biases reach, where the right bath is the hot one
+    args = (SystemParams(0.2, 1.0), BathKind.BOSON, 1.0, 1e300, 1e8, np.linspace(1e6, 9.9e7, n))
+    with pytest.raises(ValueError) as whole:
+        _whole_grid_scan(*args)
+    with pytest.raises(ValueError) as scan:
+        rectification_scan(*args)
+    assert str(scan.value) == str(whole.value)
+    t_left, t_right = re.fullmatch(r"heat current is not finite at T_L = (.+), T_R = (.+)",
+                                   str(scan.value)).groups()
+    assert float(t_left) < float(t_right)
+
+
+# Memory a grid call allocates above what its result keeps, counted by tracemalloc
+# (numpy reports its buffers to it). A grid call is meant to stay below glibc's heap
+# trim threshold (see experiments._CHUNK), so that a later call faults nothing in.
+CHUNK_ARRAY = 8 * experiments._CHUNK  # bytes of one float64 array over a chunk
+
+
+def _held_above_result(call):
+    call()  # numpy's import and the array namespace are set up by a first grid
+    tracemalloc.start()
+    try:
+        result = call()  # kept alive while the memory is read
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result) == 9410
+    return peak - kept
+
+
+@pytest.mark.parametrize("kind", list(BathKind))
+def test_a_grid_call_holds_a_bounded_working_set(kind):
+    params, dts = SystemParams(0.2, 1.0), np.linspace(1e-3, 0.99, 9410)
+    # a scan holds one chunk's temperatures and current terms and one channel's rates
+    assert _held_above_result(
+        lambda: rectification_scan(params, kind, 1.0, 0.3, 1.0, dts)) <= 13 * CHUNK_ARRAY
+    # a sweep holds a chunk's eight rates while its states are formed; 18.1 arrays
+    spec = SweepSpec(params, kind, 1.0, 0.3, SweepVariable.DELTA_T, -0.9, 0.9, 9410, t_avg=1.0)
+    assert _held_above_result(lambda: run_sweep(spec)) <= 19 * CHUNK_ARRAY
 
 
 def test_uncoupled_junction_scan_carries_no_current():

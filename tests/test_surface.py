@@ -7,7 +7,7 @@ import math
 from pathlib import Path
 
 import qjunction
-from qjunction import baths
+from qjunction import baths, correlations, solver
 
 PUBLIC = [
     "BathKind",
@@ -35,6 +35,20 @@ def test_float_and_array_namespaces_offer_the_same_operations():
     # each closed form is written once, over baths._FLOATS for a point and
     # baths._arrays() for a grid, so the two must name the same members
     assert sorted(vars(baths._FLOATS)) == sorted(vars(baths._arrays()))
+
+
+def test_shared_forms_call_no_numpy_and_pass_no_out_argument():
+    # the forms that run on floats and arrays alike work in place on a grid by
+    # augmented assignment alone, so nothing that needs numpy reaches the point route
+    forms = {baths: ["_rates"], solver: ["_rescaled", "_channel_current", "_state"],
+             correlations: ["_measures"]}
+    for module, names in forms.items():
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for name in names:
+            for node in ast.walk(defs[name]):
+                assert not (isinstance(node, ast.keyword) and node.arg == "out"), name
+                assert not (isinstance(node, ast.Name) and node.id == "np"), name
 
 
 def test_float_extrema_match_the_builtins():
