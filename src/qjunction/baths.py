@@ -108,9 +108,9 @@ def _arrays():
     import numpy as np
 
     def pair(kind, gamma, omega, temperature):
-        # _float_pair over an array of temperatures, in which T = 0 gives x = inf
+        # _float_pair over an array of temperatures (T = 0 gives x = inf), at a gap or a column
         if gamma == 0.0:
-            zero = np.zeros_like(temperature)
+            zero = np.zeros(np.broadcast_shapes(np.shape(omega), temperature.shape))
             return zero, zero
         x = omega / temperature
         n = np.expm1(x) if kind is BathKind.BOSON else np.exp(x) + 1.0
@@ -126,23 +126,30 @@ def _arrays():
         ok &= size >= _LEAST_NORMAL
         if not ok.all():
             over = ~ok
-            value[over] = fallback(*(a[over] if isinstance(a, np.ndarray) else a for a in args))
+            value[over] = fallback(*(np.broadcast_to(a, over.shape)[over]
+                                     if isinstance(a, np.ndarray) else a for a in args))
             value[den == 0.0] = 0.0
         return value
 
     def xlog2x(x):
-        # x log2 x in one new array, times 0 where x is not positive as on floats
-        y = np.log2(x)
-        np.copyto(y, 0.0, where=x <= 0.0)
+        # x log2 x in one new array; the least subnormal stands in for x = 0, where
+        # its log2 (-1074) times x gives a zero, as on floats (x is never negative here)
+        y = np.maximum(x, 5e-324)
+        np.log2(y, out=y)
         y *= x
         return y
+
+    def select(cond, if_true, if_false):
+        # if_false, with if_true written into it where cond holds
+        np.copyto(if_false, if_true, where=cond)
+        return if_false
 
     ops = SimpleNamespace(
         exp=np.exp, sqrt=np.sqrt, frexp=np.frexp, ldexp=np.ldexp,
         maximum=np.maximum, minimum=np.minimum,
         pair=pair,
         top=lambda x: x.max(initial=0.0),
-        select=np.where,
+        select=select,
         quotient=quotient,
         xlog2x=xlog2x,
     )

@@ -52,7 +52,7 @@ and scans measurement angles on 344 ``solve_point`` states.
 """
 
 from .baths import _arrays
-from .solver import NonUniqueSteadyStateError, _state
+from .solver import NonUniqueSteadyStateError, _weights
 
 
 def _measures(ops, fa, ga, fb, gb):
@@ -101,30 +101,24 @@ def correlation_kernel(rates, a_inverted: bool, offset: int, out):
 
     ``rates`` is the tuple of eight arrays returned by
     ``solver.transport_kernel`` on a grid; ``a_inverted`` is True when
-    epsilon > kappa. Writes P1..P4 (``solver._state``), then concurrence,
-    discord, mutual information and classical correlation into the eight
-    rows of ``out`` (an (8, n) array, or eight float arrays as long as the
-    rates, such as rows of a larger table), the channel weights held in the
-    last four until the measures replace them, and returns ``out``. Raises
-    ``NonUniqueSteadyStateError`` where a channel carries no rates, then
-    ``ValueError`` where a value is not finite, naming the grid point by its
-    index plus ``offset``.
+    epsilon > kappa. ``out`` is an (11, n) array, such as a block of columns
+    of a larger one, in the field order of ``experiments.SweepRow``: P1..P4,
+    the products of the channel weights (``solver._weights``), go into rows
+    2-5, and concurrence, discord, mutual information and classical
+    correlation into rows 7-10; no other row is read or written. Returns
+    ``out``. Raises ``NonUniqueSteadyStateError`` where a channel carries no
+    rates, then ``ValueError`` where a value is not finite, naming the grid
+    point by its index plus ``offset``.
     """
     import numpy as np
     with np.errstate(all="ignore"):
-        state = _state(a_inverted, *rates)
-        for row, value in zip((*out[4:], *out[:4]), state):
-            row[...] = value
-        del state
-        conc, mi, ccl, disc = _measures(_arrays(), *out[4:])
-        for row, value in zip(out[4:], (conc, disc, mi, ccl)):
-            row[...] = value
-        # finite values here are at most 2, so the sum is finite where all eight are
-        total = out[0] + out[1]
-        for row in out[2:]:
-            total += row
-        finite = np.isfinite(total)
-        if not finite.all():
+        fa, ga, fb, gb = _weights(a_inverted, *rates)
+        np.multiply(fa, fb, out=out[2])
+        np.multiply(ga, fb, out=out[3])
+        np.multiply(fa, gb, out=out[4])
+        np.multiply(ga, gb, out=out[5])
+        out[7], out[9], out[10], out[8] = _measures(_arrays(), fa, ga, fb, gb)
+        if not (np.isfinite(out[2:6]).all() and np.isfinite(out[7:]).all()):
             # a channel with no rates divided 0 by 0
             stuck = (sum(rates[:4]) == 0.0) | (sum(rates[4:]) == 0.0)
             if stuck.any():
@@ -132,6 +126,7 @@ def correlation_kernel(rates, a_inverted: bool, offset: int, out):
                     f"a channel carries no rates at grid point {offset + int(np.argmax(stuck))}; "
                     "the stationary state is not unique"
                 )
+            finite = np.isfinite(out[2:6]).all(axis=0) & np.isfinite(out[7:]).all(axis=0)
             i = offset + int(np.argmin(finite))
             raise ValueError(f"populations or correlations not finite at grid point {i}")
     return out

@@ -2,13 +2,13 @@
 and the entanglement sudden-death threshold.
 
 A single point (:func:`solve_point`) runs the float closed forms in turn
-(``solver._channels``, ``solver._state``, ``correlations._measures``),
+(``solver._channels``, ``solver._weights``, ``correlations._measures``),
 building only its row and importing no numpy. A grid is solved on numpy
-arrays, ``_CHUNK`` points at a time, into the one read-only float64 array
-its rows are read from: :func:`run_sweep` by ``solver.transport_kernel`` and
-``correlations.correlation_kernel``, which writes the states into that
-array's rows, and :func:`rectification_scan` by summing the channels' terms
-of the current (``solver._channel_terms``) into its rows.
+arrays of ``_CHUNK`` values, into the one read-only float64 array its rows
+are read from: :func:`run_sweep` by ``solver.transport_kernel`` (both
+channels at once) and ``correlations.correlation_kernel``, which writes the
+states into that array's rows, and :func:`rectification_scan` by summing
+each channel's term of the current (``solver._channel``) into its rows.
 The sudden-death threshold is a closed form of its own, valid at any
 equilibrium.
 """
@@ -23,8 +23,9 @@ from typing import NamedTuple
 from .baths import _FLOATS, BathKind, _arrays, _check_bath
 from .correlations import _measures, correlation_kernel
 from .model import DegeneratePhysicsError, SystemParams
-from .solver import (NonUniqueSteadyStateError, _channel_terms, _channels, _check_current,
-                     _check_populations, _current_not_finite, _state, transport_kernel)
+from .solver import (NonUniqueSteadyStateError, _channel, _channels, _check_current,
+                     _check_populations, _current_not_finite, _gaps, _weights,
+                     transport_kernel)
 
 
 class SweepVariable(enum.Enum):
@@ -152,20 +153,23 @@ def solve_point(
     if not math.isfinite(current):
         raise _current_not_finite(t_left, t_right)
     try:
-        fa, ga, fb, gb, p1, p2, p3, p4 = _state(params.epsilon > params.kappa, *rates)
+        fa, ga, fb, gb = _weights(params.epsilon > params.kappa, *rates)
     except ZeroDivisionError:  # of float couplings; a numpy scalar's 0/0 gives NaN
         raise NonUniqueSteadyStateError(
             "a channel carries no rates; the stationary state is not unique") from None
+    p1, p2, p3, p4 = fa * fb, ga * fb, fa * gb, ga * gb
     _check_populations((p1, p2, p3, p4))
     conc, mi, ccl, disc = _measures(_FLOATS, fa, ga, fb, gb)
     return SweepRow(float(t_left), float(t_right), p1, p2, p3, p4, current,
                     conc, disc, mi, ccl)
 
 
-# Grids are solved _CHUNK points at a time. A 9,410-bias scan then holds at most 13
-# chunk arrays (416 KiB) besides its 221 KiB result, under the trim threshold glibc sets
-# once such a result is freed (twice the largest mmapped block freed), so the heap keeps
-# that memory for the next call instead of returning it, to be faulted in at ~2 us a page.
+# Grid arrays hold _CHUNK values: a scan's chunk is _CHUNK currents, one channel at a
+# time, and a sweep's _CHUNK // 2 points, both channels at once. A 9,410-bias scan then
+# holds at most 13 chunk arrays (416 KiB) besides its 221 KiB result, and a 9,410-point
+# sweep 10 (320 KiB) besides its 809 KiB, under the trim threshold glibc sets once such
+# a result is freed (twice the largest mmapped block freed), so the heap keeps that
+# memory for the next call instead of returning it, to be faulted in at ~2 us a page.
 _CHUNK = 4096
 
 
@@ -186,12 +190,11 @@ def run_sweep(spec: SweepSpec) -> Sequence[SweepRow]:
     try:
         # J into row 6, the states into rows 2-5 and 7-10; where a channel can
         # stall, J fails at all points or none (errors keep order)
-        for start in range(0, spec.count, _CHUNK):
-            part = slice(start, start + _CHUNK)
+        for start in range(0, spec.count, _CHUNK // 2):
+            part = slice(start, start + _CHUNK // 2)
             rates, out[6, part] = transport_kernel(spec.params, spec.kind, spec.gamma_left,
                                                    spec.gamma_right, out[0, part], out[1, part])
-            correlation_kernel(rates, spec.params.epsilon > spec.params.kappa, start,
-                               (*out[2:6, part], *out[7:, part]))
+            correlation_kernel(rates, spec.params.epsilon > spec.params.kappa, start, out[:, part])
             del rates  # before the next chunk's are formed
     except DegeneratePhysicsError as exc:
         raise DegeneratePhysicsError(
@@ -235,10 +238,10 @@ def rectification_scan(
             forward, reverse = dts[part], dts[max(start - n, 0):max(part.stop - n, 0)]
             t_left = np.concatenate((t_avg + forward, t_avg - reverse))
             t_right = np.concatenate((t_avg - forward, t_avg + reverse))
-            for channel in _channel_terms(_arrays(), params, kind, gamma_left, gamma_right,
-                                          t_left, t_right):
-                j[part] += channel[1]  # numpy skips the copy back onto the same view
-                del channel
+            for omega in _gaps(params):
+                # numpy skips the copy back onto the same view
+                j[part] += _channel(_arrays(), kind, gamma_left, gamma_right, omega,
+                                    t_left, t_right)[1]
             _check_current(j[part], t_left, t_right)
     return _Table(RectificationPoint, out)
 

@@ -18,8 +18,10 @@ bath-system coherences has no closed evaluation route here and is not
 provided.
 
 :func:`transport_kernel` evaluates the eight rates and the heat current at
-one temperature pair or over a grid, building no objects; ``_state`` forms
-the channel weights and the populations from its rates, for a point or, in
+one temperature pair or over a grid, building no objects: ``_channel`` at
+each gap in turn for a point, and once at the column of both gaps for a
+grid, whose rates are then rows of (2, n) arrays. ``_weights`` forms the
+channel weights from its rates, for a point or, in
 ``correlations.correlation_kernel``, a grid. The closed forms run on floats
 or numpy arrays (``baths._FLOATS``, ``baths._arrays``); numpy is imported by
 the first grid, never by a point.
@@ -94,10 +96,10 @@ def _channel_current(ops, omega, left, right):
     return (ld, lu, rd, ru), j if scale is None else j * scale
 
 
-def _state(a_inverted, ld_a, lu_a, rd_a, ru_a, ld_b, lu_b, rd_b, ru_b):
+def _weights(a_inverted, ld_a, lu_a, rd_a, ru_a, ld_b, lu_b, rd_b, ru_b):
     # the channel weights (fa, ga, fb, gb), each its side's in-rate over its
-    # channel's total rate (divided in place on a grid), then P1..P4; a channel
-    # with no rates divides 0 by 0: ZeroDivisionError on floats, NaN on arrays
+    # channel's total rate (divided in place on a grid); a channel with no rates
+    # divides 0 by 0: ZeroDivisionError on floats, NaN on arrays
     down_a, up_a = ld_a + rd_a, lu_a + ru_a
     fa, ga = (up_a, down_a) if a_inverted else (down_a, up_a)
     fb, gb = ld_b + rd_b, lu_b + ru_b
@@ -106,22 +108,33 @@ def _state(a_inverted, ld_a, lu_a, rd_a, ru_a, ld_b, lu_b, rd_b, ru_b):
     ga /= da
     fb /= db
     gb /= db
-    return fa, ga, fb, gb, fa * fb, ga * fb, fa * gb, ga * gb
+    return fa, ga, fb, gb
 
 
-def _channel_terms(ops, params, kind, gamma_left, gamma_right, t_left, t_right):
-    # each channel's rates and term of the current, channel a first, none held once yielded
-    for omega in (abs(params.kappa - params.epsilon), params.kappa + params.epsilon):
-        yield _channel_current(ops, omega, ops.pair(kind, gamma_left, omega, t_left),
-                               ops.pair(kind, gamma_right, omega, t_right))
+def _gaps(params):
+    # channel a's gap, then channel b's
+    return abs(params.kappa - params.epsilon), params.kappa + params.epsilon
+
+
+def _channel(ops, kind, gamma_left, gamma_right, omega, t_left, t_right):
+    # one channel's rates and term of the current at the gap omega; on a grid omega
+    # may be a column of gaps, which gives a row of rates and terms per gap
+    return _channel_current(ops, omega, ops.pair(kind, gamma_left, omega, t_left),
+                            ops.pair(kind, gamma_right, omega, t_right))
 
 
 def _channels(ops, params, kind, gamma_left, gamma_right, t_left, t_right):
-    # transport_kernel's rates and current, unchecked; a function of its own
-    # so that only the array route pays for np.errstate
-    (rates_a, j_a), (rates_b, j_b) = _channel_terms(ops, params, kind, gamma_left,
-                                                   gamma_right, t_left, t_right)
-    return rates_a + rates_b, 0.0 + j_a + j_b
+    # transport_kernel's rates and current, unchecked (only the array route pays for
+    # np.errstate): channel a, then b, on floats; both at the column of gaps on arrays
+    if ops is _FLOATS:
+        gap_a, gap_b = _gaps(params)
+        rates_a, j_a = _channel(ops, kind, gamma_left, gamma_right, gap_a, t_left, t_right)
+        rates_b, j_b = _channel(ops, kind, gamma_left, gamma_right, gap_b, t_left, t_right)
+        return rates_a + rates_b, 0.0 + j_a + j_b
+    import numpy as np
+    (ld, lu, rd, ru), j = _channel(ops, kind, gamma_left, gamma_right,
+                                   np.array(_gaps(params))[:, np.newaxis], t_left, t_right)
+    return (ld[0], lu[0], rd[0], ru[0], ld[1], lu[1], rd[1], ru[1]), 0.0 + j[0] + j[1]
 
 
 def transport_kernel(params: SystemParams, kind: BathKind, gamma_left: float,

@@ -1,7 +1,7 @@
 """The kernels behind solve_point, run_sweep and rectification_scan, point against grid.
 
 A single point runs the closed forms on Python floats (``solver._channels``,
-``solver._state``, ``correlations._measures``); a grid runs the same
+``solver._weights``, ``correlations._measures``); a grid runs the same
 ones on numpy arrays through ``solver.transport_kernel`` and
 ``correlations.correlation_kernel``. The point route is the reference here. On a grid the
 channel weights and populations are sums, products and quotients of the
@@ -45,7 +45,7 @@ from qjunction import (
     run_sweep,
     solve_point,
 )
-from qjunction import cli, experiments, solver
+from qjunction import baths, cli, correlations, experiments, solver
 from qjunction.correlations import correlation_kernel
 
 TOL = 1e-12
@@ -128,26 +128,27 @@ def test_kernel_populations_equal_steady_populations_exactly():
         per_point = [solver.transport_kernel(*args, *ts)[0] for ts in temperatures]
         grid = correlation_kernel(tuple(np.array(per_point).T),
                                   spec.params.epsilon > spec.params.kappa, 0,
-                                  np.empty((8, len(temperatures))))
-        assert grid[:4].T.tolist() == [list(solve_point(*args, *ts)[2:6])
-                                       for ts in temperatures]
+                                  np.empty((11, len(temperatures))))
+        assert grid[2:6].T.tolist() == [list(solve_point(*args, *ts)[2:6])
+                                        for ts in temperatures]
 
 
 def test_correlation_kernel_writes_into_the_rows_it_is_given():
-    # run_sweep hands the kernel eight row views of its table; the kernel
-    # writes into them the bits it writes into an (8, n) array, and nothing else
+    # run_sweep hands the kernel a block of columns of its table; the kernel writes
+    # into its state rows the bits it writes into an (11, n) array, and nothing else
     temperatures = np.linspace(0.0, 3.0, 500)
+    state_rows = [2, 3, 4, 5, 7, 8, 9, 10]
     for params in (SystemParams(0.2, 1.0), SystemParams(1.0, 0.2)):
         inverted = params.epsilon > params.kappa
         for kind in BathKind:
             rates, _ = solver.transport_kernel(params, kind, 1.3, 0.4, temperatures,
                                                temperatures[::-1].copy())
             table = np.full((11, temperatures.size + 3), np.nan)
-            rows = (*table[2:6, 1:-2], *table[7:, 1:-2])
+            rows = table[:, 1:-2]
             written = correlation_kernel(rates, inverted, 0, rows)
             assert all(np.shares_memory(row, table) for row in written)
-            own = correlation_kernel(rates, inverted, 0, np.empty((8, temperatures.size)))
-            assert np.array(rows).tobytes() == own.tobytes()
+            own = correlation_kernel(rates, inverted, 0, np.empty((11, temperatures.size)))
+            assert rows[state_rows].tobytes() == own[state_rows].tobytes()
             assert np.isnan(table[[0, 1, 6]]).all()
             assert np.isnan(table[:, [0, -2, -1]]).all()
 
@@ -158,12 +159,87 @@ def test_correlation_kernel_errors_name_the_point_plus_the_offset():
     rates = [np.ones(50) for _ in range(8)]
     for rate in rates[:4]:
         rate[17] = 0.0
-    rows = tuple(np.empty((8, 50)))
+    rows = np.empty((11, 50))
     with pytest.raises(qjunction.NonUniqueSteadyStateError, match="at grid point 8209;"):
         correlation_kernel(tuple(rates), False, 8192, rows)
     rates[0][17] = math.inf
     with pytest.raises(ValueError, match="not finite at grid point 8209$"):
         correlation_kernel(tuple(rates), False, 8192, rows)
+
+
+def test_measures_leave_the_weights_they_are_given_untouched():
+    # on arrays _measures works in place only on arrays it made; the states with
+    # fa = gb include discord clamped from just below 0, zero weights and pure states
+    rng = np.random.default_rng(61)
+    f = np.concatenate(([0.0, 1.0, 0.5], rng.integers(0, 2 ** 52 + 1, 500) / 2.0 ** 52))
+    g = 1.0 - f
+    shuffled = rng.permutation(f)
+    for weights in ((f, g, shuffled, 1.0 - shuffled), (f, g, g.copy(), f.copy())):
+        before = [w.tobytes() for w in weights]
+        with np.errstate(all="ignore"):
+            conc, mi, ccl, disc = correlations._measures(baths._arrays(), *weights)
+        assert [w.tobytes() for w in weights] == before
+        assert all(np.isfinite(m).all() for m in (conc, mi, ccl, disc))
+    # the last states took the clamp
+    assert ((mi - ccl < 0.0) & (disc == 0.0)).any()
+
+
+def _unstacked_sweep(spec):
+    """run_sweep's table from one pass over the whole grid, one channel at a time:
+    ``solver._channel`` at each gap, then ``solver._weights`` and ``correlations._measures``."""
+    grid = np.linspace(spec.lo, spec.hi, spec.count)
+    if spec.variable is SweepVariable.DELTA_T:
+        t_left, t_right = spec.t_avg + grid, spec.t_avg - grid
+    else:
+        t_left, t_right = np.full(spec.count, float(spec.t_left)), grid
+    ops, table = baths._arrays(), np.empty((11, spec.count))
+    with np.errstate(all="ignore"):
+        (rates_a, j_a), (rates_b, j_b) = (
+            solver._channel(ops, spec.kind, spec.gamma_left, spec.gamma_right, omega,
+                            t_left, t_right) for omega in solver._gaps(spec.params))
+        fa, ga, fb, gb = solver._weights(spec.params.epsilon > spec.params.kappa,
+                                         *rates_a, *rates_b)
+        conc, mi, ccl, disc = correlations._measures(ops, fa, ga, fb, gb)
+    table[:] = (t_left, t_right, fa * fb, ga * fb, fa * gb, ga * gb, 0.0 + j_a + j_b,
+                conc, disc, mi, ccl)
+    return table
+
+
+# grids that end just before, on and just after a sweep's chunk edge (half a
+# chunk of points), span two chunks, or three and a bit
+SWEEP_SEAM_SIZES = [experiments._CHUNK // 2 - 1, experiments._CHUNK // 2,
+                    experiments._CHUNK // 2 + 1, experiments._CHUNK,
+                    3 * experiments._CHUNK // 2 + 7]
+
+
+@pytest.mark.parametrize("n", SWEEP_SEAM_SIZES)
+def test_run_sweep_equals_one_unstacked_whole_grid_pass_bit_for_bit(n, monkeypatch):
+    # a sweep solves both channels of a chunk at once, at a column of gaps, and
+    # writes the states into its table; the bits are those of each channel solved
+    # alone over the whole grid
+    specs = [SweepSpec(params, kind, gl, gr, SweepVariable.DELTA_T, -2.9, 2.9, n, t_avg=3.0)
+             for params in (SystemParams(0.2, 1.0), SystemParams(1.0, 0.2))
+             for kind in BathKind for gl, gr in ((1.3, 0.4), (0.0, 0.4), (1.3, 0.0))]
+    # the golden sweep_tr_rescaled_over_sum: rescaled rates, over-sum form at some points
+    over_sum = [SweepSpec(SystemParams(6.8145, 1.6143), kind, 0.2039, 10.58,
+                          SweepVariable.T_RIGHT, 0.5, 4.0, n, t_left=1e308) for kind in BathKind]
+    # where both channels' terms of the current are -0.0, J is 0.0
+    signed_zeros = SweepSpec(SystemParams(0.2, 1.0), BathKind.SPIN, 1e-300, 1e308,
+                             SweepVariable.T_RIGHT, 0.0, 3.0, n, t_left=0.0)
+    for spec in specs + over_sum + [signed_zeros]:
+        table = np.asarray(run_sweep(spec)).T
+        assert table.tobytes() == _unstacked_sweep(spec).tobytes()
+    # there, the over-sum form takes its gaps from the column, one per point it serves
+    gaps, over_sum_form = [], solver._over_sum
+
+    def recorded(ops, omega, *rates):
+        gaps.append(omega)
+        return over_sum_form(ops, omega, *rates)
+
+    monkeypatch.setattr(solver, "_over_sum", recorded)
+    run_sweep(over_sum[0])
+    assert gaps and all(isinstance(omega, np.ndarray) and omega.ndim == 1 for omega in gaps)
+    assert set(np.concatenate(gaps)) <= set(solver._gaps(over_sum[0].params))
 
 
 def _bias_scans():
@@ -260,9 +336,10 @@ def test_a_grid_call_holds_a_bounded_working_set(kind):
     # a scan holds one chunk's temperatures and current terms and one channel's rates
     assert _held_above_result(
         lambda: rectification_scan(params, kind, 1.0, 0.3, 1.0, dts)) <= 13 * CHUNK_ARRAY
-    # a sweep holds a chunk's eight rates while its states are formed; 18.1 arrays
+    # a sweep holds half a chunk's points of both channels: its rates while its
+    # weights and measures are formed; 9.1 arrays
     spec = SweepSpec(params, kind, 1.0, 0.3, SweepVariable.DELTA_T, -0.9, 0.9, 9410, t_avg=1.0)
-    assert _held_above_result(lambda: run_sweep(spec)) <= 19 * CHUNK_ARRAY
+    assert _held_above_result(lambda: run_sweep(spec)) <= 10 * CHUNK_ARRAY
 
 
 def test_uncoupled_junction_scan_carries_no_current():

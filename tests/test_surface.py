@@ -40,7 +40,7 @@ def test_float_and_array_namespaces_offer_the_same_operations():
 def test_shared_forms_call_no_numpy_and_pass_no_out_argument():
     # the forms that run on floats and arrays alike work in place on a grid by
     # augmented assignment alone, so nothing that needs numpy reaches the point route
-    forms = {baths: ["_rates"], solver: ["_rescaled", "_channel_current", "_state"],
+    forms = {baths: ["_rates"], solver: ["_rescaled", "_channel_current", "_weights"],
              correlations: ["_measures"]}
     for module, names in forms.items():
         tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
