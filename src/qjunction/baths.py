@@ -40,16 +40,14 @@ def _check_bath(gamma, temperature):
     return float(gamma)
 
 
-def _rates(ops, kind: BathKind, gamma: float, x, n):
-    # (down, up) from x = omega/T and the occupation n, for one temperature
-    # (ops = _FLOATS) or an array of them (_arrays(), where n is overwritten), gamma > 0
+def _rates(kind: BathKind, gamma: float, n, base):
+    # (down, up), gamma > 0, from the occupation n and down's part free of gamma, base:
+    # n + 1 (boson) or e^{-x} + 1 (spin). Neither is changed: a scan's two baths share them
     up = gamma * n
     if kind is BathKind.BOSON:
-        n += 1.0
-        n *= gamma
-        return n, up
-    # exp underflows gracefully to 0 for large gaps, giving down -> Gamma
-    return gamma / (ops.exp(-x) + 1.0), up
+        return base * gamma, up
+    # base -> 1 for large gaps (exp(-x) underflows gracefully), giving down -> Gamma
+    return gamma / base, up
 
 
 # The closed forms of the package are written once, over one of two
@@ -80,18 +78,19 @@ def _float_pair(kind, gamma, omega, temperature):
         return gamma, 0.0
     x = omega / temperature
     if x > _X_CLAMP:
-        n = 0.0
+        n, base = 0.0, 1.0  # e^{-x} + 1 is 1.0 from x = 37 on
     elif kind is BathKind.BOSON:
         if x == 0.0:
             raise ValueError(f"omega/T underflows to 0 at omega = {omega}, T = {temperature}")
         n = 1.0 / math.expm1(x)
+        base = n + 1.0
     else:
-        n = 1.0 / (math.exp(x) + 1.0)
-    return _rates(_FLOATS, kind, gamma, x, n)
+        n, base = 1.0 / (math.exp(x) + 1.0), math.exp(-x) + 1.0
+    return _rates(kind, gamma, n, base)
 
 
 _FLOATS = SimpleNamespace(
-    exp=math.exp, sqrt=math.sqrt, frexp=math.frexp, ldexp=math.ldexp,
+    sqrt=math.sqrt, frexp=math.frexp, ldexp=math.ldexp,
     # max and min of two with the builtins' choice: the first unless the second is greater (less)
     maximum=lambda a, b: b if b > a else a, minimum=lambda a, b: b if b < a else a,
     pair=_float_pair,
@@ -102,21 +101,27 @@ _FLOATS = SimpleNamespace(
 )
 
 
+def _occupation(kind: BathKind, x):
+    # n and base (see _rates) over an array x = omega/T (inf where T = 0), base in x's memory
+    import numpy as np
+    n = np.expm1(x) if kind is BathKind.BOSON else np.exp(x) + 1.0
+    np.divide(1.0, n, out=n)
+    n[x > _X_CLAMP] = 0.0
+    if kind is BathKind.BOSON:
+        return n, np.add(n, 1.0, out=x)
+    return n, np.add(np.exp(np.negative(x, out=x), out=x), 1.0, out=x)
+
+
+def _pair(kind: BathKind, gamma: float, n, base):
+    # _rates over arrays, or zeros of their shape where gamma = 0
+    import numpy as np
+    return _rates(kind, gamma, n, base) if gamma else (np.zeros(n.shape),) * 2
+
+
 @functools.cache
 def _arrays():
     # the numpy namespace, built once
     import numpy as np
-
-    def pair(kind, gamma, omega, temperature):
-        # _float_pair over an array of temperatures (T = 0 gives x = inf), at a gap or a column
-        if gamma == 0.0:
-            zero = np.zeros(np.broadcast_shapes(np.shape(omega), temperature.shape))
-            return zero, zero
-        x = omega / temperature
-        n = np.expm1(x) if kind is BathKind.BOSON else np.exp(x) + 1.0
-        np.divide(1.0, n, out=n)
-        n[x > _X_CLAMP] = 0.0
-        return _rates(ops, kind, gamma, x, n)
 
     def quotient(num, den, size, fallback, *args):
         # _float_quotient over arrays, written into num, for a size that is 0
@@ -145,9 +150,12 @@ def _arrays():
         return if_false
 
     ops = SimpleNamespace(
-        exp=np.exp, sqrt=np.sqrt, frexp=np.frexp, ldexp=np.ldexp,
+        sqrt=np.sqrt, frexp=np.frexp, ldexp=np.ldexp,
         maximum=np.maximum, minimum=np.minimum,
-        pair=pair,
+        # _float_pair over an array of temperatures, at a gap or a column of them; an
+        # uncoupled bath forms no occupation (x stands in, and _pair reads its shape)
+        pair=lambda kind, gamma, omega, temperature: _pair(kind, gamma, *(_occupation(
+            kind, omega / temperature) if gamma else (omega / temperature,) * 2)),
         top=lambda x: x.max(initial=0.0),
         select=select,
         quotient=quotient,

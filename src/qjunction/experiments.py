@@ -3,14 +3,14 @@ and the entanglement sudden-death threshold.
 
 A single point (:func:`solve_point`) runs the float closed forms in turn
 (``solver._channels``, ``solver._weights``, ``correlations._measures``),
-building only its row and importing no numpy. A grid is solved on numpy
-arrays of ``_CHUNK`` values, into the one read-only float64 array its rows
-are read from: :func:`run_sweep` by ``solver.transport_kernel`` (both
-channels at once) and ``correlations.correlation_kernel``, which writes the
-states into that array's rows, and :func:`rectification_scan` by summing
-each channel's term of the current (``solver._channel``) into its rows.
-The sudden-death threshold is a closed form of its own, valid at any
-equilibrium.
+building only its row, importing no numpy. A grid is solved on numpy arrays of
+``_CHUNK`` values, into the one read-only float64 array its rows are read from,
+both channels at once: :func:`run_sweep` by ``solver.transport_kernel`` and
+``correlations.correlation_kernel``, which writes the states into that array's
+rows, and :func:`rectification_scan` by ``solver._channel_current`` on the
+rates of both baths, under both biases, from one occupation per chunk
+(``baths._occupation``). The sudden-death threshold is a closed form, valid at
+any equilibrium.
 """
 
 import enum
@@ -20,11 +20,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .baths import _FLOATS, BathKind, _arrays, _check_bath
+from .baths import _FLOATS, BathKind, _arrays, _check_bath, _occupation, _pair
 from .correlations import _measures, correlation_kernel
 from .model import DegeneratePhysicsError, SystemParams
-from .solver import (NonUniqueSteadyStateError, _channel, _channels, _check_current,
-                     _check_populations, _current_not_finite, _gaps, _weights,
+from .solver import (NonUniqueSteadyStateError, _channel_current, _channels,
+                     _check_current, _check_populations, _current_not_finite, _gaps, _weights,
                      transport_kernel)
 
 
@@ -164,13 +164,24 @@ def solve_point(
                     conc, disc, mi, ccl)
 
 
-# Grid arrays hold _CHUNK values: a scan's chunk is _CHUNK currents, one channel at a
-# time, and a sweep's _CHUNK // 2 points, both channels at once. A 9,410-bias scan then
-# holds at most 13 chunk arrays (416 KiB) besides its 221 KiB result, and a 9,410-point
-# sweep 10 (320 KiB) besides its 809 KiB, under the trim threshold glibc sets once such
-# a result is freed (twice the largest mmapped block freed), so the heap keeps that
-# memory for the next call instead of returning it, to be faulted in at ~2 us a page.
+# Grid arrays hold _CHUNK values: a sweep's chunk is _CHUNK // 2 points, a scan's _CHUNK // 4
+# biases, forward and reversed, both channels at once. A 9,410-point call then holds at
+# most 10 chunk arrays (320 KiB) besides its result (221 KiB for a scan, 809 for a sweep),
+# under glibc's trim threshold (twice the largest mmapped block freed), so the heap keeps
+# that memory for the next call rather than faulting it in again at ~2 us a page.
 _CHUNK = 4096
+
+
+def _fill_grid(row, lo, hi):
+    # np.linspace(lo, hi, row.size), row.size >= 2, in numpy's arithmetic without its fixed
+    # cost: i * step + lo (i / 1.0 is i), or i / (n - 1) * (hi - lo) + lo where step is 0
+    import numpy as np
+    lo, hi, div = float(lo), float(hi), row.size - 1
+    step = (hi - lo) / div
+    np.divide(np.arange(row.size, dtype=float), 1.0 if step else div, out=row)
+    row *= step or hi - lo
+    row += lo
+    row[-1] = hi
 
 
 def run_sweep(spec: SweepSpec) -> Sequence[SweepRow]:
@@ -180,7 +191,7 @@ def run_sweep(spec: SweepSpec) -> Sequence[SweepRow]:
     """
     import numpy as np
     out = np.empty((11, spec.count))
-    out[1] = np.linspace(spec.lo, spec.hi, spec.count)
+    _fill_grid(out[1], spec.lo, spec.hi)
     if spec.variable is SweepVariable.T_COMMON:
         out[0] = out[1]
     elif spec.variable is SweepVariable.T_RIGHT:
@@ -211,38 +222,44 @@ def rectification_scan(
     t_avg: float,
     delta_ts,
 ) -> Sequence[RectificationPoint]:
-    """Forward/reversed currents over a grid of biases dT in (0, T_a).
+    """Forward/reversed currents over a 1-D grid of biases dT in (0, T_a).
 
     The junction rectifies when |j_reverse| differs from |j_forward|; with
     equal couplings the two magnitudes coincide identically. ``np.asarray``
-    of the result is the (n, 3) array, dT copied; it equals only itself.
+    of the result is the (n, 3) array, dT copied; it equals only itself. Its
+    currents, and the point a current that is not finite is named at, are
+    those of one ``transport_kernel`` call on the forward, then reversed, grid.
     """
     if not 0.0 < t_avg < math.inf:
         raise ValueError(f"t_avg must be positive and finite, got {t_avg}")
     _check_couplings(gamma_left, gamma_right)
     import numpy as np
     dts = np.asarray(delta_ts, dtype=float)
-    outside = ~((dts > 0.0) & (dts < t_avg))
-    if outside.any():
-        raise ValueError(f"bias {float(dts[np.argmax(outside)])} outside (0, {t_avg})")
-    if dts.size and t_avg + float(dts.max()) == math.inf:
-        raise ValueError(f"T_a + dT overflows at T_a = {t_avg}, dT = {float(dts.max())}")
+    if dts.ndim != 1:
+        raise ValueError(f"biases must form a 1-D grid, got shape {dts.shape}")
+    lo, hi = float(dts.min(initial=math.inf)), float(dts.max(initial=-math.inf))
+    if not (lo > 0.0 and hi < t_avg):  # NaN fails both tests
+        bias = float(dts[np.argmax(~((dts > 0.0) & (dts < t_avg)))])
+        raise ValueError(f"bias {bias} outside (0, {t_avg})")
+    if t_avg + hi == math.inf:
+        raise ValueError(f"T_a + dT overflows at T_a = {t_avg}, dT = {hi}")
     out = np.empty((3, dts.size))
     out[0], out[1:] = dts, 0.0  # calloc's zeros fault in more pages per call here
-    # forward biases (hot left), then reversed, a chunk at a time: temperatures from the
-    # slices of dts it spans, channel terms summed into out[1:], one channel's rates held
-    j, n = out[1:].reshape(-1), dts.size
+    # per chunk, one occupation at each gap over (T_a + dT, T_a - dT), read by both baths
+    gaps, sides = np.array(_gaps(params))[:, None, None], np.array([[1.0], [-1.0]])
     with np.errstate(all="ignore"):
-        for start in range(0, 2 * n, _CHUNK):
-            part = slice(start, start + _CHUNK)
-            forward, reverse = dts[part], dts[max(start - n, 0):max(part.stop - n, 0)]
-            t_left = np.concatenate((t_avg + forward, t_avg - reverse))
-            t_right = np.concatenate((t_avg - forward, t_avg + reverse))
-            for omega in _gaps(params):
-                # numpy skips the copy back onto the same view
-                j[part] += _channel(_arrays(), kind, gamma_left, gamma_right, omega,
-                                    t_left, t_right)[1]
-            _check_current(j[part], t_left, t_right)
+        for start in range(0, dts.size, _CHUNK // 4):
+            part = slice(start, start + _CHUNK // 4)
+            occ, base = _occupation(kind, gaps / (t_avg + sides * dts[part]))
+            left = _pair(kind, gamma_left, occ, base)
+            right = _pair(kind, gamma_right, occ[:, ::-1], base[:, ::-1])  # sides swapped
+            del occ, base
+            for term in _channel_current(_arrays(), gaps, left, right)[1]:  # a's, then b's
+                out[1:, part] += term  # numpy skips the copy back onto the same view
+            del left, right, term  # before the next chunk's are formed
+        if not np.isfinite(out[1:]).all():  # named as one call on the forward, then reversed grid
+            signed = np.concatenate((dts, -dts))
+            _check_current(out[1:].reshape(-1), t_avg + signed, t_avg - signed)
     return _Table(RectificationPoint, out)
 
 

@@ -165,6 +165,33 @@ class TestSweepSpecValidation:
                       lo=0.1, hi=1.0, count=5)
 
 
+class TestSweepGrid:
+    def test_grid_equals_linspace_bit_for_bit(self):
+        # run_sweep writes numpy's linspace arithmetic straight into its table
+        rng = np.random.default_rng(2024)
+        grids = [(0.0, 5e-324, 3), (0.0, 5e-324, 2), (1.0, math.nextafter(1.0, 2.0), 5),
+                 (-1.0, math.nextafter(-1.0, 0.0), 7), (0.0, 1.0, 2), (1e308, 1.7e308, 9)]
+        while len(grids) < 20_000:
+            # ends of any sign and size, some a few ulp apart, some far apart
+            lo = float(rng.choice([0.0, -1.0, 1.0])) * 10.0 ** rng.uniform(-320.0, 300.0)
+            scale = abs(lo) or 10.0 ** rng.uniform(-320.0, 300.0)
+            hi = lo + scale * 10.0 ** rng.uniform(-16.0, 5.0)
+            if lo < hi < math.inf:
+                grids.append((lo, hi, int(rng.choice([2, 3, rng.integers(2, 100),
+                                                      rng.integers(2, 2000)]))))
+        for lo, hi, count in grids:
+            row = np.empty(count)
+            experiments._fill_grid(row, lo, hi)
+            assert row.tobytes() == np.linspace(lo, hi, count).tobytes(), (lo, hi, count)
+
+    def test_sweep_rows_carry_the_linspace_grid(self):
+        table = np.asarray(run_sweep(equilibrium_spec(lo=0.05, hi=3.0, count=61)))
+        assert table[:, 1].tobytes() == np.linspace(0.05, 3.0, 61).tobytes()
+        # the step underflows to 0 here: numpy divides by 2, then multiplies by the span
+        rows = run_sweep(equilibrium_spec(lo=0.0, hi=5e-324, count=3))
+        assert [row.t_left for row in rows] == [0.0, 0.0, 5e-324]
+
+
 class TestRectification:
     def test_symmetric_junction_mirrors_exactly(self):
         points = rectification_scan(PARAMS, BathKind.BOSON, 1.0, 1.0, 1.0,
@@ -189,12 +216,31 @@ class TestRectification:
             with pytest.raises(ValueError):
                 rectification_scan(PARAMS, BathKind.BOSON, 1.0, 1.0, 1.0, [bad])
 
+    @pytest.mark.parametrize("dts, message", [
+        ([0.5, math.nan, 2.0], "bias nan outside (0, 1.0)"),
+        ([0.5, 0.0], "bias 0.0 outside (0, 1.0)"),
+        ([0.5, 1.0, -0.2], "bias 1.0 outside (0, 1.0)"),
+        ([-0.0], "bias -0.0 outside (0, 1.0)"),
+        ([0.3, math.inf], "bias inf outside (0, 1.0)"),
+    ])
+    def test_rejected_bias_is_the_first_outside_the_window(self, dts, message):
+        with pytest.raises(ValueError) as excinfo:
+            rectification_scan(PARAMS, BathKind.BOSON, 1.0, 1.0, 1.0, dts)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("dts, shape", [(0.5, "()"), ([[0.1, 0.2], [0.3, 0.4]], "(2, 2)")])
+    def test_rejects_a_bias_grid_that_is_not_one_dimensional(self, dts, shape):
+        with pytest.raises(ValueError) as excinfo:
+            rectification_scan(PARAMS, BathKind.BOSON, 1.0, 1.0, 1.0, dts)
+        assert str(excinfo.value) == f"biases must form a 1-D grid, got shape {shape}"
+
     @pytest.mark.parametrize("kind", list(BathKind))
     def test_rejects_bias_whose_hot_side_overflows(self, kind):
         # T_a + dT = inf: boson rates would not be finite, and spin rates would
         # give J = 0.0 at an infinite temperature
-        with pytest.raises(ValueError, match="overflows"):
+        with pytest.raises(ValueError) as excinfo:
             rectification_scan(PARAMS, kind, 1.0, 1.0, 1e308, np.linspace(1e307, 9e307, 5))
+        assert str(excinfo.value) == "T_a + dT overflows at T_a = 1e+308, dT = 9e+307"
 
 
 class TestSuddenDeath:

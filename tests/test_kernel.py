@@ -244,16 +244,14 @@ def test_run_sweep_equals_one_unstacked_whole_grid_pass_bit_for_bit(n, monkeypat
 
 def _bias_scans():
     """(system, T_a, biases, indices to check) of a scan per CASES sweep, then
-    one whose forward and reversed points together span four chunks."""
+    one whose biases span four chunks, checked at every point."""
     for spec in CASES:
         t_avg = spec.t_avg if spec.t_avg is not None else spec.hi
         args = (spec.params, spec.kind, spec.gamma_left, spec.gamma_right)
         yield args, t_avg, np.linspace(0.01 * t_avg, 0.99 * t_avg, 23), range(23)
-    n = 3 * experiments._CHUNK // 2 + 7
-    # the currents run forward then reversed, so chunk edges fall on both halves
-    picks = sorted({i % n for i in _chunk_edges(2 * n)})
+    n = 3 * experiments._CHUNK // 4 + 7
     yield ((SystemParams(0.2, 1.0), BathKind.BOSON, 0.3, 2.1), 1.7,
-           np.linspace(1e-3, 1.69, n), picks)
+           np.linspace(1e-3, 1.69, n), range(n))
 
 
 def test_rectification_scan_matches_scalar_heat_current():
@@ -277,24 +275,36 @@ def _whole_grid_scan(params, kind, gamma_left, gamma_right, t_avg, dts):
                                    t_avg + signed, t_avg - signed)[1]
 
 
-# grids whose currents (twice as many) end just before, on and just after a chunk
-# edge, fill one chunk and a half, or span four chunks with the seam inside one
-SEAM_SIZES = [experiments._CHUNK // 2 - 1, experiments._CHUNK // 2,
+# grids that end just before, on and just after a scan's chunk edge (a quarter of a
+# chunk of biases, each solved forward and reversed at both gaps), span two chunks, or
+# three and a bit; then the same around twice and four times as many biases
+SEAM_SIZES = [experiments._CHUNK // 4 - 1, experiments._CHUNK // 4,
+              experiments._CHUNK // 4 + 1, experiments._CHUNK // 2,
+              3 * experiments._CHUNK // 4 + 7, experiments._CHUNK // 2 - 1,
               experiments._CHUNK // 2 + 1, experiments._CHUNK,
               3 * experiments._CHUNK // 2 + 7]
 
 
 @pytest.mark.parametrize("n", SEAM_SIZES)
 def test_rectification_scan_equals_one_whole_grid_call_bit_for_bit(n):
-    # a scan forms each chunk's temperatures from the slices of the biases it
-    # spans, and sums the channels' terms into its own rows; the bits are those of
-    # one transport_kernel call on the whole forward-then-reversed grid
-    dts = np.linspace(1e-3, 1.69, n)
-    for kind in BathKind:
-        args = (SystemParams(0.2, 1.0), kind, 0.3, 2.1)
-        scan = np.asarray(rectification_scan(*args, 1.7, dts))
+    # a scan forms one occupation per gap and side (T_a + dT, T_a - dT) that both baths
+    # read, the right one with the sides swapped, solves both channels in one pass and
+    # sums their terms into its own rows; the bits are those of one transport_kernel
+    # call on the whole forward-then-reversed grid
+    scans = [((params, kind, gl, gr), 1.7, np.linspace(1e-3, 1.69, n))
+             for params in (SystemParams(0.2, 1.0), SystemParams(1.0, 0.2))
+             for kind in BathKind for gl, gr in ((0.3, 2.1), (0.0, 2.1), (0.3, 0.0))]
+    # the golden rect_spin_huge_couplings: rates rescaled by a power of two
+    scans.append(((SystemParams(0.2, 1.0), BathKind.SPIN, 1e300, 1e300), 1.0,
+                  np.linspace(0.1, 0.9, n)))
+    # the left bath's up rates vanish (omega/T_L > 700) under most reversed biases, where
+    # both channels' terms are -0.0 and J is 0.0
+    scans += [((SystemParams(0.2, 1.0), kind, 1e-300, 1e308), 1.5e-3,
+               np.linspace(1e-4, 1.4e-3, n)) for kind in BathKind]
+    for args, t_avg, dts in scans:
+        scan = np.asarray(rectification_scan(*args, t_avg, dts))
         assert scan[:, 0].tobytes() == dts.tobytes()
-        assert scan[:, 1:].T.tobytes() == _whole_grid_scan(*args, 1.7, dts).tobytes()
+        assert scan[:, 1:].T.tobytes() == _whole_grid_scan(*args, t_avg, dts).tobytes(), args
 
 
 @pytest.mark.parametrize("n", [experiments._CHUNK // 2 + 1, 3 * experiments._CHUNK // 2 + 7])
@@ -310,6 +320,23 @@ def test_rectification_scan_names_a_reversed_non_finite_current_as_one_call_woul
     t_left, t_right = re.fullmatch(r"heat current is not finite at T_L = (.+), T_R = (.+)",
                                    str(scan.value)).groups()
     assert float(t_left) < float(t_right)
+
+
+@pytest.mark.parametrize("n", [experiments._CHUNK // 4 + 1, 3 * experiments._CHUNK // 4 + 7])
+def test_rectification_scan_names_a_forward_failure_in_a_later_chunk_first(n):
+    # with T_a = 1e8, a 1e300 right coupling overflows the reversed currents from
+    # dT ~ 4.4e7 on, and a 8e299 left one the forward currents from dT ~ 8.0e7 on.
+    # The first chunk holds a reversed failure only and the last chunk a forward
+    # one; one call on the forward-then-reversed grid names the forward one
+    dts = np.full(n, 1e6)
+    dts[3], dts[-1] = 6e7, 9e7
+    args = (SystemParams(0.2, 1.0), BathKind.BOSON, 8e299, 1e300, 1e8, dts)
+    with pytest.raises(ValueError) as whole:
+        _whole_grid_scan(*args)
+    with pytest.raises(ValueError) as scan:
+        rectification_scan(*args)
+    assert str(scan.value) == str(whole.value)
+    assert str(scan.value) == "heat current is not finite at T_L = 190000000.0, T_R = 10000000.0"
 
 
 # Memory a grid call allocates above what its result keeps, counted by tracemalloc
@@ -333,9 +360,10 @@ def _held_above_result(call):
 @pytest.mark.parametrize("kind", list(BathKind))
 def test_a_grid_call_holds_a_bounded_working_set(kind):
     params, dts = SystemParams(0.2, 1.0), np.linspace(1e-3, 0.99, 9410)
-    # a scan holds one chunk's temperatures and current terms and one channel's rates
+    # a scan holds a quarter of a chunk's biases, forward and reversed, of both channels:
+    # their occupations while their rates are formed, then their rates; 9.1 arrays
     assert _held_above_result(
-        lambda: rectification_scan(params, kind, 1.0, 0.3, 1.0, dts)) <= 13 * CHUNK_ARRAY
+        lambda: rectification_scan(params, kind, 1.0, 0.3, 1.0, dts)) <= 10 * CHUNK_ARRAY
     # a sweep holds half a chunk's points of both channels: its rates while its
     # weights and measures are formed; 9.1 arrays
     spec = SweepSpec(params, kind, 1.0, 0.3, SweepVariable.DELTA_T, -0.9, 0.9, 9410, t_avg=1.0)
