@@ -10,9 +10,9 @@ toward the lower level, ``up`` excites against the gap. With x = omega/T,
 a boson bath has occupation n_B = 1/(e^x - 1), down = Gamma (n_B + 1) and
 up = Gamma n_B; a spin bath has n_S = 1/(e^x + 1), bounded by 1/2, down =
 Gamma / (e^{-x} + 1) and up = Gamma n_S. Both kinds obey detailed balance,
-down/up = e^x. At T = 0, or where x passes the floating-point exponent
-range, the occupation takes its zero-temperature limit 0. Temperatures and
-couplings must be nonnegative and finite.
+down/up = e^x. At T = 0 the occupation takes its zero-temperature limit 0,
+as it does where e^x overflows (x past 709.78): n = 1/inf = 0. Temperatures
+and couplings must be nonnegative and finite.
 """
 
 import enum
@@ -20,16 +20,14 @@ import functools
 import math
 from types import SimpleNamespace
 
-# exp(x) overflows IEEE doubles near x ~ 709; past this the occupation is
-# indistinguishable from its zero-temperature limit
-_X_CLAMP = 700.0
-# the least normal float: below it a product has lost bits, or all of them
-_LEAST_NORMAL = 2.0 ** -1022
-
 
 class BathKind(enum.Enum):
     BOSON = "boson"
     SPIN = "spin"
+
+
+# kinds are compared against this global: a lookup through the class costs ten times more
+_BOSON = BathKind.BOSON
 
 
 def _check_bath(gamma, temperature):
@@ -44,7 +42,7 @@ def _rates(kind: BathKind, gamma: float, n, base):
     # (down, up), gamma > 0, from the occupation n and down's part free of gamma, base:
     # n + 1 (boson) or e^{-x} + 1 (spin). Neither is changed: a scan's two baths share them
     up = gamma * n
-    if kind is BathKind.BOSON:
+    if kind is _BOSON:
         return base * gamma, up
     # base -> 1 for large gaps (exp(-x) underflows gracefully), giving down -> Gamma
     return gamma / base, up
@@ -60,16 +58,6 @@ def _rates(kind: BathKind, gamma: float, n, base):
 # np.errstate(all="ignore").
 
 
-def _float_quotient(num, den, size, fallback, ops, omega, ld, lu, rd, ru, twice_sum):
-    # num / den, 0 where den is 0, and fallback(...) where num / den is not finite or
-    # size (lu rd + ld ru) is below the least normal float and not exactly 0 + 0
-    if not den:
-        return 0.0
-    value = num / den
-    ok = math.isfinite(value) and (size >= _LEAST_NORMAL or not (lu and rd or ld and ru))
-    return value if ok else fallback(ops, omega, ld, lu, rd, ru, twice_sum)
-
-
 def _float_pair(kind, gamma, omega, temperature):
     # one bath's (down, up) at one temperature, for a gap omega > 0
     if gamma == 0.0:
@@ -77,15 +65,16 @@ def _float_pair(kind, gamma, omega, temperature):
     if temperature == 0.0:
         return gamma, 0.0
     x = omega / temperature
-    if x > _X_CLAMP:
-        n, base = 0.0, 1.0  # e^{-x} + 1 is 1.0 from x = 37 on
-    elif kind is BathKind.BOSON:
-        if x == 0.0:
-            raise ValueError(f"omega/T underflows to 0 at omega = {omega}, T = {temperature}")
-        n = 1.0 / math.expm1(x)
-        base = n + 1.0
-    else:
-        n, base = 1.0 / (math.exp(x) + 1.0), math.exp(-x) + 1.0
+    try:
+        if kind is _BOSON:
+            if x == 0.0:  # a ValueError, which the handler below lets through
+                raise ValueError(f"omega/T underflows to 0 at omega = {omega}, T = {temperature}")
+            n = 1.0 / math.expm1(x)
+            base = n + 1.0
+        else:
+            n, base = 1.0 / (math.exp(x) + 1.0), math.exp(-x) + 1.0
+    except OverflowError:  # numpy's value: 1/inf is 0, and e^{-x} + 1 is 1.0 from x = 37 on
+        n, base = 0.0, 1.0
     return _rates(kind, gamma, n, base)
 
 
@@ -96,7 +85,6 @@ _FLOATS = SimpleNamespace(
     pair=_float_pair,
     top=lambda x: x,  # the value tested against the rescaling ceiling
     select=lambda cond, if_true, if_false: if_true if cond else if_false,
-    quotient=_float_quotient,
     xlog2x=lambda x: x * math.log2(x) if x > 0.0 else 0.0,
 )
 
@@ -104,10 +92,9 @@ _FLOATS = SimpleNamespace(
 def _occupation(kind: BathKind, x):
     # n and base (see _rates) over an array x = omega/T (inf where T = 0), base in x's memory
     import numpy as np
-    n = np.expm1(x) if kind is BathKind.BOSON else np.exp(x) + 1.0
+    n = np.expm1(x) if kind is _BOSON else np.exp(x) + 1.0
     np.divide(1.0, n, out=n)
-    n[x > _X_CLAMP] = 0.0
-    if kind is BathKind.BOSON:
+    if kind is _BOSON:
         return n, np.add(n, 1.0, out=x)
     return n, np.add(np.exp(np.negative(x, out=x), out=x), 1.0, out=x)
 
@@ -122,19 +109,6 @@ def _pair(kind: BathKind, gamma: float, n, base):
 def _arrays():
     # the numpy namespace, built once
     import numpy as np
-
-    def quotient(num, den, size, fallback, *args):
-        # _float_quotient over arrays, written into num, for a size that is 0
-        # where den is 0; exact zero products take the fallback here too
-        value = np.divide(num, den, out=num)
-        ok = np.isfinite(value)
-        ok &= size >= _LEAST_NORMAL
-        if not ok.all():
-            over = ~ok
-            value[over] = fallback(*(np.broadcast_to(a, over.shape)[over]
-                                     if isinstance(a, np.ndarray) else a for a in args))
-            value[den == 0.0] = 0.0
-        return value
 
     def xlog2x(x):
         # x log2 x in one new array; the least subnormal stands in for x = 0, where
@@ -158,7 +132,6 @@ def _arrays():
             kind, omega / temperature) if gamma else (omega / temperature,) * 2)),
         top=lambda x: x.max(initial=0.0),
         select=select,
-        quotient=quotient,
         xlog2x=xlog2x,
     )
     return ops

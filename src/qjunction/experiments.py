@@ -234,7 +234,10 @@ def rectification_scan(
         raise ValueError(f"t_avg must be positive and finite, got {t_avg}")
     _check_couplings(gamma_left, gamma_right)
     import numpy as np
-    dts = np.asarray(delta_ts, dtype=float)
+    dts = np.asarray(delta_ts)
+    if dts.dtype.kind == "c":  # a cast to float would drop the imaginary parts
+        raise ValueError(f"biases must be real, got dtype {dts.dtype}")
+    dts = dts.astype(float, copy=False)
     if dts.ndim != 1:
         raise ValueError(f"biases must form a 1-D grid, got shape {dts.shape}")
     lo, hi = float(dts.min(initial=math.inf)), float(dts.max(initial=-math.inf))

@@ -45,19 +45,13 @@ def _check_populations(vals):
         raise ValueError(f"populations do not sum to 1: {vals}")
 
 
-# A channel's rates are summed, doubled and multiplied in pairs. Where their
-# sum passes 2**_TOP_EXPONENT (only at temperatures or couplings near the
-# float ceiling) they are first divided by the least power of two that brings
-# the largest, a down rate, below it, so that the sum of all four, doubled,
-# stays finite. A power of two divides exactly in binary: ratios of rates,
+# A channel's rates are summed, and each product of two is formed over that
+# sum. Where it passes 2**_TOP_EXPONENT (only at temperatures or couplings near
+# the float ceiling) they are first divided by the least power of two that
+# brings the largest, a down rate, below it, so that the sum of all four stays
+# finite. A power of two divides exactly in binary: ratios of rates,
 # hence the populations, are unchanged, and the heat current is multiplied
 # back by the same power. Inputs below the ceiling take no rescaling at all.
-# Where omega times a product of two rates still overflows, the current is
-# formed as in _over_sum instead, which forms no such product. So it is too
-# where the two products sum to less than the least normal float (couplings
-# near 1e-154 and below): there they have lost bits, or all of them. Where
-# they sum to more, a product below it is off by at most 2**-1075, no more
-# than the rounding of a normal product.
 _TOP_EXPONENT = 1020
 _RATE_CEILING = 2.0 ** _TOP_EXPONENT
 
@@ -73,26 +67,25 @@ def _rescaled(ops, ld, lu, rd, ru):
     return ld, lu, rd, ru, lu + rd + ld + ru, scale
 
 
-def _over_sum(ops, omega, ld, lu, rd, ru, twice_sum):
-    # omega (lu rd - ld ru) / twice_sum with each product formed as its larger
-    # rate over twice_sum (at most 1/2) times its smaller rate: nothing
-    # overflows unless the term itself does, and no rate is divided down
-    # towards zero
-    hi, lo = ops.maximum, ops.minimum
-    return omega * (hi(lu, rd) / twice_sum * lo(lu, rd) - hi(ld, ru) / twice_sum * lo(ld, ru))
-
-
 def _channel_current(ops, omega, left, right):
     # one channel's term of the heat current from its (down, up) pairs, and its rates
-    # as the term was formed (rescaled where they pass the ceiling); no rates give 0
+    # as the term was formed (rescaled where they pass the ceiling). Each product is
+    # its larger rate over the sum (at most 1) times its smaller rate: nothing
+    # overflows unless the term itself does, and no rate is divided down towards
+    # zero. The sum, floored at the least subnormal, comes first, so a NaN sum
+    # stays NaN; a channel with no rates gives 0
     (ld, lu), (rd, ru) = left, right
-    ld, lu, rd, ru, twice_sum, scale = _rescaled(ops, ld, lu, rd, ru)
-    twice_sum *= 2.0  # in place on a grid, as are num's steps below
-    num, down = lu * rd, ld * ru
-    size = num + down
-    num -= down
-    num *= omega
-    j = ops.quotient(num, twice_sum, size, _over_sum, ops, omega, ld, lu, rd, ru, twice_sum)
+    ld, lu, rd, ru, total, scale = _rescaled(ops, ld, lu, rd, ru)
+    total = ops.maximum(total, 5e-324)
+    hi, lo = ops.maximum, ops.minimum
+    j = hi(lu, rd)
+    j /= total  # in place on a grid, as are the steps below
+    j *= lo(lu, rd)
+    down = hi(ld, ru)
+    down /= total
+    down *= lo(ld, ru)
+    j -= down
+    j *= omega / 2.0
     return (ld, lu, rd, ru), j if scale is None else j * scale
 
 

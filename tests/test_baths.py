@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qjunction import BathKind, SystemParams, solve_point
-from qjunction.baths import _float_pair
+from qjunction.baths import _float_pair, _occupation
 
 PARAMS = SystemParams(epsilon=0.2, kappa=1.0)
 
@@ -51,9 +51,18 @@ class TestOccupation:
             solve_point(PARAMS, BathKind.SPIN, 1.0, 1.0, -0.1, 1.0)
 
     def test_exponent_clamp(self):
-        # omega/T far past the IEEE range returns the zero-temperature limit
-        assert occupation(BathKind.BOSON, 800.0, 1.0) == 0.0
-        assert occupation(BathKind.SPIN, 800.0, 1.0) == 0.0
+        # below x = 709.78, where e^x overflows, the occupation keeps its value on
+        # floats and on arrays, down to subnormals; past it, both give the
+        # zero-temperature limit 0.0
+        for kind in BathKind:
+            with np.errstate(all="ignore"):  # as on every grid: e^800 overflows to inf
+                grid, _ = _occupation(kind, np.array([705.0, 709.7, 800.0]))
+            for x, on_grid in zip((705.0, 709.7), grid):
+                exact = float(mp_occupation(kind, x, 1.0))
+                assert occupation(kind, x, 1.0) == pytest.approx(exact, rel=1e-14, abs=0.0)
+                assert on_grid == pytest.approx(exact, rel=1e-14, abs=0.0)
+            assert occupation(kind, 800.0, 1.0) == 0.0
+            assert grid[-1] == 0.0
 
 
 class TestRatePair:
@@ -71,7 +80,7 @@ class TestRatePair:
         assert (down, up) == (1.0, 0.0)
         down, up = rate_pair(BathKind.SPIN, 1.0, 1e-6, 0.8)
         assert down == pytest.approx(1.0, abs=1e-12)
-        assert up == 0.0  # excitation underflows the clamp
+        assert up == 0.0  # e^{omega/T} overflows, and the excitation is 0
 
     def test_detailed_balance(self):
         rng = np.random.default_rng(3)

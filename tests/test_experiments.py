@@ -234,6 +234,14 @@ class TestRectification:
             rectification_scan(PARAMS, BathKind.BOSON, 1.0, 1.0, 1.0, dts)
         assert str(excinfo.value) == f"biases must form a 1-D grid, got shape {shape}"
 
+    @pytest.mark.parametrize("dts", [np.array([0.5 + 2j]), [0.3, 0.5 + 2j]])
+    def test_rejects_complex_biases(self, dts):
+        # numpy's cast to float would drop the imaginary parts (for an array with
+        # only a warning), and the scan would run at dT = 0.5
+        with pytest.raises(ValueError) as excinfo:
+            rectification_scan(PARAMS, BathKind.BOSON, 1.0, 1.0, 1.0, dts)
+        assert str(excinfo.value) == "biases must be real, got dtype complex128"
+
     @pytest.mark.parametrize("kind", list(BathKind))
     def test_rejects_bias_whose_hot_side_overflows(self, kind):
         # T_a + dT = inf: boson rates would not be finite, and spin rates would

@@ -23,9 +23,10 @@ CASES = {
     "point_zero_temperature": ["point", "--epsilon", "0.5", "--kappa", "0.3",
                                "--tl", "0", "--tr", "0.8"],
     "point_one_sided": ["point", "--bath", "spin", "--tl", "1.2", "--tr", "0.4", "--gr", "0"],
-    # T_L = T_R with unequal couplings: J is the rounding residue of two nearly
-    # equal products; a hot separable state, whose concurrence is clamped to 0;
-    # an inverted boson junction with Gamma_L = 0; a spin bath at T_R = 0
+    # T_L = T_R with unequal couplings, where the two products of the current
+    # round to the same value and J is 0.0; a hot separable state, whose
+    # concurrence is clamped to 0; an inverted boson junction with Gamma_L = 0;
+    # a spin bath at T_R = 0
     "point_equal_temperatures": ["point", "--tl", "1.3", "--tr", "1.3", "--gl", "0.37",
                                  "--gr", "2.9"],
     "point_hot_separable": ["point", "--tl", "5", "--tr", "4"],
@@ -47,8 +48,7 @@ CASES = {
                             "--gl", "0.76", "--gr", "8.5"],
     "death_one_sided": ["death", "--kappa", "2.0", "--gl", "0"],
     # domain edges: omega/T underflows beside an uncoupled bath; rates past the
-    # rescaling ceiling whose current takes the over-sum form; couplings and
-    # temperatures 600 decades apart
+    # rescaling ceiling; couplings and temperatures 600 decades apart
     "sweep_tr_uncoupled_to_ceiling": ["sweep", "--var", "tr", "--epsilon", "0.99",
                                       "--kappa", "1.0", "--tl", "0.5", "--lo", "0",
                                       "--hi", "1e308", "--n", "5", "--gr", "0"],

@@ -213,33 +213,22 @@ SWEEP_SEAM_SIZES = [experiments._CHUNK // 2 - 1, experiments._CHUNK // 2,
 
 
 @pytest.mark.parametrize("n", SWEEP_SEAM_SIZES)
-def test_run_sweep_equals_one_unstacked_whole_grid_pass_bit_for_bit(n, monkeypatch):
+def test_run_sweep_equals_one_unstacked_whole_grid_pass_bit_for_bit(n):
     # a sweep solves both channels of a chunk at once, at a column of gaps, and
     # writes the states into its table; the bits are those of each channel solved
     # alone over the whole grid
     specs = [SweepSpec(params, kind, gl, gr, SweepVariable.DELTA_T, -2.9, 2.9, n, t_avg=3.0)
              for params in (SystemParams(0.2, 1.0), SystemParams(1.0, 0.2))
              for kind in BathKind for gl, gr in ((1.3, 0.4), (0.0, 0.4), (1.3, 0.0))]
-    # the golden sweep_tr_rescaled_over_sum: rescaled rates, over-sum form at some points
-    over_sum = [SweepSpec(SystemParams(6.8145, 1.6143), kind, 0.2039, 10.58,
+    # the golden sweep_tr_rescaled_over_sum: rates rescaled by a power of two
+    rescaled = [SweepSpec(SystemParams(6.8145, 1.6143), kind, 0.2039, 10.58,
                           SweepVariable.T_RIGHT, 0.5, 4.0, n, t_left=1e308) for kind in BathKind]
     # where both channels' terms of the current are -0.0, J is 0.0
     signed_zeros = SweepSpec(SystemParams(0.2, 1.0), BathKind.SPIN, 1e-300, 1e308,
                              SweepVariable.T_RIGHT, 0.0, 3.0, n, t_left=0.0)
-    for spec in specs + over_sum + [signed_zeros]:
+    for spec in specs + rescaled + [signed_zeros]:
         table = np.asarray(run_sweep(spec)).T
         assert table.tobytes() == _unstacked_sweep(spec).tobytes()
-    # there, the over-sum form takes its gaps from the column, one per point it serves
-    gaps, over_sum_form = [], solver._over_sum
-
-    def recorded(ops, omega, *rates):
-        gaps.append(omega)
-        return over_sum_form(ops, omega, *rates)
-
-    monkeypatch.setattr(solver, "_over_sum", recorded)
-    run_sweep(over_sum[0])
-    assert gaps and all(isinstance(omega, np.ndarray) and omega.ndim == 1 for omega in gaps)
-    assert set(np.concatenate(gaps)) <= set(solver._gaps(over_sum[0].params))
 
 
 def _bias_scans():
@@ -297,7 +286,7 @@ def test_rectification_scan_equals_one_whole_grid_call_bit_for_bit(n):
     # the golden rect_spin_huge_couplings: rates rescaled by a power of two
     scans.append(((SystemParams(0.2, 1.0), BathKind.SPIN, 1e300, 1e300), 1.0,
                   np.linspace(0.1, 0.9, n)))
-    # the left bath's up rates vanish (omega/T_L > 700) under most reversed biases, where
+    # the left bath's up rates vanish (omega/T_L past 709.78) under most reversed biases, where
     # both channels' terms are -0.0 and J is 0.0
     scans += [((SystemParams(0.2, 1.0), kind, 1e-300, 1e308), 1.5e-3,
                np.linspace(1e-4, 1.4e-3, n)) for kind in BathKind]
@@ -586,30 +575,17 @@ def test_tiny_couplings_match_exact_evaluation_on_every_route(gl, gr):
         exact_boson(0.2, 1.0, gl, gr, 0.5, 1.5)[1], rel=TOL, abs=0.0)
 
 
-def test_cold_points_skip_the_over_sum_form(monkeypatch):
-    # at T = 0, or where omega/T passes the clamp, no up rate is left: both
-    # products lu rd and ld ru have a zero factor, so they are exact zeros and
-    # J = 0.0 needs no over-sum form, where products that underflowed do
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return over_sum(*args)
-
-    over_sum = solver._over_sum
-    monkeypatch.setattr(solver, "_over_sum", counted)
+def test_cold_points_give_an_exact_zero_current():
+    # at T = 0, or where omega/T passes 709.78 and e^x overflows, no up rate is
+    # left: both products lu rd and ld ru have a zero factor, so J is 0.0
     for kind in BathKind:
         for tl, tr in ((0.0, 0.0), (1e-3, 0.0), (0.0, 1e-3), (1e-3, 1e-3)):
             row = solve_point(SystemParams(0.2, 1.0), kind, 1.0, 0.5, tl, tr)
             assert row.heat_current == 0.0
-    assert calls == []
-    for gl, gr in TINY_COUPLINGS:
-        solve_point(SystemParams(0.2, 1.0), BathKind.BOSON, gl, gr, 1.5, 0.5)
-    assert len(calls) == 2 * len(TINY_COUPLINGS)
 
 
 # (epsilon, kappa, Gamma_L, Gamma_R, T_L, T_R) of single points that take the
-# rescaling and the over-sum form, T = 0 and Gamma = 0
+# rescaling, tiny couplings, T = 0 and Gamma = 0
 SINGLE_POINTS = ([(eps, kap, gl, gr, 1e308, tr) for eps, kap, gl, gr, tr in NEAR_CEILING]
                  + EXTREME_RATIOS
                  + [(0.2, 1.0, gl, gr, 1.5, 0.5) for gl, gr in TINY_COUPLINGS]
@@ -648,7 +624,7 @@ assert not [name for name in sys.modules if name.startswith("numpy.")]
 
 def test_points_and_death_never_import_numpy():
     # with numpy blocked, the CLI's point and death, every SINGLE_POINTS point
-    # (rescaling, over-sum form, tiny couplings, T = 0, Gamma = 0), the
+    # (rescaling, tiny couplings, T = 0, Gamma = 0), the
     # sudden-death threshold and the rates of a point still run
     out = _fresh_python(_WITHOUT_NUMPY, json.dumps(SINGLE_POINTS))
     assert out.splitlines()[-1].startswith("T_death,")
