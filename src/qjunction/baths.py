@@ -39,8 +39,8 @@ def _check_bath(gamma, temperature):
 
 
 def _rates(kind: BathKind, gamma: float, n, base):
-    # (down, up), gamma > 0, from the occupation n and down's part free of gamma, base:
-    # n + 1 (boson) or e^{-x} + 1 (spin). Neither is changed: a scan's two baths share them
+    # (down, up) from the occupation n and down's part free of gamma, base: n + 1
+    # (boson) or e^{-x} + 1 (spin). Neither is changed: the current reads them too
     up = gamma * n
     if kind is _BOSON:
         return base * gamma, up
@@ -58,31 +58,28 @@ def _rates(kind: BathKind, gamma: float, n, base):
 # np.errstate(all="ignore").
 
 
-def _float_pair(kind, gamma, omega, temperature):
-    # one bath's (down, up) at one temperature, for a gap omega > 0
-    if gamma == 0.0:
-        return 0.0, 0.0
-    if temperature == 0.0:
-        return gamma, 0.0
+def _float_occupation(kind, gamma, omega, temperature):
+    # one bath's (n, base) at one temperature, for a gap omega > 0; an uncoupled bath
+    # forms none and stands in as (0, 1), whose rates are (0, 0)
+    if gamma == 0.0 or temperature == 0.0:
+        return 0.0, 1.0
     x = omega / temperature
     try:
         if kind is _BOSON:
             if x == 0.0:  # a ValueError, which the handler below lets through
                 raise ValueError(f"omega/T underflows to 0 at omega = {omega}, T = {temperature}")
             n = 1.0 / math.expm1(x)
-            base = n + 1.0
-        else:
-            n, base = 1.0 / (math.exp(x) + 1.0), math.exp(-x) + 1.0
+            return n, n + 1.0
+        return 1.0 / (math.exp(x) + 1.0), math.exp(-x) + 1.0
     except OverflowError:  # numpy's value: 1/inf is 0, and e^{-x} + 1 is 1.0 from x = 37 on
-        n, base = 0.0, 1.0
-    return _rates(kind, gamma, n, base)
+        return 0.0, 1.0
 
 
 _FLOATS = SimpleNamespace(
     sqrt=math.sqrt, frexp=math.frexp, ldexp=math.ldexp,
     # max and min of two with the builtins' choice: the first unless the second is greater (less)
     maximum=lambda a, b: b if b > a else a, minimum=lambda a, b: b if b < a else a,
-    pair=_float_pair,
+    occupation=_float_occupation,
     top=lambda x: x,  # the value tested against the rescaling ceiling
     select=lambda cond, if_true, if_false: if_true if cond else if_false,
     xlog2x=lambda x: x * math.log2(x) if x > 0.0 else 0.0,
@@ -97,12 +94,6 @@ def _occupation(kind: BathKind, x):
     if kind is _BOSON:
         return n, np.add(n, 1.0, out=x)
     return n, np.add(np.exp(np.negative(x, out=x), out=x), 1.0, out=x)
-
-
-def _pair(kind: BathKind, gamma: float, n, base):
-    # _rates over arrays, or zeros of their shape where gamma = 0
-    import numpy as np
-    return _rates(kind, gamma, n, base) if gamma else (np.zeros(n.shape),) * 2
 
 
 @functools.cache
@@ -123,13 +114,15 @@ def _arrays():
         np.copyto(if_false, if_true, where=cond)
         return if_false
 
+    def occupation(kind, gamma, omega, temperature):
+        # _float_occupation over an array of temperatures, at a gap or a column of them
+        x = omega / temperature
+        return _occupation(kind, x) if gamma else (np.zeros(x.shape), np.ones(x.shape))
+
     ops = SimpleNamespace(
         sqrt=np.sqrt, frexp=np.frexp, ldexp=np.ldexp,
         maximum=np.maximum, minimum=np.minimum,
-        # _float_pair over an array of temperatures, at a gap or a column of them; an
-        # uncoupled bath forms no occupation (x stands in, and _pair reads its shape)
-        pair=lambda kind, gamma, omega, temperature: _pair(kind, gamma, *(_occupation(
-            kind, omega / temperature) if gamma else (omega / temperature,) * 2)),
+        occupation=occupation,
         top=lambda x: x.max(initial=0.0),
         select=select,
         xlog2x=xlog2x,

@@ -7,10 +7,10 @@ building only its row, importing no numpy. A grid is solved on numpy arrays of
 ``_CHUNK`` values, into the one read-only float64 array its rows are read from,
 both channels at once: :func:`run_sweep` by ``solver.transport_kernel`` and
 ``correlations.correlation_kernel``, which writes the states into that array's
-rows, and :func:`rectification_scan` by ``solver._channel_current`` on the
-rates of both baths, under both biases, from one occupation per chunk
-(``baths._occupation``). The sudden-death threshold is a closed form, valid at
-any equilibrium.
+rows, and :func:`rectification_scan` by ``solver._channel_current`` alone, on
+one occupation block per chunk (``baths._occupation``) that both baths read
+under both biases: a current needs no rates. The sudden-death threshold is a
+closed form, valid at any equilibrium.
 """
 
 import enum
@@ -20,10 +20,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .baths import _FLOATS, BathKind, _arrays, _check_bath, _occupation, _pair
+from .baths import _FLOATS, BathKind, _arrays, _check_bath, _occupation
 from .correlations import _measures, correlation_kernel
 from .model import DegeneratePhysicsError, SystemParams
-from .solver import (NonUniqueSteadyStateError, _channel_current, _channels,
+from .solver import (_NEAR_TOP, NonUniqueSteadyStateError, _channel_current, _channels,
                      _check_current, _check_populations, _current_not_finite, _gaps, _weights,
                      transport_kernel)
 
@@ -248,18 +248,22 @@ def rectification_scan(
         raise ValueError(f"T_a + dT overflows at T_a = {t_avg}, dT = {hi}")
     out = np.empty((3, dts.size))
     out[0], out[1:] = dts, 0.0  # calloc's zeros fault in more pages per call here
-    # per chunk, one occupation at each gap over (T_a + dT, T_a - dT), read by both baths
+    # per chunk, one occupation at each gap over (T_a + dT, T_a - dT) for both baths (x if
+    # neither is coupled); a base is at most 2 (T/omega + 1), bounding _channel's test here
     gaps, sides = np.array(_gaps(params))[:, None, None], np.array([[1.0], [-1.0]])
+    near_top = (gamma_left + gamma_right + 1.0) * 4.0 * (
+        (t_avg + hi) / float(gaps[0, 0, 0]) + 1.0) >= _NEAR_TOP
     with np.errstate(all="ignore"):
         for start in range(0, dts.size, _CHUNK // 4):
             part = slice(start, start + _CHUNK // 4)
-            occ, base = _occupation(kind, gaps / (t_avg + sides * dts[part]))
-            left = _pair(kind, gamma_left, occ, base)
-            right = _pair(kind, gamma_right, occ[:, ::-1], base[:, ::-1])  # sides swapped
-            del occ, base
-            for term in _channel_current(_arrays(), gaps, left, right)[1]:  # a's, then b's
+            x = gaps / (t_avg + sides * dts[part])
+            occ, base = _occupation(kind, x) if gamma_left or gamma_right else (x, x)
+            terms = _channel_current(_arrays(), kind, gaps, gamma_left, gamma_right, occ, base,
+                                     occ[:, ::-1], base[:, ::-1], near_top)  # sides swapped
+            del x, occ, base
+            for term in terms:  # a's, then b's
                 out[1:, part] += term  # numpy skips the copy back onto the same view
-            del left, right, term  # before the next chunk's are formed
+            del terms, term  # before the next chunk's are formed
         if not np.isfinite(out[1:]).all():  # named as one call on the forward, then reversed grid
             signed = np.concatenate((dts, -dts))
             _check_current(out[1:].reshape(-1), t_avg + signed, t_avg - signed)

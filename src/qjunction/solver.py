@@ -15,7 +15,8 @@ W34 = W12 (equal qubit splittings, equal coupling weights). The heat current
 out of the left reservoir is the second-order two-channel expression that
 :func:`transport_kernel` documents; the variant written in terms of
 bath-system coherences has no closed evaluation route here and is not
-provided.
+provided. ``_channel_current`` forms each channel's term from the two
+baths' occupations alone, the one form on every route.
 
 :func:`transport_kernel` evaluates the eight rates and the heat current at
 one temperature pair or over a grid, building no objects: ``_channel`` at
@@ -27,7 +28,9 @@ or numpy arrays (``baths._FLOATS``, ``baths._arrays``); numpy is imported by
 the first grid, never by a point.
 """
 
-from .baths import _FLOATS, BathKind, _arrays
+import math
+
+from .baths import _BOSON, _FLOATS, BathKind, _arrays, _rates
 from .model import DegeneratePhysicsError, SystemParams
 
 
@@ -45,48 +48,54 @@ def _check_populations(vals):
         raise ValueError(f"populations do not sum to 1: {vals}")
 
 
-# A channel's rates are summed, and each product of two is formed over that
-# sum. Where it passes 2**_TOP_EXPONENT (only at temperatures or couplings near
-# the float ceiling) they are first divided by the least power of two that
-# brings the largest, a down rate, below it, so that the sum of all four stays
-# finite. A power of two divides exactly in binary: ratios of rates,
-# hence the populations, are unchanged, and the heat current is multiplied
-# back by the same power. Inputs below the ceiling take no rescaling at all.
+# Where a channel's rates sum past 2**_TOP_EXPONENT they are divided by the least
+# power of two that brings the largest, a down rate, below it: their sum stays finite
+# and, as a power of two divides exactly, the populations unchanged. A boson current
+# so divides its occupations. Below _NEAR_TOP (see _channel) neither is needed.
 _TOP_EXPONENT = 1020
 _RATE_CEILING = 2.0 ** _TOP_EXPONENT
+_NEAR_TOP = 2.0 ** 1018
 
 
 def _rescaled(ops, ld, lu, rd, ru):
-    # the rates, over that power of two where their sum passes the ceiling,
-    # with their sum and the power (None where no sum passes it)
-    total = lu + rd + ld + ru
-    if not ops.top(total) > _RATE_CEILING:
-        return ld, lu, rd, ru, total, None
+    # the rates, over that power of two where their sum passes the ceiling
+    if not ops.top(lu + rd + ld + ru) > _RATE_CEILING:
+        return ld, lu, rd, ru
     scale = ops.ldexp(1.0, ops.maximum(ops.frexp(ops.maximum(ld, rd))[1] - _TOP_EXPONENT, 0))
-    ld, lu, rd, ru = ld / scale, lu / scale, rd / scale, ru / scale
-    return ld, lu, rd, ru, lu + rd + ld + ru, scale
+    return ld / scale, lu / scale, rd / scale, ru / scale
 
 
-def _channel_current(ops, omega, left, right):
-    # one channel's term of the heat current from its (down, up) pairs, and its rates
-    # as the term was formed (rescaled where they pass the ceiling). Each product is
-    # its larger rate over the sum (at most 1) times its smaller rate: nothing
-    # overflows unless the term itself does, and no rate is divided down towards
-    # zero. The sum, floored at the least subnormal, comes first, so a NaN sum
-    # stays NaN; a channel with no rates gives 0
-    (ld, lu), (rd, ru) = left, right
-    ld, lu, rd, ru, total, scale = _rescaled(ops, ld, lu, rd, ru)
-    total = ops.maximum(total, 5e-324)
-    hi, lo = ops.maximum, ops.minimum
-    j = hi(lu, rd)
-    j /= total  # in place on a grid, as are the steps below
-    j *= lo(lu, rd)
-    down = hi(ld, ru)
-    down /= total
-    down *= lo(ld, ru)
-    j -= down
+def _channel_current(ops, kind, omega, gamma_left, gamma_right, n_l, base_l, n_r, base_r,
+                     near_top):
+    # one channel's term of the current, (omega/2) Gamma_L Gamma_R (n_L - n_R) / S, from the
+    # baths' occupations n and bases. S over the larger coupling is one bath's 2n + 1 plus the
+    # other's times the couplings' ratio (boson), or 1 plus it (spin): the term before the
+    # smaller coupling is at most T. Near the top a boson term is NaN where a rate overflows
+    near_top = near_top and kind is _BOSON
+    if near_top:
+        over = (gamma_left * base_l == math.inf) | (gamma_right * base_r == math.inf)
+        base_l, n_l, base_r, n_r = _rescaled(ops, base_l, n_l, base_r, n_r)
+    left_small = gamma_left < gamma_right
+    small, big = (gamma_left, gamma_right) if left_small else (gamma_right, gamma_left)
+    if not small:  # no current: zeros of the occupations' shape, as n >= 0
+        j = ops.minimum(n_l, 0.0)
+    elif kind is _BOSON:  # a rate sum over its coupling is 2n + 1 = n + base
+        s_r, s_l = n_r + base_r, n_l + base_l  # in place on a grid, as are the steps below
+        if left_small:
+            s_l *= small / big
+        else:
+            s_r *= small / big
+        s_l += s_r
+        del s_r  # before n_L - n_R is formed
+        j = n_l - n_r
+        j /= s_l
+    else:  # n_L (1 - n_R) - n_R (1 - n_L), as 1 - n = 1/base rounds finer than n near 1/2
+        j = n_l / base_r
+        j -= n_r / base_l
+        j /= 1.0 + small / big
     j *= omega / 2.0
-    return (ld, lu, rd, ru), j if scale is None else j * scale
+    j *= small
+    return ops.select(over, math.nan, j) if near_top else j
 
 
 def _weights(a_inverted, ld_a, lu_a, rd_a, ru_a, ld_b, lu_b, rd_b, ru_b):
@@ -110,10 +119,17 @@ def _gaps(params):
 
 
 def _channel(ops, kind, gamma_left, gamma_right, omega, t_left, t_right):
-    # one channel's rates and term of the current at the gap omega; on a grid omega
-    # may be a column of gaps, which gives a row of rates and terms per gap
-    return _channel_current(ops, omega, ops.pair(kind, gamma_left, omega, t_left),
-                            ops.pair(kind, gamma_right, omega, t_right))
+    # one channel's rates and term of the current at the gap omega (on a grid, maybe a
+    # column of gaps, giving a row per gap); the sum of the bases bounds every n
+    n_l, base_l = ops.occupation(kind, gamma_left, omega, t_left)
+    n_r, base_r = ops.occupation(kind, gamma_right, omega, t_right)
+    near_top = (gamma_left + gamma_right + 1.0) * ops.top(base_l + base_r) >= _NEAR_TOP
+    j = _channel_current(ops, kind, omega, gamma_left, gamma_right, n_l, base_l, n_r, base_r,
+                         near_top)
+    ld, lu = _rates(kind, gamma_left, n_l, base_l)
+    del n_l, base_l  # before the right bath's rates are formed
+    rates = ld, lu, *_rates(kind, gamma_right, n_r, base_r)
+    return _rescaled(ops, *rates) if near_top else rates, j
 
 
 def _channels(ops, params, kind, gamma_left, gamma_right, t_left, t_right):
@@ -146,17 +162,21 @@ def transport_kernel(params: SystemParams, kind: BathKind, gamma_left: float,
     the two channels c of
 
         omega_c (kL_up kR_down - kL_down kR_up)
-        / (2 [kL_up + kR_down + kL_down + kR_up]),
+        / (2 [kL_up + kR_down + kL_down + kR_up])
+      = omega_c Gamma_L Gamma_R (n_L - n_R) / (2 S_c),
 
-    with omega_c the channel's gap. Positive values mean heat flows from the
+    with omega_c the channel's gap, S_c the sum of its rates and n_L, n_R
+    the baths' occupations at it (up = Gamma n, down = Gamma (n + 1) or
+    Gamma (1 - n)), formed the second way: its sign is that of T_L - T_R,
+    and it is 0 at T_L = T_R. Positive values mean heat flows from the
     left bath into the system; a channel with no rates contributes its
     limit value 0. The expression is written in down/up form, which makes
     it valid for either sign of kappa - epsilon. Where a channel's rates
-    sum past 2**1020 they are returned divided by the power of two that the
-    current's term divides them by, which leaves every ratio of rates, and
-    so the populations, exact. On floats nothing is checked and numpy is
-    not used; on arrays ``ValueError`` is raised where the current is not
-    finite.
+    sum past 2**1020 they are returned divided by a power of two, as are
+    the occupations the current reads, which leaves every ratio of rates,
+    and so the populations, exact. On floats nothing is checked and numpy
+    is not used; on arrays ``ValueError`` is raised where the current is
+    not finite.
     """
     if not getattr(t_left, "ndim", 0):  # a float, an int or a numpy scalar
         return _channels(_FLOATS, params, kind, gamma_left, gamma_right, t_left, t_right)

@@ -78,14 +78,14 @@ def gaps(params: SystemParams):
     state |2> at T = 0.
     """
     omegas = []
-    float_pair = baths._FLOATS.pair
+    float_occupation = baths._FLOATS.occupation
 
-    def pair(kind, gamma, omega, temperature):
+    def occupation(kind, gamma, omega, temperature):
         omegas.append(omega)
-        return float_pair(kind, gamma, omega, temperature)
+        return float_occupation(kind, gamma, omega, temperature)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(baths._FLOATS, "pair", pair)
+        patch.setattr(baths._FLOATS, "occupation", occupation)
         transport_kernel(params, BathKind.BOSON, 1.0, 1.0, 1.0, 1.0)
     ground = solve_point(params, BathKind.BOSON, 1.0, 1.0, 0.0, 0.0)
     return omegas[0], omegas[2], ground.p2 == 1.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qjunction import BathKind, SystemParams, solve_point
-from qjunction.baths import _float_pair, _occupation
+from qjunction.baths import _FLOATS, _occupation, _rates
 
 PARAMS = SystemParams(epsilon=0.2, kappa=1.0)
 
@@ -17,11 +17,11 @@ N_B_08_05 = 0.2529703510218533
 
 def occupation(kind: BathKind, omega: float, temperature: float) -> float:
     # the occupation is the up rate of a bath of unit coupling
-    return _float_pair(kind, 1.0, omega, temperature)[1]
+    return rate_pair(kind, 1.0, temperature, omega)[1]
 
 
 def rate_pair(kind: BathKind, gamma: float, temperature: float, omega: float):
-    return _float_pair(kind, gamma, omega, temperature)
+    return _rates(kind, gamma, *_FLOATS.occupation(kind, gamma, omega, temperature))
 
 
 def mp_occupation(kind: BathKind, omega, temperature):

@@ -23,8 +23,8 @@ CASES = {
     "point_zero_temperature": ["point", "--epsilon", "0.5", "--kappa", "0.3",
                                "--tl", "0", "--tr", "0.8"],
     "point_one_sided": ["point", "--bath", "spin", "--tl", "1.2", "--tr", "0.4", "--gr", "0"],
-    # T_L = T_R with unequal couplings, where the two products of the current
-    # round to the same value and J is 0.0; a hot separable state, whose
+    # T_L = T_R with unequal couplings, where the two occupations are equal
+    # and J is 0.0; a hot separable state, whose
     # concurrence is clamped to 0; an inverted boson junction with Gamma_L = 0;
     # a spin bath at T_R = 0
     "point_equal_temperatures": ["point", "--tl", "1.3", "--tr", "1.3", "--gl", "0.37",

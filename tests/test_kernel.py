@@ -350,9 +350,9 @@ def _held_above_result(call):
 def test_a_grid_call_holds_a_bounded_working_set(kind):
     params, dts = SystemParams(0.2, 1.0), np.linspace(1e-3, 0.99, 9410)
     # a scan holds a quarter of a chunk's biases, forward and reversed, of both channels:
-    # their occupations while their rates are formed, then their rates; 9.1 arrays
+    # their occupations while each channel's current is formed from them; 5.1 arrays
     assert _held_above_result(
-        lambda: rectification_scan(params, kind, 1.0, 0.3, 1.0, dts)) <= 10 * CHUNK_ARRAY
+        lambda: rectification_scan(params, kind, 1.0, 0.3, 1.0, dts)) <= 6 * CHUNK_ARRAY
     # a sweep holds half a chunk's points of both channels: its rates while its
     # weights and measures are formed; 9.1 arrays
     spec = SweepSpec(params, kind, 1.0, 0.3, SweepVariable.DELTA_T, -0.9, 0.9, 9410, t_avg=1.0)
@@ -576,8 +576,8 @@ def test_tiny_couplings_match_exact_evaluation_on_every_route(gl, gr):
 
 
 def test_cold_points_give_an_exact_zero_current():
-    # at T = 0, or where omega/T passes 709.78 and e^x overflows, no up rate is
-    # left: both products lu rd and ld ru have a zero factor, so J is 0.0
+    # at T = 0, or where omega/T passes 709.78 and e^x overflows, both
+    # occupations are 0, so n_L - n_R and J are 0.0
     for kind in BathKind:
         for tl, tr in ((0.0, 0.0), (1e-3, 0.0), (0.0, 1e-3), (1e-3, 1e-3)):
             row = solve_point(SystemParams(0.2, 1.0), kind, 1.0, 0.5, tl, tr)
