@@ -107,10 +107,10 @@ def _check_domain(args) -> None:
         if value is not None and value < 0.0:
             raise _ConfigError(f"--{flag} must be nonnegative, got {value}")
     if getattr(args, "command", None) == "sweep":
-        if args.var == "tr" and args.tl is None:
-            raise _ConfigError("--var tr requires --tl")
-        if args.var == "dt" and args.ta is None:
-            raise _ConfigError("--var dt requires --ta")
+        for var, flag in (("tr", "tl"), ("dt", "ta")):  # each fixed temperature, its variable
+            if (args.var == var) != (getattr(args, flag) is not None):
+                raise _ConfigError(f"--var {var} requires --{flag}" if args.var == var
+                                   else f"--{flag} is used only with --var {var}")
     if getattr(args, "command", None) == "rect":
         if args.n < 1:
             raise _ConfigError(f"--n must be at least 1, got {args.n}")

@@ -96,6 +96,19 @@ def _measures(ops, fa, ga, fb, gb):
     return ops.maximum(conc, 0.0), i, c_cl, q
 
 
+def _states(a_inverted, fa, ga, fb, gb, out):
+    # P1..P4 into rows 2-5 of out and (C, Q, I, C_cl) into rows 7-10, unchecked, from each
+    # channel's weights as _weights gives them: an inverted channel a's are swapped here
+    import numpy as np
+    if a_inverted:
+        fa, ga = ga, fa
+    np.multiply(fa, fb, out=out[2])
+    np.multiply(ga, fb, out=out[3])
+    np.multiply(fa, gb, out=out[4])
+    np.multiply(ga, gb, out=out[5])
+    out[7], out[9], out[10], out[8] = _measures(_arrays(), fa, ga, fb, gb)
+
+
 def correlation_kernel(rates, a_inverted: bool, offset: int, out):
     """Steady-state populations and correlation measures over a grid.
 
@@ -112,12 +125,7 @@ def correlation_kernel(rates, a_inverted: bool, offset: int, out):
     """
     import numpy as np
     with np.errstate(all="ignore"):
-        fa, ga, fb, gb = _weights(a_inverted, *rates)
-        np.multiply(fa, fb, out=out[2])
-        np.multiply(ga, fb, out=out[3])
-        np.multiply(fa, gb, out=out[4])
-        np.multiply(ga, gb, out=out[5])
-        out[7], out[9], out[10], out[8] = _measures(_arrays(), fa, ga, fb, gb)
+        _states(a_inverted, *_weights(*rates[:4]), *_weights(*rates[4:]), out)
         if not (np.isfinite(out[2:6]).all() and np.isfinite(out[7:]).all()):
             # a channel with no rates divided 0 by 0
             stuck = (sum(rates[:4]) == 0.0) | (sum(rates[4:]) == 0.0)

@@ -2,15 +2,14 @@
 and the entanglement sudden-death threshold.
 
 A single point (:func:`solve_point`) runs the float closed forms in turn
-(``solver._channels``, ``solver._weights``, ``correlations._measures``),
+(``solver._channel`` at each gap, ``solver._weights``, ``correlations._measures``),
 building only its row, importing no numpy. A grid is solved on numpy arrays of
 ``_CHUNK`` values, into the one read-only float64 array its rows are read from,
-both channels at once: :func:`run_sweep` by ``solver.transport_kernel`` and
-``correlations.correlation_kernel``, which writes the states into that array's
-rows, and :func:`rectification_scan` by ``solver._channel_current`` alone, on
-one occupation block per chunk (``baths._occupation``) that both baths read
-under both biases: a current needs no rates. The sudden-death threshold is a
-closed form, valid at any equilibrium.
+both channels at once: :func:`run_sweep` by the same forms, each chunk unchecked
+and the whole grid checked once, and :func:`rectification_scan` by
+``solver._channel_current`` alone, on one occupation block per chunk
+(``baths._occupation``) that both baths read under both biases: a current needs
+no rates. The sudden-death threshold is a closed form, valid at any equilibrium.
 """
 
 import enum
@@ -21,10 +20,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .baths import _FLOATS, BathKind, _arrays, _check_bath, _occupation
-from .correlations import _measures, correlation_kernel
+from .correlations import _measures, _states, correlation_kernel
 from .model import DegeneratePhysicsError, SystemParams
-from .solver import (_NEAR_TOP, NonUniqueSteadyStateError, _channel_current, _channels,
-                     _check_current, _check_populations, _current_not_finite, _gaps, _weights,
+from .solver import (NonUniqueSteadyStateError, _channel, _channel_current, _check_current,
+                     _check_populations, _current_not_finite, _gaps, _near_top, _weights,
                      transport_kernel)
 
 
@@ -149,14 +148,19 @@ def solve_point(
     not wherever the rates overflow, as ``run_sweep`` does on a grid.
     """
     gamma_left, gamma_right = _check_bath(gamma_left, t_left), _check_bath(gamma_right, t_right)
-    rates, current = _channels(_FLOATS, params, kind, gamma_left, gamma_right, t_left, t_right)
+    gap_a, gap_b = _gaps(params)
+    rates_a, j_a = _channel(_FLOATS, kind, gamma_left, gamma_right, gap_a, t_left, t_right)
+    rates_b, j_b = _channel(_FLOATS, kind, gamma_left, gamma_right, gap_b, t_left, t_right)
+    current = 0.0 + j_a + j_b
     if not math.isfinite(current):
         raise _current_not_finite(t_left, t_right)
     try:
-        fa, ga, fb, gb = _weights(params.epsilon > params.kappa, *rates)
+        (fa, ga), (fb, gb) = _weights(*rates_a), _weights(*rates_b)
     except ZeroDivisionError:  # of float couplings; a numpy scalar's 0/0 gives NaN
         raise NonUniqueSteadyStateError(
             "a channel carries no rates; the stationary state is not unique") from None
+    if params.epsilon > params.kappa:  # channel a's down rates lead into |2>
+        fa, ga = ga, fa
     p1, p2, p3, p4 = fa * fb, ga * fb, fa * gb, ga * gb
     _check_populations((p1, p2, p3, p4))
     conc, mi, ccl, disc = _measures(_FLOATS, fa, ga, fb, gb)
@@ -165,10 +169,10 @@ def solve_point(
 
 
 # Grid arrays hold _CHUNK values: a sweep's chunk is _CHUNK // 2 points, a scan's _CHUNK // 4
-# biases, forward and reversed, both channels at once. A 9,410-point call then holds at
-# most 10 chunk arrays (320 KiB) besides its result (221 KiB for a scan, 809 for a sweep),
-# under glibc's trim threshold (twice the largest mmapped block freed), so the heap keeps
-# that memory for the next call rather than faulting it in again at ~2 us a page.
+# biases, forward and reversed, both channels at once; a call, not a chunk, pays the checks. A
+# 9,410-point call holds at most 10 chunk arrays (320 KiB) besides its result (221 KiB for a
+# scan, 809 for a sweep), under glibc's trim threshold (twice the largest mmapped block freed),
+# so the heap keeps that memory for the next call rather than faulting it in at ~2 us a page.
 _CHUNK = 4096
 
 
@@ -188,29 +192,47 @@ def run_sweep(spec: SweepSpec) -> Sequence[SweepRow]:
     """Evaluate the sweep grid in ascending order of the sweep variable.
 
     ``np.asarray`` of the result is the (count, 11) array; it equals only itself.
+    Its values, and the error a failing grid raises, are those of ``transport_kernel``
+    and ``correlation_kernel`` run chunk by chunk, which check each chunk; the sweep
+    checks once per call and runs them again only on the first chunk that fails.
     """
     import numpy as np
     out = np.empty((11, spec.count))
     _fill_grid(out[1], spec.lo, spec.hi)
-    if spec.variable is SweepVariable.T_COMMON:
-        out[0] = out[1]
+    common = spec.variable is SweepVariable.T_COMMON
+    if common:
+        out[0], t_max = out[1], spec.hi
     elif spec.variable is SweepVariable.T_RIGHT:
-        out[0] = float(spec.t_left)
+        out[0], t_max = float(spec.t_left), max(spec.t_left, spec.hi)
     else:
         out[0], out[1] = spec.t_avg + out[1], spec.t_avg - out[1]
-    try:
-        # J into row 6, the states into rows 2-5 and 7-10; where a channel can
-        # stall, J fails at all points or none (errors keep order)
-        for start in range(0, spec.count, _CHUNK // 2):
-            part = slice(start, start + _CHUNK // 2)
-            rates, out[6, part] = transport_kernel(spec.params, spec.kind, spec.gamma_left,
-                                                   spec.gamma_right, out[0, part], out[1, part])
-            correlation_kernel(rates, spec.params.epsilon > spec.params.kappa, start, out[:, part])
-            del rates  # before the next chunk's are formed
-    except DegeneratePhysicsError as exc:
-        raise DegeneratePhysicsError(
-            f"sweep aborted on the {spec.variable.value} grid: {exc}"
-        ) from exc
+        t_max = spec.t_avg + max(spec.hi, -spec.lo)
+    couplings, (gap_a, gap_b) = (spec.gamma_left, spec.gamma_right), _gaps(spec.params)
+    near_top, gaps = _near_top(*couplings, t_max, gap_a), np.array([[gap_a], [gap_b]])
+    inverted, ops, step = spec.params.epsilon > spec.params.kappa, _arrays(), _CHUNK // 2
+    with np.errstate(all="ignore"):
+        # per chunk, unchecked: J into row 6, the states into rows 2-5 and 7-10
+        for start in range(0, spec.count, step):
+            part = slice(start, start + step)
+            t_left = out[0, part]
+            rates, j = _channel(ops, spec.kind, *couplings, gaps, t_left,
+                                t_left if common else out[1, part], near_top)
+            np.add(0.0, j[0], out=out[6, part])  # 0.0 + j_a + j_b
+            out[6, part] += j[1]
+            (fa, fb), (ga, gb) = _weights(*rates)  # both channels' (2, n) blocks at once
+            del rates, j  # before the measures are formed
+            _states(inverted, fa, ga, fb, gb, out[:, part])
+            del fa, fb, ga, gb  # before the next chunk's rates are formed
+    if not np.isfinite(out[2:]).all():
+        # the first chunk that fails, through the checked kernels, raises what they raise
+        start = int(np.argmin(np.isfinite(out[2:]).all(axis=0))) // step * step
+        rows = out[:, start:start + step]
+        try:
+            rates, _ = transport_kernel(spec.params, spec.kind, *couplings, rows[0], rows[1])
+            correlation_kernel(rates, inverted, start, rows)
+        except DegeneratePhysicsError as exc:
+            raise DegeneratePhysicsError(
+                f"sweep aborted on the {spec.variable.value} grid: {exc}") from exc
     return _Table(SweepRow, out)
 
 
@@ -249,10 +271,9 @@ def rectification_scan(
     out = np.empty((3, dts.size))
     out[0], out[1:] = dts, 0.0  # calloc's zeros fault in more pages per call here
     # per chunk, one occupation at each gap over (T_a + dT, T_a - dT) for both baths (x if
-    # neither is coupled); a base is at most 2 (T/omega + 1), bounding _channel's test here
+    # neither is coupled); _channel's test is decided once, at the hottest side
     gaps, sides = np.array(_gaps(params))[:, None, None], np.array([[1.0], [-1.0]])
-    near_top = (gamma_left + gamma_right + 1.0) * 4.0 * (
-        (t_avg + hi) / float(gaps[0, 0, 0]) + 1.0) >= _NEAR_TOP
+    near_top = _near_top(gamma_left, gamma_right, t_avg + hi, float(gaps[0, 0, 0]))
     with np.errstate(all="ignore"):
         for start in range(0, dts.size, _CHUNK // 4):
             part = slice(start, start + _CHUNK // 4)

@@ -21,9 +21,9 @@ baths' occupations alone, the one form on every route.
 :func:`transport_kernel` evaluates the eight rates and the heat current at
 one temperature pair or over a grid, building no objects: ``_channel`` at
 each gap in turn for a point, and once at the column of both gaps for a
-grid, whose rates are then rows of (2, n) arrays. ``_weights`` forms the
-channel weights from its rates, for a point or, in
-``correlations.correlation_kernel``, a grid. The closed forms run on floats
+grid, whose rates are then rows of (2, n) arrays. ``_weights`` forms a
+channel's weights from its rates, or both channels' from those (2, n)
+blocks (``experiments.run_sweep``). The closed forms run on floats
 or numpy arrays (``baths._FLOATS``, ``baths._arrays``); numpy is imported by
 the first grid, never by a point.
 """
@@ -98,19 +98,15 @@ def _channel_current(ops, kind, omega, gamma_left, gamma_right, n_l, base_l, n_r
     return ops.select(over, math.nan, j) if near_top else j
 
 
-def _weights(a_inverted, ld_a, lu_a, rd_a, ru_a, ld_b, lu_b, rd_b, ru_b):
-    # the channel weights (fa, ga, fb, gb), each its side's in-rate over its
-    # channel's total rate (divided in place on a grid); a channel with no rates
-    # divides 0 by 0: ZeroDivisionError on floats, NaN on arrays
-    down_a, up_a = ld_a + rd_a, lu_a + ru_a
-    fa, ga = (up_a, down_a) if a_inverted else (down_a, up_a)
-    fb, gb = ld_b + rd_b, lu_b + ru_b
-    da, db = fa + ga, fb + gb
-    fa /= da
-    ga /= da
-    fb /= db
-    gb /= db
-    return fa, ga, fb, gb
+def _weights(ld, lu, rd, ru):
+    # a channel's weights (f, g), its down and up rates' shares of their sum ({1, 3} and {2, 4}
+    # for channel a, uninverted; {1, 2} and {3, 4} for b), on floats or on (2, n) blocks of a's
+    # row and b's, in place; no rates give 0/0: ZeroDivisionError on floats, NaN on arrays
+    f, g = ld + rd, lu + ru
+    total = f + g
+    f /= total
+    g /= total
+    return f, g
 
 
 def _gaps(params):
@@ -118,12 +114,15 @@ def _gaps(params):
     return abs(params.kappa - params.epsilon), params.kappa + params.epsilon
 
 
-def _channel(ops, kind, gamma_left, gamma_right, omega, t_left, t_right):
-    # one channel's rates and term of the current at the gap omega (on a grid, maybe a
-    # column of gaps, giving a row per gap); the sum of the bases bounds every n
+def _channel(ops, kind, gamma_left, gamma_right, omega, t_left, t_right, near_top=None):
+    # one channel's rates and term of the current at the gap omega (on a grid, maybe a column
+    # of gaps, giving a row per gap); the bases' sum bounds every n unless a caller bounds it
+    # (_near_top). Coupled baths at one grid of temperatures read one occupation (not floats)
     n_l, base_l = ops.occupation(kind, gamma_left, omega, t_left)
-    n_r, base_r = ops.occupation(kind, gamma_right, omega, t_right)
-    near_top = (gamma_left + gamma_right + 1.0) * ops.top(base_l + base_r) >= _NEAR_TOP
+    shared = t_right is t_left and gamma_left and gamma_right and ops is not _FLOATS
+    n_r, base_r = (n_l, base_l) if shared else ops.occupation(kind, gamma_right, omega, t_right)
+    if near_top is None:
+        near_top = (gamma_left + gamma_right + 1.0) * ops.top(base_l + base_r) >= _NEAR_TOP
     j = _channel_current(ops, kind, omega, gamma_left, gamma_right, n_l, base_l, n_r, base_r,
                          near_top)
     ld, lu = _rates(kind, gamma_left, n_l, base_l)
@@ -132,18 +131,10 @@ def _channel(ops, kind, gamma_left, gamma_right, omega, t_left, t_right):
     return _rescaled(ops, *rates) if near_top else rates, j
 
 
-def _channels(ops, params, kind, gamma_left, gamma_right, t_left, t_right):
-    # transport_kernel's rates and current, unchecked (only the array route pays for
-    # np.errstate): channel a, then b, on floats; both at the column of gaps on arrays
-    if ops is _FLOATS:
-        gap_a, gap_b = _gaps(params)
-        rates_a, j_a = _channel(ops, kind, gamma_left, gamma_right, gap_a, t_left, t_right)
-        rates_b, j_b = _channel(ops, kind, gamma_left, gamma_right, gap_b, t_left, t_right)
-        return rates_a + rates_b, 0.0 + j_a + j_b
-    import numpy as np
-    (ld, lu, rd, ru), j = _channel(ops, kind, gamma_left, gamma_right,
-                                   np.array(_gaps(params))[:, np.newaxis], t_left, t_right)
-    return (ld[0], lu[0], rd[0], ru[0], ld[1], lu[1], rd[1], ru[1]), 0.0 + j[0] + j[1]
+def _near_top(gamma_left, gamma_right, t_max, omega):
+    # _channel's test, decided once for temperatures up to t_max at gaps from omega up: two
+    # bases sum to at most 4 (spin) or 2 (T/omega + 1) (boson), here doubled for rounding
+    return (gamma_left + gamma_right + 1.0) * 4.0 * (t_max / omega + 1.0) >= _NEAR_TOP
 
 
 def transport_kernel(params: SystemParams, kind: BathKind, gamma_left: float,
@@ -178,13 +169,18 @@ def transport_kernel(params: SystemParams, kind: BathKind, gamma_left: float,
     is not used; on arrays ``ValueError`` is raised where the current is
     not finite.
     """
-    if not getattr(t_left, "ndim", 0):  # a float, an int or a numpy scalar
-        return _channels(_FLOATS, params, kind, gamma_left, gamma_right, t_left, t_right)
+    if not getattr(t_left, "ndim", 0):  # a float, an int or a numpy scalar: a, then b
+        gap_a, gap_b = _gaps(params)
+        rates_a, j_a = _channel(_FLOATS, kind, gamma_left, gamma_right, gap_a, t_left, t_right)
+        rates_b, j_b = _channel(_FLOATS, kind, gamma_left, gamma_right, gap_b, t_left, t_right)
+        return rates_a + rates_b, 0.0 + j_a + j_b
     import numpy as np
-    with np.errstate(all="ignore"):
-        rates, j = _channels(_arrays(), params, kind, gamma_left, gamma_right, t_left, t_right)
+    with np.errstate(all="ignore"):  # both channels at once, at the column of gaps
+        (ld, lu, rd, ru), j = _channel(_arrays(), kind, gamma_left, gamma_right,
+                                       np.array(_gaps(params))[:, np.newaxis], t_left, t_right)
+        j = 0.0 + j[0] + j[1]
     _check_current(j, t_left, t_right)
-    return rates, j
+    return (ld[0], lu[0], rd[0], ru[0], ld[1], lu[1], rd[1], ru[1]), j
 
 
 def _check_current(j, t_left, t_right):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import exact_point
-from qjunction import BathKind, SystemParams, baths, correlations, solve_point
+from qjunction import BathKind, SystemParams, baths, correlations, solve_point, solver
 from qjunction.solver import transport_kernel
 
 
@@ -50,6 +50,14 @@ def measures(fa, ga, fb, gb) -> Measures:
     """
     return Measures(*correlations._measures(baths._FLOATS, float(fa), float(ga),
                                             float(fb), float(gb)))
+
+
+def steady_weights(a_inverted, rates):
+    """(fa, ga, fb, gb) of a junction's eight rates, as ``transport_kernel`` returns them,
+    by ``solver._weights`` on each channel; an inverted channel a's down rates lead into
+    the side ga weighs."""
+    (fa, ga), (fb, gb) = solver._weights(*rates[:4]), solver._weights(*rates[4:])
+    return (ga, fa, fb, gb) if a_inverted else (fa, ga, fb, gb)
 
 
 def populations(fa, ga, fb, gb):

@@ -62,6 +62,18 @@ class TestSweep:
         assert code == 2
         assert "--tl" in err
 
+    @pytest.mark.parametrize("var, flag", [("ta", "--tl"), ("dt", "--tl"), ("ta", "--ta"),
+                                           ("tr", "--ta")])
+    def test_a_fixed_temperature_the_variable_does_not_use_is_rejected(self, capsys, var,
+                                                                         flag):
+        # --tl fixes T_L of a tr sweep and --ta T_a of a dt sweep; given with another
+        # variable, either would go unread
+        fixed = {"tr": ("--tl", "5"), "dt": ("--ta", "9")}.get(var, ())
+        code, out, err = run_cli(capsys, "sweep", "--var", var, "--lo", "0.1", "--hi", "1",
+                                 "--n", "2", *fixed, flag, "5")
+        assert code == 2 and out == ""
+        assert f"{flag} is used only with --var" in err
+
     def test_bias_grid_outside_window_rejected(self, capsys):
         code, _, err = run_cli(capsys, "sweep", "--var", "dt", "--lo", "-1.5",
                                "--hi", "0.5", "--n", "5", "--ta", "1.0")

@@ -4,12 +4,13 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import channel_weights, gibbs_populations, measures, populations, random_weights
+from conftest import (channel_weights, gibbs_populations, measures, populations, random_weights,
+                      steady_weights)
 from oracles import (classical_correlation_grid, classical_correlation_refined,
                      conditional_entropies, density_matrix_uncoupled, exact_point,
                      wootters_concurrence, x_state_measures)
 from qjunction import BathKind, SweepSpec, SweepVariable, SystemParams, run_sweep, solve_point
-from qjunction.solver import _weights, transport_kernel
+from qjunction.solver import transport_kernel
 
 # channel weights (fa, ga, fb, gb): the singlet P = (1, 0, 0, 0) and the
 # maximally mixed state
@@ -259,7 +260,7 @@ class TestReportAndInvariants:
         params = SystemParams(0.2, 1.0)
         row = solve_point(params, BathKind.BOSON, 1.0, 1.0, 1.5, 0.5)
         rates, _ = transport_kernel(params, BathKind.BOSON, 1.0, 1.0, 1.5, 0.5)
-        rep = measures(*_weights(params.epsilon > params.kappa, *rates))
+        rep = measures(*steady_weights(params.epsilon > params.kappa, rates))
         assert (row.concurrence, row.mutual_information, row.classical_correlation,
                 row.discord) == tuple(rep)
 

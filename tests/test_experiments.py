@@ -107,6 +107,17 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="heat current is not finite at T_L = 1e[+]300,"):
             run_sweep(spec)
 
+    def test_a_current_error_in_a_later_chunk_names_its_point(self):
+        # a boson base times 1e300 overflows from T about 1.4e8 on: the first such
+        # point is in the fourth chunk, where a chunk-by-chunk pass stops
+        spec = SweepSpec(PARAMS, BathKind.BOSON, 1e300, 1.0, SweepVariable.T_COMMON,
+                         1.0, 2e8, 9410)
+        first = int(np.flatnonzero(np.linspace(1.0, 2e8, 9410) == 143819747.3315974)[0])
+        assert first // (experiments._CHUNK // 2) == 3
+        with pytest.raises(ValueError, match=r"^heat current is not finite at "
+                           r"T_L = 143819747\.3315974, T_R = 143819747\.3315974$"):
+            run_sweep(spec)
+
     @settings(max_examples=60, deadline=None)
     @given(st.floats(1e-3, 1e308), st.floats(1e-3, 1e308), st.sampled_from([0.0, 5e-324]),
            st.sampled_from([0.0, 5e-324]), st.floats(0.0, 1e308), st.floats(1.0, 1e308))
@@ -118,9 +129,11 @@ class TestRunSweep:
         # chunked grid drivers meet the current error first, as one pass did.
         assume(eps != kap and lo + span < math.inf)
         temperatures = np.linspace(lo, lo + span, 50)
+        gaps = np.array(solver._gaps(SystemParams(eps, kap)))[:, np.newaxis]
         with np.errstate(all="ignore"):
-            _, j = solver._channels(baths._arrays(), SystemParams(eps, kap), BathKind.SPIN,
-                                    gl, gr, temperatures, temperatures[::-1].copy())
+            _, j = solver._channel(baths._arrays(), BathKind.SPIN, gl, gr, gaps, temperatures,
+                                   temperatures[::-1].copy())
+            j = 0.0 + j[0] + j[1]
         assert np.isfinite(j).all() or not np.isfinite(j).any()
 
 

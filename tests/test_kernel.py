@@ -1,6 +1,6 @@
 """The kernels behind solve_point, run_sweep and rectification_scan, point against grid.
 
-A single point runs the closed forms on Python floats (``solver._channels``,
+A single point runs the closed forms on Python floats (``solver._channel``,
 ``solver._weights``, ``correlations._measures``); a grid runs the same
 ones on numpy arrays through ``solver.transport_kernel`` and
 ``correlations.correlation_kernel``. The point route is the reference here. On a grid the
@@ -18,6 +18,7 @@ numpy is imported by the first grid, never by a point. This process has
 numpy loaded already, so the tests that pin this run a fresh interpreter.
 """
 
+import itertools
 import json
 import math
 import os
@@ -33,7 +34,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qjunction
-from conftest import exact_boson
+from conftest import exact_boson, steady_weights
 from qjunction import (
     BathKind,
     RectificationPoint,
@@ -197,8 +198,8 @@ def _unstacked_sweep(spec):
         (rates_a, j_a), (rates_b, j_b) = (
             solver._channel(ops, spec.kind, spec.gamma_left, spec.gamma_right, omega,
                             t_left, t_right) for omega in solver._gaps(spec.params))
-        fa, ga, fb, gb = solver._weights(spec.params.epsilon > spec.params.kappa,
-                                         *rates_a, *rates_b)
+        fa, ga, fb, gb = steady_weights(spec.params.epsilon > spec.params.kappa,
+                                        rates_a + rates_b)
         conc, mi, ccl, disc = correlations._measures(ops, fa, ga, fb, gb)
     table[:] = (t_left, t_right, fa * fb, ga * fb, fa * gb, ga * gb, 0.0 + j_a + j_b,
                 conc, disc, mi, ccl)
@@ -229,6 +230,39 @@ def test_run_sweep_equals_one_unstacked_whole_grid_pass_bit_for_bit(n):
     for spec in specs + rescaled + [signed_zeros]:
         table = np.asarray(run_sweep(spec)).T
         assert table.tobytes() == _unstacked_sweep(spec).tobytes()
+
+
+def _chunked_kernels(spec, t_left, t_right):
+    """A sweep's table from its temperature rows, by the checked kernels on each chunk in
+    turn, the current by ``transport_kernel`` and the states by ``correlation_kernel``."""
+    inverted, step = spec.params.epsilon > spec.params.kappa, experiments._CHUNK // 2
+    table = np.empty((11, spec.count))
+    table[0], table[1] = t_left, t_right
+    for start in range(0, spec.count, step):
+        part = slice(start, start + step)
+        rates, table[6, part] = solver.transport_kernel(
+            spec.params, spec.kind, spec.gamma_left, spec.gamma_right, t_left[part].copy(),
+            t_right[part].copy())
+        correlation_kernel(rates, inverted, start, table[:, part])
+    return table
+
+
+@pytest.mark.parametrize("n", [experiments._CHUNK // 2 - 1, experiments._CHUNK // 2,
+                               experiments._CHUNK // 2 + 1, experiments._CHUNK + 1])
+def test_run_sweep_equals_the_checked_kernels_chunk_by_chunk_bit_for_bit(n):
+    # a sweep decides the near-top test once per call, reads one occupation for both
+    # baths of a T_COMMON grid, forms both channels' weights at once and checks once;
+    # the bits are those of the kernels run on each chunk, each bath's occupation its own
+    fixed = {SweepVariable.T_COMMON: {}, SweepVariable.T_RIGHT: {"t_left": 1.7},
+             SweepVariable.DELTA_T: {"t_avg": 3.0}}
+    for params in (SystemParams(0.2, 1.0), SystemParams(1.0, 0.2)):
+        for kind, variable, (gl, gr) in itertools.product(
+                BathKind, SweepVariable, [(1.3, 0.4), (0.0, 0.4)]):
+            lo = -2.9 if variable is SweepVariable.DELTA_T else 0.0
+            spec = SweepSpec(params, kind, gl, gr, variable, lo, 2.9, n, **fixed[variable])
+            table = np.asarray(run_sweep(spec)).T
+            reference = _chunked_kernels(spec, table[0], table[1])
+            assert table.tobytes() == reference.tobytes(), (params, kind, variable, gl, gr)
 
 
 def _bias_scans():
@@ -353,8 +387,8 @@ def test_a_grid_call_holds_a_bounded_working_set(kind):
     # their occupations while each channel's current is formed from them; 5.1 arrays
     assert _held_above_result(
         lambda: rectification_scan(params, kind, 1.0, 0.3, 1.0, dts)) <= 6 * CHUNK_ARRAY
-    # a sweep holds half a chunk's points of both channels: its rates while its
-    # weights and measures are formed; 9.1 arrays
+    # a sweep holds half a chunk's points of both channels: its rates and current while
+    # its weights are formed; 8.0 arrays
     spec = SweepSpec(params, kind, 1.0, 0.3, SweepVariable.DELTA_T, -0.9, 0.9, 9410, t_avg=1.0)
     assert _held_above_result(lambda: run_sweep(spec)) <= 10 * CHUNK_ARRAY
 
