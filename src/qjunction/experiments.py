@@ -188,6 +188,14 @@ def _fill_grid(row, lo, hi):
     row[-1] = hi
 
 
+def _float_grid(lo, hi, count):
+    # np.linspace(lo, hi, count) as floats in its arithmetic, which _fill_grid's repeats
+    div = max(count - 1, 1)
+    step = (hi - lo) / div
+    grid = [i * step + lo if step else i / div * (hi - lo) + lo for i in range(count)]
+    return grid[:-1] + [hi] if count > 1 else grid
+
+
 def run_sweep(spec: SweepSpec) -> Sequence[SweepRow]:
     """Evaluate the sweep grid in ascending order of the sweep variable.
 

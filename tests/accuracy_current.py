@@ -1,11 +1,11 @@
-"""Accuracy of the heat current J against the 80-digit ``oracles.exact_point``.
+"""Accuracy of the golden CLI files and of the heat current J against ``oracles.exact_point``.
 
 Compares two checkouts of this repository, "before" and "after", and writes
 one JSON record:
 
-- every J_L, J_forward or J_reverse field of the golden CLI files
-  (``tests/golden``) that differs between them, with its value on each side
-  and its distance from the exact value in ulps and relative;
+- every result field of the golden CLI files (``tests/golden``: P1..P4, the
+  current and the four measures) that differs between them, with its value
+  on each side and its distance from the exact value in ulps and relative;
 - the median, 90th percentile and maximum relative J error of both
   checkouts per regime and bath kind, on a seeded corpus, through
   ``solve_point`` ("point") and ``transport_kernel`` on one-element arrays
@@ -30,7 +30,11 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-J_FIELDS = ("J_L", "J_forward", "J_reverse")
+# each result field of a golden file, as the ExactPoint field that holds its exact value
+FIELDS = {"P1": "p1", "P2": "p2", "P3": "p3", "P4": "p4", "J_L": "heat_current",
+          "J_forward": "heat_current", "J_reverse": "heat_current", "concurrence": "concurrence",
+          "discord": "discord", "mutual_info": "mutual_information",
+          "classical_corr": "classical_correlation"}
 DRAWS = 1000  # per regime, kinds alternating
 SEED = 2424
 
@@ -93,10 +97,14 @@ def _run_child(root, points):
     return json.loads(child.stdout)
 
 
-def _exact_j(eps, kap, kind, gl, gr, tl, tr):
+def _exact(eps, kap, kind, gl, gr, tl, tr):
     sys.path.insert(0, str(HERE))
     from oracles import exact_point
-    return exact_point(eps, kap, kind, gl, gr, tl, tr).heat_current
+    return exact_point(eps, kap, kind, gl, gr, tl, tr)
+
+
+def _exact_j(*point):
+    return _exact(*point).heat_current
 
 
 def _relative(value, exact):
@@ -116,7 +124,7 @@ def _flags(argv):
 
 
 def golden_fields(before):
-    """Every golden J field that differs between before and this checkout."""
+    """Every golden result field that differs between before and this checkout."""
     import csv
     sys.path.insert(0, str(HERE))
     from test_golden import CASES
@@ -126,19 +134,19 @@ def golden_fields(before):
         new = list(csv.DictReader((HERE / "golden" / f"{name}.csv").open()))
         flags = _flags(argv)
         for row_old, row_new in zip(old, new):
-            for field in J_FIELDS:
+            for field, exact_field in FIELDS.items():
                 if field not in row_new or row_old[field] == row_new[field]:
                     continue
-                if field == "J_L":
+                if field not in ("J_forward", "J_reverse"):
                     tl, tr = float(row_new["T_L"]), float(row_new["T_R"])
                 else:
                     t_avg, dt = float(flags["--ta"]), float(row_new["dT"])
                     tl, tr = t_avg + dt, t_avg - dt
                     if field == "J_reverse":
                         tl, tr = tr, tl
-                exact = _exact_j(float(flags["--epsilon"]), float(flags["--kappa"]),
-                                 flags["--bath"], float(flags["--gl"]), float(flags["--gr"]),
-                                 tl, tr)
+                exact = getattr(_exact(float(flags["--epsilon"]), float(flags["--kappa"]),
+                                       flags["--bath"], float(flags["--gl"]),
+                                       float(flags["--gr"]), tl, tr), exact_field)
                 b, a = float(row_old[field]), float(row_new[field])
                 fields.append({
                     "file": name, "T_L": repr(tl), "T_R": repr(tr), "field": field,
@@ -190,13 +198,16 @@ def main():
         json.dump(evaluate(json.load(sys.stdin)), sys.stdout)
         return
     fields = golden_fields(args.before)
-    record = {"what": "relative J error against oracles.exact_point at 80 digits, before (the "
-                      "--before checkout) and after (this one); written by "
-                      "tests/accuracy_current.py",
+    record = {"what": "relative error against oracles.exact_point (at the precision it sets from "
+                      "each point's inputs), before (the --before checkout) and after (this one); "
+                      "written by tests/accuracy_current.py",
               "golden_summary": {
         "moved": len(fields),
         "closer": sum(abs(f["ulps_after"]) < abs(f["ulps_before"]) for f in fields),
         "further": sum(abs(f["ulps_after"]) > abs(f["ulps_before"]) for f in fields),
+        "within_1e-12_or_not_further": sum(
+            f["relative_after"] <= 1e-12 or abs(f["ulps_after"]) <= abs(f["ulps_before"])
+            for f in fields),
         "worst_ulps": {side: max((abs(f[f"ulps_{side}"]) for f in fields), default=0.0)
                        for side in ("before", "after")},
         "worst_relative": {side: max((f[f"relative_{side}"] for f in fields), default=0.0)

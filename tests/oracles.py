@@ -22,8 +22,8 @@ reading of the same algebra:
   of the z-axis and the equatorial measurement
   (:func:`conditional_entropies`), and :func:`exact_point` every output
   field of a point (populations, current and measures) for either
-  reservoir statistics at 80 digits, where floating-point rates would
-  overflow or cancel.
+  reservoir statistics, at a precision set by the inputs, where
+  floating-point rates would overflow or cancel.
 """
 
 import math
@@ -223,7 +223,7 @@ def classical_correlation_refined(states, n_theta: int = 200, steps: int = 40) -
 
 
 class ExactPoint(NamedTuple):
-    """Every output field of one point, as mpmath values at 80 digits."""
+    """Every output field of one point, as mpmath values (see :func:`exact_point`)."""
 
     p1: mpmath.mpf
     p2: mpmath.mpf
@@ -279,21 +279,40 @@ def x_state_measures(p1, p2, p3, p4):
     return conc, mutual - c_cl, mutual, c_cl
 
 
-def exact_point(eps, kap, kind, gl, gr, tl, tr):
-    """P1..P4, J_L and the four correlation measures of one point, at 80 digits.
+def exact_point(eps, kap, kind, gl, gr, tl, tr, digits=None):
+    """P1..P4, J_L and the four correlation measures of one point, in mpmath.
 
     ``kind`` is "boson" or "spin". Everything is formed from the parameters
-    (as the exact rationals of their floats) with mpmath at 80 digits, so
-    n_L - n_R stays accurate at small bias, at the float gaps the solver
-    takes, |kappa - epsilon| and kappa + epsilon. Channel c of gap omega has,
-    per bath, up rate Gamma n and down rate Gamma (n + 1) (boson) or Gamma
-    (1 - n) (spin), with n the occupation of omega at the bath's
-    temperature, so it carries J_c = omega Gamma_L Gamma_R (n_L - n_R) /
-    (2 sum of its rates), and its side holding state 1 has weight
-    down/total (up/total when inverted). The measures are those of the
-    density matrix of the product of the two channel weights.
+    (as the exact rationals of their floats) with mpmath at ``digits``
+    significant digits, at the float gaps the solver takes, |kappa - epsilon|
+    and kappa + epsilon. Channel c of gap omega has, per bath, up rate Gamma n
+    and down rate Gamma (n + 1) (boson) or Gamma (1 - n) (spin), with n the
+    occupation of omega at the bath's temperature, so it carries J_c = omega
+    Gamma_L Gamma_R (n_L - n_R) / (2 sum of its rates), and its side holding
+    state 1 has weight down/total (up/total when inverted). The measures are
+    those of the density matrix of the product of the two channel weights.
+
+    By default the precision follows the inputs: 80 digits, plus twice
+    log10(T/omega) at the hotter bath and the narrower gap, plus the decimal
+    exponent of the smallest nonzero channel weight. A hot bath makes n_L -
+    n_R (spin) and the measures, which fall like (omega/T)^2, differences of
+    terms of order 1; a cold one leaves a state within a tiny weight of a
+    pure state, and measures as small as that weight. So each value keeps
+    some 80 digits of its own, however small it is.
     """
-    with mpmath.workdps(80):
+    if digits is not None:
+        return _exact_point(digits, eps, kap, kind, gl, gr, tl, tr)[0]
+    gap, hot = min(abs(kap - eps), kap + eps), max(tl, tr)
+    digits = 80 + (max(0, 2 * math.ceil(math.log10(hot) - math.log10(gap))) if hot else 0)
+    point, weights = _exact_point(digits, eps, kap, kind, gl, gr, tl, tr)
+    smallest = min((w for w in weights if w > 0), default=1)
+    extra = max(0, int(mpmath.ceil(-mpmath.log10(smallest))))
+    return _exact_point(digits + extra, eps, kap, kind, gl, gr, tl, tr)[0] if extra else point
+
+
+def _exact_point(digits, eps, kap, kind, gl, gr, tl, tr):
+    # (ExactPoint, the channel weights) at the given working precision
+    with mpmath.workdps(digits):
         current, weights = mpmath.mpf(0), []
         g_l, g_r = mpmath.mpf(gl), mpmath.mpf(gr)
         for omega, inverted in ((abs(kap - eps), eps > kap), (kap + eps, False)):
@@ -307,4 +326,4 @@ def exact_point(eps, kap, kind, gl, gr, tl, tr):
             weights.append((up / total, down / total) if inverted else (down / total, up / total))
         (fa, ga), (fb, gb) = weights
         pops = (fa * fb, ga * fb, fa * gb, ga * gb)
-        return ExactPoint(*pops, current, *x_state_measures(*pops))
+        return ExactPoint(*pops, current, *x_state_measures(*pops)), (fa, ga, fb, gb)

@@ -212,7 +212,7 @@ class TestHighPrecision:
     def _states(self):
         # (reference, measures) of steady states: drawn channel weights, then
         # solved points and a grid, where the closed forms run on arrays,
-        # against the state their parameters give at 80 digits
+        # against the state their parameters give at 80 digits or more (exact_point)
         for w in random_weights(np.random.default_rng(67), 200):
             yield _weights_reference(w[0], w[2]), measures(*w)
         for kind in BathKind:

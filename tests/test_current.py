@@ -6,7 +6,8 @@ occupation n grows with the temperature, so J never has the sign opposite
 to T_L - T_R, and it is exactly 0.0 wherever T_L == T_R: the entropy
 production J (1/T_R - 1/T_L) is never negative (Spohn, J. Math. Phys. 19,
 1227 (1978)). Nothing cancels in n_L - n_R of a hot boson bath beyond the
-bias itself. The references are ``oracles.exact_point`` at 80 digits.
+bias itself. The references are ``oracles.exact_point``, at 80 digits or
+more.
 """
 
 import math

@@ -14,8 +14,10 @@ A grid comes back as a read-only table over the kernel's columns. The tests
 after ``test_empty_bias_grid`` pin that it builds no row until one is read,
 that ``np.asarray`` of it is that array, and that it indexes like a list.
 
-numpy is imported by the first grid, never by a point. This process has
-numpy loaded already, so the tests that pin this run a fresh interpreter.
+numpy is imported by the first grid, never by a point, nor by a CLI grid of
+up to ``cli._POINTWISE_MAX`` points, which runs the point route. This
+process has numpy loaded already, so the tests that pin this run a fresh
+interpreter.
 """
 
 import itertools
@@ -48,6 +50,8 @@ from qjunction import (
 )
 from qjunction import baths, cli, correlations, experiments, solver
 from qjunction.correlations import correlation_kernel
+from test_golden import CASES as GOLDEN_CASES
+from test_golden import GOLDEN
 
 TOL = 1e-12
 
@@ -424,11 +428,12 @@ def test_grids_build_no_row_objects(monkeypatch, capsys):
         monkeypatch.setattr(row_type, "_make", refuse)
     for result, _, fields in _grids():
         assert np.asarray(result).shape == (len(result), fields)
-    # the CLI formats its CSV rows from the same arrays
+    # past the CLI's bound on point-by-point grids, it formats its CSV rows from the same arrays
+    n = str(cli._POINTWISE_MAX + 1)
     assert cli.main(["sweep", "--var", "tr", "--tl", "1.5", "--lo", "0", "--hi", "2",
-                     "--n", "50"]) == 0
-    assert cli.main(["rect", "--ta", "1", "--lo", "0.1", "--hi", "0.9", "--n", "50"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 102
+                     "--n", n]) == 0
+    assert cli.main(["rect", "--ta", "1", "--lo", "0.1", "--hi", "0.9", "--n", n]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2 * (int(n) + 1)
 
 
 def test_grid_array_is_read_only_and_equals_the_rows():
@@ -637,15 +642,20 @@ def _fresh_python(script, *args):
 
 
 _WITHOUT_NUMPY = '''
-import json, sys
+import contextlib, io, json, sys
 sys.modules["numpy"] = None  # from here on, any import of numpy raises
 from qjunction import BathKind, SystemParams, solve_point, sudden_death_temperature
 from qjunction.cli import main
 from qjunction.solver import transport_kernel
 
+points, grids, golden = (json.loads(arg) for arg in sys.argv[1:])
+for argv, expected in [(argv, None) for argv in grids] + golden:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0, argv
+    assert expected in (None, out.getvalue()), argv
 assert main(["point", "--tl", "1.5", "--tr", "0.5"]) == 0
 assert main(["death", "--bath", "spin"]) == 0
-for eps, kap, gl, gr, tl, tr in json.loads(sys.argv[1]):
+for eps, kap, gl, gr, tl, tr in points:
     for kind in BathKind:
         solve_point(SystemParams(eps, kap), kind, gl, gr, tl, tr)
 sudden_death_temperature(SystemParams(0.2, 1.0), BathKind.BOSON)
@@ -655,24 +665,54 @@ assert sys.modules["numpy"] is None
 assert not [name for name in sys.modules if name.startswith("numpy.")]
 '''
 
+# CLI grids of up to cli._POINTWISE_MAX points: sweeps of each variable and rects, both
+# kinds, inverted and one-sided, ascending and descending, at 1 and 2 points and at the bound
+_BOUND = str(cli._POINTWISE_MAX)
+SMALL_GRIDS = [
+    ["sweep", "--var", "ta", "--lo", "0", "--hi", "3", "--n", _BOUND],
+    ["sweep", "--var", "ta", "--lo", "0.1", "--hi", "1", "--n", "2", "--bath", "spin"],
+    ["sweep", "--var", "tr", "--tl", "1.5", "--lo", "0", "--hi", "4", "--n", _BOUND,
+     "--epsilon", "1.0", "--kappa", "0.2", "--bath", "spin", "--gl", "0"],
+    ["sweep", "--var", "dt", "--ta", "1", "--lo=-0.9", "--hi", "0.9", "--n", "33", "--gr", "0.05"],
+    ["rect", "--ta", "1", "--lo", "0.1", "--hi", "0.9", "--n", _BOUND],
+    ["rect", "--ta", "2", "--lo", "1.9", "--hi", "0.01", "--n", "7", "--bath", "spin",
+     "--epsilon", "1.0", "--kappa", "0.2"],
+    ["rect", "--ta", "1", "--lo", "0.5", "--hi", "0.9", "--n", "1"],
+]
 
-def test_points_and_death_never_import_numpy():
-    # with numpy blocked, the CLI's point and death, every SINGLE_POINTS point
-    # (rescaling, tiny couplings, T = 0, Gamma = 0), the
-    # sudden-death threshold and the rates of a point still run
-    out = _fresh_python(_WITHOUT_NUMPY, json.dumps(SINGLE_POINTS))
+
+def test_points_small_grids_and_death_never_import_numpy():
+    # with numpy blocked: the CLI's point and death, SMALL_GRIDS, every grid golden file byte
+    # for byte (so those files do not depend on numpy's SIMD dispatch), every SINGLE_POINTS
+    # point (rescaling, tiny couplings, T = 0, Gamma = 0), the sudden-death threshold and the
+    # rates of a point
+    golden = [(argv, (GOLDEN / f"{name}.csv").read_text(encoding="ascii"))
+              for name, argv in GOLDEN_CASES.items() if argv[0] in ("sweep", "rect")]
+    assert len(golden) == 9
+    assert all(int(argv[argv.index("--n") + 1]) <= cli._POINTWISE_MAX
+               for argv, _ in golden)
+    out = _fresh_python(_WITHOUT_NUMPY, json.dumps(SINGLE_POINTS), json.dumps(SMALL_GRIDS),
+                        json.dumps(golden))
     assert out.splitlines()[-1].startswith("T_death,")
 
 
-def test_first_grid_imports_numpy():
-    out = _fresh_python(
-        "import sys\n"
-        "from qjunction.cli import main\n"
-        "print('numpy' in sys.modules)\n"
-        "main(['sweep', '--var', 'ta', '--lo', '0.1', '--hi', '1', '--n', '3'])\n"
-        "print('numpy' in sys.modules)\n")
-    lines = out.splitlines()
-    assert lines[0] == "False" and lines[-1] == "True" and len(lines) == 6
+_NUMPY_AFTER = '''
+import contextlib, io, json, sys
+from qjunction.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    print("numpy" in sys.modules)
+'''
+
+
+@pytest.mark.parametrize("sub", ["sweep", "rect"])
+def test_a_grid_past_the_bound_imports_numpy(sub):
+    # each small grid leaves numpy unloaded, and the first grid of one point more loads it
+    small = [argv for argv in SMALL_GRIDS if argv[0] == sub]
+    large = small[0][:small[0].index("--n") + 1] + [str(cli._POINTWISE_MAX + 1)]
+    out = _fresh_python(_NUMPY_AFTER, json.dumps(small + [large]))
+    assert out.split() == ["False"] * len(small) + ["True"]
 
 
 # single points whose solve_point raises (for one bath kind or both): no
