@@ -5,9 +5,10 @@ path that cannot be written or a grid that does not fit in memory, 3
 degenerate physics (for example epsilon == kappa). All numeric CSV fields
 use the shortest round-trip decimal representation, so identical
 invocations produce byte-identical output. ``sweep`` and ``rect`` grids of
-up to 1,024 points run ``solve_point`` per point and import no numpy (the
-point route stays faster than the import up to 6,000-10,000 points for
-``rect`` and 16,000-25,000 for ``sweep``); a failing grid reruns on arrays.
+up to 1,024 points run ``solve_point`` (``rect``: ``solver.transport_kernel``)
+per point and import no numpy (the point route stays faster than the import up
+to 6,000-10,000 points for ``rect`` and 16,000-25,000 for ``sweep``); a failing
+grid reruns on arrays.
 """
 
 import argparse
@@ -19,6 +20,7 @@ from .baths import BathKind
 from .experiments import (SweepRow, SweepSpec, SweepVariable, _float_grid, rectification_scan,
                           run_sweep, solve_point, sudden_death_temperature)
 from .model import DegeneratePhysicsError, SystemParams
+from .solver import transport_kernel
 
 POINT_HEADER = (
     "T_L,T_R,gamma_L,gamma_R,bath,epsilon,kappa,"
@@ -159,12 +161,12 @@ def _pointwise_sweep(spec: SweepSpec) -> list[SweepRow]:
 
 
 def _pointwise_scan(bath, t_avg, delta_ts) -> list[tuple]:
-    # rectification_scan's rows by solve_point at bath = (params, kind, gamma_left, gamma_right);
-    # a ValueError wherever the scan raises (solve_point's where T_a + dT overflows)
+    # rectification_scan's rows, each current transport_kernel's at bath = (params, kind,
+    # gamma_left, gamma_right); a ValueError wherever the scan raises (there as T_a + dT overflows)
     if not 0.0 < min(delta_ts) <= max(delta_ts) < t_avg:
         raise ValueError("a bias outside the scan's domain")
-    return [(dt, solve_point(*bath, t_avg + dt, t_avg - dt).heat_current,
-             solve_point(*bath, t_avg - dt, t_avg + dt).heat_current) for dt in delta_ts]
+    return [(dt, transport_kernel(*bath, t_avg + dt, t_avg - dt)[1],
+             transport_kernel(*bath, t_avg - dt, t_avg + dt)[1]) for dt in delta_ts]
 
 
 def _grid_rows(count, pointwise, array_route):

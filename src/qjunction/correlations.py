@@ -23,11 +23,11 @@ weights, which form no complement as 1 - f. Entropies are in bits, with the
 - Discord Q = I - C_cl, clamped at zero within rounding noise.
 
 ``_measures`` writes them once, for floats and numpy arrays alike:
-``experiments.solve_point`` runs it on one point's weights and
-:func:`correlation_kernel` on a grid's. Their brute-force counterparts,
-computed from the density matrix itself (the Wootters construction and a
-search over measurements), live in ``tests/oracles.py``, which shares no
-code with this module.
+``experiments.solve_point`` runs it on one point's weights, and
+``experiments.run_sweep`` through ``_states`` on a grid's. Their brute-force
+counterparts, computed from the density matrix itself (the Wootters
+construction and a search over measurements), live in ``tests/oracles.py``,
+which shares no code with this module.
 
 Why the equatorial measurement alone: on an X state the optimum over
 measurements of one qubit is the better of it and the z-axis measurement
@@ -52,7 +52,6 @@ and scans measurement angles on 344 ``solve_point`` states.
 """
 
 from .baths import _arrays
-from .solver import NonUniqueSteadyStateError, _weights
 
 
 def _measures(ops, fa, ga, fb, gb):
@@ -97,8 +96,10 @@ def _measures(ops, fa, ga, fb, gb):
 
 
 def _states(a_inverted, fa, ga, fb, gb, out):
-    # P1..P4 into rows 2-5 of out and (C, Q, I, C_cl) into rows 7-10, unchecked, from each
-    # channel's weights as _weights gives them: an inverted channel a's are swapped here
+    # a grid's P1..P4 into rows 2-5 of out, an (11, n) block of columns in SweepRow's field
+    # order, and (C, Q, I, C_cl) into rows 7-10, unchecked; no other row is read or written.
+    # The weights are each channel's as _weights gives them: an inverted channel a's (epsilon
+    # > kappa) are swapped here, and a channel with no rates (0/0) writes NaN in every row
     import numpy as np
     if a_inverted:
         fa, ga = ga, fa
@@ -107,34 +108,3 @@ def _states(a_inverted, fa, ga, fb, gb, out):
     np.multiply(fa, gb, out=out[4])
     np.multiply(ga, gb, out=out[5])
     out[7], out[9], out[10], out[8] = _measures(_arrays(), fa, ga, fb, gb)
-
-
-def correlation_kernel(rates, a_inverted: bool, offset: int, out):
-    """Steady-state populations and correlation measures over a grid.
-
-    ``rates`` is the tuple of eight arrays returned by
-    ``solver.transport_kernel`` on a grid; ``a_inverted`` is True when
-    epsilon > kappa. ``out`` is an (11, n) array, such as a block of columns
-    of a larger one, in the field order of ``experiments.SweepRow``: P1..P4,
-    the products of the channel weights (``solver._weights``), go into rows
-    2-5, and concurrence, discord, mutual information and classical
-    correlation into rows 7-10; no other row is read or written. Returns
-    ``out``. Raises ``NonUniqueSteadyStateError`` where a channel carries no
-    rates, then ``ValueError`` where a value is not finite, naming the grid
-    point by its index plus ``offset``.
-    """
-    import numpy as np
-    with np.errstate(all="ignore"):
-        _states(a_inverted, *_weights(*rates[:4]), *_weights(*rates[4:]), out)
-        if not (np.isfinite(out[2:6]).all() and np.isfinite(out[7:]).all()):
-            # a channel with no rates divided 0 by 0
-            stuck = (sum(rates[:4]) == 0.0) | (sum(rates[4:]) == 0.0)
-            if stuck.any():
-                raise NonUniqueSteadyStateError(
-                    f"a channel carries no rates at grid point {offset + int(np.argmax(stuck))}; "
-                    "the stationary state is not unique"
-                )
-            finite = np.isfinite(out[2:6]).all(axis=0) & np.isfinite(out[7:]).all(axis=0)
-            i = offset + int(np.argmin(finite))
-            raise ValueError(f"populations or correlations not finite at grid point {i}")
-    return out

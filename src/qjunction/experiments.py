@@ -2,11 +2,11 @@
 and the entanglement sudden-death threshold.
 
 A single point (:func:`solve_point`) runs the float closed forms in turn
-(``solver._channel`` at each gap, ``solver._weights``, ``correlations._measures``),
+(``solver.transport_kernel``, ``solver._weights``, ``correlations._measures``),
 building only its row, importing no numpy. A grid is solved on numpy arrays of
 ``_CHUNK`` values, into the one read-only float64 array its rows are read from,
-both channels at once: :func:`run_sweep` by the same forms, each chunk unchecked
-and the whole grid checked once, and :func:`rectification_scan` by
+both channels at once: :func:`run_sweep` by the same forms, each chunk unchecked,
+a failing grid's point named from that array once, and :func:`rectification_scan` by
 ``solver._channel_current`` alone, on one occupation block per chunk
 (``baths._occupation``) that both baths read under both biases: a current needs
 no rates. The sudden-death threshold is a closed form, valid at any equilibrium.
@@ -19,12 +19,11 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .baths import _FLOATS, BathKind, _arrays, _check_bath, _occupation
-from .correlations import _measures, _states, correlation_kernel
+from .baths import _FLOATS, BathKind, _arrays, _occupation
+from .correlations import _measures, _states
 from .model import DegeneratePhysicsError, SystemParams
-from .solver import (NonUniqueSteadyStateError, _channel, _channel_current, _check_current,
-                     _check_populations, _current_not_finite, _gaps, _near_top, _weights,
-                     transport_kernel)
+from .solver import (NonUniqueSteadyStateError, _channel, _channel_current, _check_populations,
+                     _current_not_finite, _gaps, _near_top, _weights, transport_kernel)
 
 
 class SweepVariable(enum.Enum):
@@ -147,15 +146,10 @@ def solve_point(
     Raises ``ValueError`` when the heat current is not finite, which it is
     not wherever the rates overflow, as ``run_sweep`` does on a grid.
     """
-    gamma_left, gamma_right = _check_bath(gamma_left, t_left), _check_bath(gamma_right, t_right)
-    gap_a, gap_b = _gaps(params)
-    rates_a, j_a = _channel(_FLOATS, kind, gamma_left, gamma_right, gap_a, t_left, t_right)
-    rates_b, j_b = _channel(_FLOATS, kind, gamma_left, gamma_right, gap_b, t_left, t_right)
-    current = 0.0 + j_a + j_b
-    if not math.isfinite(current):
-        raise _current_not_finite(t_left, t_right)
+    (lda, lua, rda, rua, ldb, lub, rdb, rub), current = transport_kernel(
+        params, kind, gamma_left, gamma_right, t_left, t_right)
     try:
-        (fa, ga), (fb, gb) = _weights(*rates_a), _weights(*rates_b)
+        (fa, ga), (fb, gb) = _weights(lda, lua, rda, rua), _weights(ldb, lub, rdb, rub)
     except ZeroDivisionError:  # of float couplings; a numpy scalar's 0/0 gives NaN
         raise NonUniqueSteadyStateError(
             "a channel carries no rates; the stationary state is not unique") from None
@@ -200,10 +194,13 @@ def run_sweep(spec: SweepSpec) -> Sequence[SweepRow]:
     """Evaluate the sweep grid in ascending order of the sweep variable.
 
     ``np.asarray`` of the result is the (count, 11) array; it equals only itself.
-    Its values, and the error a failing grid raises, are those of ``transport_kernel``
-    and ``correlation_kernel`` run chunk by chunk, which check each chunk; the sweep
-    checks once per call and runs them again only on the first chunk that fails.
+    A failing grid raises ``ValueError`` at its first point whose heat current is
+    not finite, as ``solve_point`` does, and otherwise ``DegeneratePhysicsError`` at
+    its first point at which a channel carries no rates.
     """
+    couplings, (gap_a, gap_b) = (spec.gamma_left, spec.gamma_right), _gaps(spec.params)
+    if not any(couplings) and gap_b < math.inf:  # no rates anywhere, and a current of 0.0
+        raise _no_rates(spec.variable, 0)
     import numpy as np
     out = np.empty((11, spec.count))
     _fill_grid(out[1], spec.lo, spec.hi)
@@ -215,7 +212,6 @@ def run_sweep(spec: SweepSpec) -> Sequence[SweepRow]:
     else:
         out[0], out[1] = spec.t_avg + out[1], spec.t_avg - out[1]
         t_max = spec.t_avg + max(spec.hi, -spec.lo)
-    couplings, (gap_a, gap_b) = (spec.gamma_left, spec.gamma_right), _gaps(spec.params)
     near_top, gaps = _near_top(*couplings, t_max, gap_a), np.array([[gap_a], [gap_b]])
     inverted, ops, step = spec.params.epsilon > spec.params.kappa, _arrays(), _CHUNK // 2
     with np.errstate(all="ignore"):
@@ -232,16 +228,24 @@ def run_sweep(spec: SweepSpec) -> Sequence[SweepRow]:
             _states(inverted, fa, ga, fb, gb, out[:, part])
             del fa, fb, ga, gb  # before the next chunk's rates are formed
     if not np.isfinite(out[2:]).all():
-        # the first chunk that fails, through the checked kernels, raises what they raise
-        start = int(np.argmin(np.isfinite(out[2:]).all(axis=0))) // step * step
-        rows = out[:, start:start + step]
-        try:
-            rates, _ = transport_kernel(spec.params, spec.kind, *couplings, rows[0], rows[1])
-            correlation_kernel(rates, inverted, start, rows)
-        except DegeneratePhysicsError as exc:
-            raise DegeneratePhysicsError(
-                f"sweep aborted on the {spec.variable.value} grid: {exc}") from exc
+        # where the current is finite so are the rates: a state that is not is a channel's 0/0
+        _check_current(out[6], out[0], out[1])
+        raise _no_rates(spec.variable, int(np.argmin(np.isfinite(out[2:]).all(axis=0))))
     return _Table(SweepRow, out)
+
+
+def _no_rates(variable, i):
+    return DegeneratePhysicsError(f"sweep aborted on the {variable.value} grid: a channel carries "
+                                  f"no rates at grid point {i}; the stationary state is not unique")
+
+
+def _check_current(j, t_left, t_right):
+    # ValueError at the first point of a grid where the current is not finite
+    import numpy as np
+    bad = ~np.isfinite(j)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise _current_not_finite(float(t_left[i]), float(t_right[i]))
 
 
 def rectification_scan(
@@ -256,9 +260,9 @@ def rectification_scan(
 
     The junction rectifies when |j_reverse| differs from |j_forward|; with
     equal couplings the two magnitudes coincide identically. ``np.asarray``
-    of the result is the (n, 3) array, dT copied; it equals only itself. Its
-    currents, and the point a current that is not finite is named at, are
-    those of one ``transport_kernel`` call on the forward, then reversed, grid.
+    of the result is the (n, 3) array, dT copied; it equals only itself. A
+    current that is not finite raises ``ValueError`` at the first such point
+    of the forward grid, else of the reversed one, as ``solve_point`` names it.
     """
     if not 0.0 < t_avg < math.inf:
         raise ValueError(f"t_avg must be positive and finite, got {t_avg}")

@@ -18,19 +18,18 @@ bath-system coherences has no closed evaluation route here and is not
 provided. ``_channel_current`` forms each channel's term from the two
 baths' occupations alone, the one form on every route.
 
-:func:`transport_kernel` evaluates the eight rates and the heat current at
-one temperature pair or over a grid, building no objects: ``_channel`` at
-each gap in turn for a point, and once at the column of both gaps for a
-grid, whose rates are then rows of (2, n) arrays. ``_weights`` forms a
-channel's weights from its rates, or both channels' from those (2, n)
-blocks (``experiments.run_sweep``). The closed forms run on floats
-or numpy arrays (``baths._FLOATS``, ``baths._arrays``); numpy is imported by
-the first grid, never by a point.
+:func:`transport_kernel` checks one point's couplings and temperatures and
+evaluates its eight rates and heat current on floats, building no objects:
+``_channel`` at each gap in turn. A grid calls ``_channel`` once, at the column
+of both gaps, whose rates are then rows of (2, n) arrays, and ``_weights`` forms
+both channels' weights from those (2, n) blocks at once (``experiments.run_sweep``).
+The closed forms run on floats or numpy arrays (``baths._FLOATS``,
+``baths._arrays()``); this module imports no numpy.
 """
 
 import math
 
-from .baths import _BOSON, _FLOATS, BathKind, _arrays, _rates
+from .baths import _BOSON, _FLOATS, BathKind, _check_bath, _rates
 from .model import DegeneratePhysicsError, SystemParams
 
 
@@ -138,19 +137,17 @@ def _near_top(gamma_left, gamma_right, t_max, omega):
 
 
 def transport_kernel(params: SystemParams, kind: BathKind, gamma_left: float,
-                     gamma_right: float, t_left, t_right):
-    """Rates and heat current at one temperature pair or over a grid of them.
+                     gamma_right: float, t_left: float, t_right: float):
+    """Rates and heat current at one temperature pair, on floats, without numpy.
 
-    ``t_left`` and ``t_right`` are validated temperatures (finite, >= 0):
-    two floats, or two equal-length float arrays. Returns ``(rates,
-    j_left)``. ``rates`` is a tuple of eight floats or arrays, the (down,
-    up) rates (see ``baths``) of the left bath, then of the right bath,
-    across channel a, then across channel b: (left_down, left_up,
-    right_down, right_up) at the gap |kappa - epsilon|, then at kappa +
-    epsilon. Channel a is inverted when epsilon > kappa: state |2> then lies
-    below |1>, and the rate W12 (2 -> 1) is an excitation, not a relaxation.
-    ``j_left`` is the heat current out of the left reservoir, the sum over
-    the two channels c of
+    ``experiments.solve_point`` calls this. Returns ``(rates, j_left)``:
+    ``rates`` is eight floats, the (down, up) rates (see ``baths``) of the left
+    bath, then of the right bath, across channel a, then across channel b:
+    (left_down, left_up, right_down, right_up) at the gap |kappa - epsilon|,
+    then at kappa + epsilon. Channel a is inverted when epsilon > kappa: state
+    |2> then lies below |1>, and the rate W12 (2 -> 1) is an excitation, not a
+    relaxation. ``j_left`` is the heat current out of the left reservoir, the
+    sum over the two channels c of
 
         omega_c (kL_up kR_down - kL_down kR_up)
         / (2 [kL_up + kR_down + kL_down + kR_up])
@@ -165,31 +162,17 @@ def transport_kernel(params: SystemParams, kind: BathKind, gamma_left: float,
     it valid for either sign of kappa - epsilon. Where a channel's rates
     sum past 2**1020 they are returned divided by a power of two, as are
     the occupations the current reads, which leaves every ratio of rates,
-    and so the populations, exact. On floats nothing is checked and numpy
-    is not used; on arrays ``ValueError`` is raised where the current is
-    not finite.
+    and so the populations, exact. Raises ``ValueError`` for a coupling or
+    temperature that is not finite and >= 0, and where the current is not finite.
     """
-    if not getattr(t_left, "ndim", 0):  # a float, an int or a numpy scalar: a, then b
-        gap_a, gap_b = _gaps(params)
-        rates_a, j_a = _channel(_FLOATS, kind, gamma_left, gamma_right, gap_a, t_left, t_right)
-        rates_b, j_b = _channel(_FLOATS, kind, gamma_left, gamma_right, gap_b, t_left, t_right)
-        return rates_a + rates_b, 0.0 + j_a + j_b
-    import numpy as np
-    with np.errstate(all="ignore"):  # both channels at once, at the column of gaps
-        (ld, lu, rd, ru), j = _channel(_arrays(), kind, gamma_left, gamma_right,
-                                       np.array(_gaps(params))[:, np.newaxis], t_left, t_right)
-        j = 0.0 + j[0] + j[1]
-    _check_current(j, t_left, t_right)
-    return (ld[0], lu[0], rd[0], ru[0], ld[1], lu[1], rd[1], ru[1]), j
-
-
-def _check_current(j, t_left, t_right):
-    # ValueError at the first point of a grid where the current is not finite
-    import numpy as np
-    bad = ~np.isfinite(j)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise _current_not_finite(float(t_left[i]), float(t_right[i]))
+    gamma_left, gamma_right = _check_bath(gamma_left, t_left), _check_bath(gamma_right, t_right)
+    gap_a, gap_b = _gaps(params)
+    rates_a, j_a = _channel(_FLOATS, kind, gamma_left, gamma_right, gap_a, t_left, t_right)
+    rates_b, j_b = _channel(_FLOATS, kind, gamma_left, gamma_right, gap_b, t_left, t_right)
+    j = 0.0 + j_a + j_b
+    if not math.isfinite(j):
+        raise _current_not_finite(t_left, t_right)
+    return rates_a + rates_b, j
 
 
 def _current_not_finite(t_left, t_right):

@@ -8,8 +8,8 @@ one JSON record:
   on each side and its distance from the exact value in ulps and relative;
 - the median, 90th percentile and maximum relative J error of both
   checkouts per regime and bath kind, on a seeded corpus, through
-  ``solve_point`` ("point") and ``transport_kernel`` on one-element arrays
-  ("grid").
+  ``solve_point`` ("point") and ``solver._channel`` at the column of both
+  gaps on one-element arrays, as a grid solves them ("grid").
 
 Run from the root of the "after" checkout, with the "before" checkout made
 for example by ``git archive``:
@@ -79,13 +79,16 @@ def evaluate(points):
     """(point J, grid J) of each point, as repr strings, from the qjunction on sys.path."""
     import numpy as np
     from qjunction import BathKind, SystemParams, solve_point
-    from qjunction.solver import transport_kernel
+    from qjunction.baths import _arrays
+    from qjunction.solver import _channel, _gaps
     out = []
     for _, eps, kap, kind, gl, gr, tl, tr in points:
         params, bath = SystemParams(eps, kap), BathKind(kind)
         j_point = solve_point(params, bath, gl, gr, tl, tr).heat_current
-        j_grid = transport_kernel(params, bath, gl, gr, np.array([tl]), np.array([tr]))[1][0]
-        out.append((repr(j_point), repr(float(j_grid))))
+        with np.errstate(all="ignore"):  # both channels at once, at the column of gaps
+            _, j = _channel(_arrays(), bath, gl, gr, np.array(_gaps(params))[:, np.newaxis],
+                            np.array([tl]), np.array([tr]))
+        out.append((repr(j_point), repr(float(0.0 + j[0, 0] + j[1, 0]))))
     return out
 
 

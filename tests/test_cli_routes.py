@@ -1,10 +1,11 @@
 """The CLI's two routes for a grid: point by point on floats, and on arrays.
 
 A ``sweep`` or ``rect`` grid of up to ``cli._POINTWISE_MAX`` points is
-solved by ``solve_point`` at each of its temperature pairs, so that the
-process never imports numpy (``test_kernel.py`` runs that in a fresh
-interpreter). A larger grid, or a small one at which a point raises, runs
-``run_sweep`` or ``rectification_scan``. These tests pin both routes to the
+solved by ``solve_point`` (a ``rect``'s currents by ``solver.transport_kernel``)
+at each of its temperature pairs, so that the process never imports numpy
+(``test_kernel.py`` runs that in a fresh interpreter). A larger grid, or a
+small one at which a point raises, runs ``run_sweep`` or
+``rectification_scan``. These tests pin both routes to the
 bit, the array route to the golden grids within a few ulps, the float grid to
 ``np.linspace``, and every failing small grid to the error that the library
 raises on the same spec.
@@ -155,11 +156,15 @@ def test_the_array_route_reproduces_the_golden_grids(name):
                 header[i], row[0], value, pinned)
 
 
-def test_where_a_point_raises_a_small_grid_gives_the_array_routes_rows(capsys):
-    # solve_point raises where no channel carries rates; a scan between two
-    # uncoupled baths carries no current, and the CLI prints the scan's zeros
+def test_an_uncoupled_small_scan_prints_its_zeros_from_the_float_route(capsys):
+    # solve_point raises where no channel carries rates, but a small scan takes its
+    # currents from transport_kernel, which does not: a scan between two uncoupled
+    # baths carries no current, and the float route prints the scan's zeros
     argv = ("rect", "--ta", "1.0", "--lo", "0.1", "--hi", "0.9", "--n", "5", "--gl", "0",
             "--gr", "0")
+    *bath, t_avg, lo, hi, n = _library(argv)[1]
+    assert cli._pointwise_scan(bath, t_avg, _float_grid(lo, hi, n)) == [
+        (dt, 0.0, 0.0) for dt in _float_grid(lo, hi, n)]
     assert _prints_the_array_route(capsys, argv) == "rows"
     assert [row[1:] for row in _rows(_run(capsys, argv)[1])] == [["0.0", "0.0"]] * 5
 

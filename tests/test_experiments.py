@@ -118,6 +118,38 @@ class TestRunSweep:
                            r"T_L = 143819747\.3315974, T_R = 143819747\.3315974$"):
             run_sweep(spec)
 
+    @pytest.mark.parametrize("variable, fixed", [
+        (SweepVariable.T_COMMON, {}), (SweepVariable.T_RIGHT, {"t_left": 1.5}),
+        (SweepVariable.DELTA_T, {"t_avg": 1.0})])
+    def test_an_uncoupled_sweep_names_point_0_before_it_solves(self, monkeypatch, variable,
+                                                               fixed):
+        # no channel carries rates at any point, which the couplings alone decide: the
+        # sweep forms no grid and solves no chunk, and names point 0 with the text of
+        # any stalled point
+        def refuse(*args):
+            raise AssertionError("a grid was formed or solved")
+
+        monkeypatch.setattr(experiments, "_fill_grid", refuse)
+        monkeypatch.setattr(experiments, "_channel", refuse)
+        lo = -0.5 if variable is SweepVariable.DELTA_T else 0.0
+        spec = SweepSpec(PARAMS, BathKind.SPIN, 0.0, 0.0, variable, lo, 0.5,
+                         3 * experiments._CHUNK, **fixed)
+        with pytest.raises(DegeneratePhysicsError) as error:
+            run_sweep(spec)
+        assert type(error.value) is DegeneratePhysicsError
+        assert str(error.value) == (
+            f"sweep aborted on the {variable.value} grid: a channel carries no rates at "
+            "grid point 0; the stationary state is not unique")
+
+    def test_an_uncoupled_sweep_names_a_current_that_is_not_finite_first(self):
+        # kappa + epsilon overflows, so channel b's current is 0 * inf at every point,
+        # and the current error comes before the stalled channels, as on a point
+        spec = SweepSpec(SystemParams(1e308, 1.7e308), BathKind.BOSON, 0.0, 0.0,
+                         SweepVariable.T_RIGHT, 0.5, 1.0, 5, t_left=2.0)
+        with pytest.raises(ValueError, match=r"^heat current is not finite at T_L = 2\.0, "
+                           r"T_R = 0\.5$"):
+            run_sweep(spec)
+
     @settings(max_examples=60, deadline=None)
     @given(st.floats(1e-3, 1e308), st.floats(1e-3, 1e308), st.sampled_from([0.0, 5e-324]),
            st.sampled_from([0.0, 5e-324]), st.floats(0.0, 1e308), st.floats(1.0, 1e308))

@@ -1,9 +1,10 @@
 """The kernels behind solve_point, run_sweep and rectification_scan, point against grid.
 
-A single point runs the closed forms on Python floats (``solver._channel``,
-``solver._weights``, ``correlations._measures``); a grid runs the same
-ones on numpy arrays through ``solver.transport_kernel`` and
-``correlations.correlation_kernel``. The point route is the reference here. On a grid the
+A single point runs the closed forms on Python floats (``solver.transport_kernel``,
+which runs ``solver._channel`` at each gap, then ``solver._weights`` and
+``correlations._measures``); a grid runs the same ones on numpy arrays
+(``solver._channel`` at the column of both gaps, ``solver._weights`` and
+``correlations._states``). The point route is the reference here. On a grid the
 channel weights and populations are sums, products and quotients of the
 rates, which numpy rounds exactly as floats do, so given the same rates the
 two routes agree bit for bit. Everything else on a grid is asserted to
@@ -49,7 +50,6 @@ from qjunction import (
     solve_point,
 )
 from qjunction import baths, cli, correlations, experiments, solver
-from qjunction.correlations import correlation_kernel
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import GOLDEN
 
@@ -125,51 +125,41 @@ def test_run_sweep_matches_solve_point_row_by_row():
 
 
 def test_kernel_populations_equal_steady_populations_exactly():
-    # the grid route, given the eight rates of each point as the point route
-    # forms them, gives solve_point's populations bit for bit
+    # the grid's forms, _weights and _states, given the eight rates of each point as
+    # the point route forms them, give solve_point's populations bit for bit
     for spec in CASES:
         args = (spec.params, spec.kind, spec.gamma_left, spec.gamma_right)
         temperatures = [(row.t_left, row.t_right) for row in run_sweep(spec)]
-        per_point = [solver.transport_kernel(*args, *ts)[0] for ts in temperatures]
-        grid = correlation_kernel(tuple(np.array(per_point).T),
-                                  spec.params.epsilon > spec.params.kappa, 0,
-                                  np.empty((11, len(temperatures))))
+        rates = np.array([solver.transport_kernel(*args, *ts)[0] for ts in temperatures]).T
+        grid = np.empty((11, len(temperatures)))
+        correlations._states(spec.params.epsilon > spec.params.kappa,
+                             *solver._weights(*rates[:4]), *solver._weights(*rates[4:]), grid)
         assert grid[2:6].T.tolist() == [list(solve_point(*args, *ts)[2:6])
                                         for ts in temperatures]
 
 
-def test_correlation_kernel_writes_into_the_rows_it_is_given():
-    # run_sweep hands the kernel a block of columns of its table; the kernel writes
-    # into its state rows the bits it writes into an (11, n) array, and nothing else
+def test_states_write_into_the_rows_they_are_given():
+    # run_sweep hands _states a block of columns of its table; it writes into the
+    # state rows the bits it writes into an (11, n) array, and nothing else
     temperatures = np.linspace(0.0, 3.0, 500)
     state_rows = [2, 3, 4, 5, 7, 8, 9, 10]
     for params in (SystemParams(0.2, 1.0), SystemParams(1.0, 0.2)):
         inverted = params.epsilon > params.kappa
+        gaps = np.array(solver._gaps(params))[:, np.newaxis]
         for kind in BathKind:
-            rates, _ = solver.transport_kernel(params, kind, 1.3, 0.4, temperatures,
-                                               temperatures[::-1].copy())
+            with np.errstate(all="ignore"):
+                rates, _ = solver._channel(baths._arrays(), kind, 1.3, 0.4, gaps, temperatures,
+                                           temperatures[::-1].copy())
+            (fa, fb), (ga, gb) = solver._weights(*rates)
             table = np.full((11, temperatures.size + 3), np.nan)
             rows = table[:, 1:-2]
-            written = correlation_kernel(rates, inverted, 0, rows)
-            assert all(np.shares_memory(row, table) for row in written)
-            own = correlation_kernel(rates, inverted, 0, np.empty((11, temperatures.size)))
+            correlations._states(inverted, fa, ga, fb, gb, rows)
+            own = np.empty((11, temperatures.size))
+            correlations._states(inverted, fa, ga, fb, gb, own)
             assert rows[state_rows].tobytes() == own[state_rows].tobytes()
+            assert not np.isnan(rows[state_rows]).any()
             assert np.isnan(table[[0, 1, 6]]).all()
             assert np.isnan(table[:, [0, -2, -1]]).all()
-
-
-def test_correlation_kernel_errors_name_the_point_plus_the_offset():
-    # channel a carries no rates at point 17 of a chunk that starts at 8192;
-    # then its W12 is inf there, which makes the populations NaN
-    rates = [np.ones(50) for _ in range(8)]
-    for rate in rates[:4]:
-        rate[17] = 0.0
-    rows = np.empty((11, 50))
-    with pytest.raises(qjunction.NonUniqueSteadyStateError, match="at grid point 8209;"):
-        correlation_kernel(tuple(rates), False, 8192, rows)
-    rates[0][17] = math.inf
-    with pytest.raises(ValueError, match="not finite at grid point 8209$"):
-        correlation_kernel(tuple(rates), False, 8192, rows)
 
 
 def test_measures_leave_the_weights_they_are_given_untouched():
@@ -195,8 +185,10 @@ def _unstacked_sweep(spec):
     grid = np.linspace(spec.lo, spec.hi, spec.count)
     if spec.variable is SweepVariable.DELTA_T:
         t_left, t_right = spec.t_avg + grid, spec.t_avg - grid
-    else:
+    elif spec.variable is SweepVariable.T_RIGHT:
         t_left, t_right = np.full(spec.count, float(spec.t_left)), grid
+    else:  # each bath forms its own occupation
+        t_left, t_right = grid, grid.copy()
     ops, table = baths._arrays(), np.empty((11, spec.count))
     with np.errstate(all="ignore"):
         (rates_a, j_a), (rates_b, j_b) = (
@@ -219,12 +211,18 @@ SWEEP_SEAM_SIZES = [experiments._CHUNK // 2 - 1, experiments._CHUNK // 2,
 
 @pytest.mark.parametrize("n", SWEEP_SEAM_SIZES)
 def test_run_sweep_equals_one_unstacked_whole_grid_pass_bit_for_bit(n):
-    # a sweep solves both channels of a chunk at once, at a column of gaps, and
-    # writes the states into its table; the bits are those of each channel solved
-    # alone over the whole grid
-    specs = [SweepSpec(params, kind, gl, gr, SweepVariable.DELTA_T, -2.9, 2.9, n, t_avg=3.0)
+    # a sweep solves both channels of a chunk at once, at a column of gaps, decides the
+    # near-top test once per call, reads one occupation for both coupled baths of a
+    # T_COMMON grid and writes the states into its table; the bits are those of each
+    # channel solved alone over the whole grid, each bath's occupation its own
+    fixed = {SweepVariable.T_COMMON: {}, SweepVariable.T_RIGHT: {"t_left": 1.7},
+             SweepVariable.DELTA_T: {"t_avg": 3.0}}
+    specs = [SweepSpec(params, kind, gl, gr, variable,
+                       -2.9 if variable is SweepVariable.DELTA_T else 0.0, 2.9, n,
+                       **fixed[variable])
              for params in (SystemParams(0.2, 1.0), SystemParams(1.0, 0.2))
-             for kind in BathKind for gl, gr in ((1.3, 0.4), (0.0, 0.4), (1.3, 0.0))]
+             for kind, variable in itertools.product(BathKind, SweepVariable)
+             for gl, gr in ((1.3, 0.4), (0.0, 0.4), (1.3, 0.0))]
     # the golden sweep_tr_rescaled_over_sum: rates rescaled by a power of two
     rescaled = [SweepSpec(SystemParams(6.8145, 1.6143), kind, 0.2039, 10.58,
                           SweepVariable.T_RIGHT, 0.5, 4.0, n, t_left=1e308) for kind in BathKind]
@@ -234,39 +232,6 @@ def test_run_sweep_equals_one_unstacked_whole_grid_pass_bit_for_bit(n):
     for spec in specs + rescaled + [signed_zeros]:
         table = np.asarray(run_sweep(spec)).T
         assert table.tobytes() == _unstacked_sweep(spec).tobytes()
-
-
-def _chunked_kernels(spec, t_left, t_right):
-    """A sweep's table from its temperature rows, by the checked kernels on each chunk in
-    turn, the current by ``transport_kernel`` and the states by ``correlation_kernel``."""
-    inverted, step = spec.params.epsilon > spec.params.kappa, experiments._CHUNK // 2
-    table = np.empty((11, spec.count))
-    table[0], table[1] = t_left, t_right
-    for start in range(0, spec.count, step):
-        part = slice(start, start + step)
-        rates, table[6, part] = solver.transport_kernel(
-            spec.params, spec.kind, spec.gamma_left, spec.gamma_right, t_left[part].copy(),
-            t_right[part].copy())
-        correlation_kernel(rates, inverted, start, table[:, part])
-    return table
-
-
-@pytest.mark.parametrize("n", [experiments._CHUNK // 2 - 1, experiments._CHUNK // 2,
-                               experiments._CHUNK // 2 + 1, experiments._CHUNK + 1])
-def test_run_sweep_equals_the_checked_kernels_chunk_by_chunk_bit_for_bit(n):
-    # a sweep decides the near-top test once per call, reads one occupation for both
-    # baths of a T_COMMON grid, forms both channels' weights at once and checks once;
-    # the bits are those of the kernels run on each chunk, each bath's occupation its own
-    fixed = {SweepVariable.T_COMMON: {}, SweepVariable.T_RIGHT: {"t_left": 1.7},
-             SweepVariable.DELTA_T: {"t_avg": 3.0}}
-    for params in (SystemParams(0.2, 1.0), SystemParams(1.0, 0.2)):
-        for kind, variable, (gl, gr) in itertools.product(
-                BathKind, SweepVariable, [(1.3, 0.4), (0.0, 0.4)]):
-            lo = -2.9 if variable is SweepVariable.DELTA_T else 0.0
-            spec = SweepSpec(params, kind, gl, gr, variable, lo, 2.9, n, **fixed[variable])
-            table = np.asarray(run_sweep(spec)).T
-            reference = _chunked_kernels(spec, table[0], table[1])
-            assert table.tobytes() == reference.tobytes(), (params, kind, variable, gl, gr)
 
 
 def _bias_scans():
@@ -296,10 +261,16 @@ def test_rectification_scan_matches_scalar_heat_current():
 
 
 def _whole_grid_scan(params, kind, gamma_left, gamma_right, t_avg, dts):
-    """transport_kernel's currents over one grid: the forward biases, then the reversed."""
+    """The currents over one grid, the forward biases, then the reversed: ``solver._channel``
+    at the column of both gaps, the first that is not finite named by ``_check_current``."""
     signed = np.concatenate((dts, -dts))
-    return solver.transport_kernel(params, kind, gamma_left, gamma_right,
-                                   t_avg + signed, t_avg - signed)[1]
+    t_left, t_right, gaps = t_avg + signed, t_avg - signed, np.array(solver._gaps(params))
+    with np.errstate(all="ignore"):
+        _, j = solver._channel(baths._arrays(), kind, gamma_left, gamma_right,
+                               gaps[:, np.newaxis], t_left, t_right)
+        j = 0.0 + j[0] + j[1]
+    experiments._check_current(j, t_left, t_right)
+    return j
 
 
 # grids that end just before, on and just after a scan's chunk edge (a quarter of a
@@ -316,8 +287,8 @@ SEAM_SIZES = [experiments._CHUNK // 4 - 1, experiments._CHUNK // 4,
 def test_rectification_scan_equals_one_whole_grid_call_bit_for_bit(n):
     # a scan forms one occupation per gap and side (T_a + dT, T_a - dT) that both baths
     # read, the right one with the sides swapped, solves both channels in one pass and
-    # sums their terms into its own rows; the bits are those of one transport_kernel
-    # call on the whole forward-then-reversed grid
+    # sums their terms into its own rows; the bits are those of both channels solved
+    # at once over the whole forward-then-reversed grid
     scans = [((params, kind, gl, gr), 1.7, np.linspace(1e-3, 1.69, n))
              for params in (SystemParams(0.2, 1.0), SystemParams(1.0, 0.2))
              for kind in BathKind for gl, gr in ((0.3, 2.1), (0.0, 2.1), (0.3, 0.0))]
@@ -666,7 +637,8 @@ assert not [name for name in sys.modules if name.startswith("numpy.")]
 '''
 
 # CLI grids of up to cli._POINTWISE_MAX points: sweeps of each variable and rects, both
-# kinds, inverted and one-sided, ascending and descending, at 1 and 2 points and at the bound
+# kinds, inverted, one-sided and uncoupled, ascending and descending, at 1 and 2 points and at
+# the bound
 _BOUND = str(cli._POINTWISE_MAX)
 SMALL_GRIDS = [
     ["sweep", "--var", "ta", "--lo", "0", "--hi", "3", "--n", _BOUND],
@@ -678,6 +650,8 @@ SMALL_GRIDS = [
     ["rect", "--ta", "2", "--lo", "1.9", "--hi", "0.01", "--n", "7", "--bath", "spin",
      "--epsilon", "1.0", "--kappa", "0.2"],
     ["rect", "--ta", "1", "--lo", "0.5", "--hi", "0.9", "--n", "1"],
+    # no channel carries rates, and the scan's currents are 0.0
+    ["rect", "--ta", "1", "--lo", "0.1", "--hi", "0.9", "--n", "5", "--gl", "0", "--gr", "0"],
 ]
 
 

@@ -236,6 +236,28 @@ class TestHeatCurrent:
         assert current == 0.0
 
 
+class TestTransportKernel:
+    # the float entry point to a point's rates and current checks what solve_point checks
+
+    @pytest.mark.parametrize("gl, gr, tl, tr", [
+        (-1.0, 1.0, 1.0, 1.0), (math.inf, 1.0, 1.0, 1.0), (1.0, math.nan, 1.0, 1.0),
+        (1.0, 1.0, -0.5, 1.0), (1.0, 1.0, 1.0, math.inf),
+        (1e200, 1.0, 1e308, 0.5),  # boson rates overflow, so the current is not finite
+    ])
+    def test_raises_what_solve_point_raises(self, gl, gr, tl, tr):
+        with pytest.raises(ValueError) as kernel:
+            transport_kernel(PARAMS, BathKind.BOSON, gl, gr, tl, tr)
+        with pytest.raises(ValueError) as point:
+            solve_point(PARAMS, BathKind.BOSON, gl, gr, tl, tr)
+        assert (type(kernel.value), str(kernel.value)) == (type(point.value), str(point.value))
+
+    @pytest.mark.parametrize("kind", list(BathKind))
+    def test_gives_solve_points_current_as_floats(self, kind):
+        rates, current = transport_kernel(PARAMS, kind, 1.3, 0.4, 1.5, 0.5)
+        assert len(rates) == 8 and all(type(rate) is float for rate in rates)
+        assert current == solve_point(PARAMS, kind, 1.3, 0.4, 1.5, 0.5).heat_current
+
+
 class TestPopulationsType:
     # the check a single point's populations pass before its measures are formed
 

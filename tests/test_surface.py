@@ -31,6 +31,20 @@ def test_public_names():
         assert getattr(qjunction, name).__module__.startswith("qjunction.")
 
 
+def test_modules_define_no_public_function_but_their_entry_points():
+    # the four drivers the package root exports, the CLI's main and the documented float
+    # entry point to a point's rates, solver.transport_kernel; nothing else is public
+    entry_points = {"cli": ["main"], "solver": ["transport_kernel"], "experiments": [
+        "rectification_scan", "run_sweep", "solve_point", "sudden_death_temperature"]}
+    sources = sorted(Path(qjunction.__file__).parent.glob("*.py"))
+    assert len(sources) == 7
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        public = sorted(node.name for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"))
+        assert public == entry_points.get(path.stem, []), path.name
+
+
 def test_float_and_array_namespaces_offer_the_same_operations():
     # each closed form is written once, over baths._FLOATS for a point and
     # baths._arrays() for a grid, so the two must name the same members
