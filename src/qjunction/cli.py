@@ -174,7 +174,7 @@ def _grid_rows(count, pointwise, array_route):
     if count <= _POINTWISE_MAX:
         try:
             return pointwise()
-        except (ArithmeticError, ValueError):
+        except ValueError:
             pass
     import numpy as np
     return np.asarray(array_route(np)).tolist()

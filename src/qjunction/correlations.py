@@ -98,8 +98,8 @@ def _measures(ops, fa, ga, fb, gb):
 def _states(a_inverted, fa, ga, fb, gb, out):
     # a grid's P1..P4 into rows 2-5 of out, an (11, n) block of columns in SweepRow's field
     # order, and (C, Q, I, C_cl) into rows 7-10, unchecked; no other row is read or written.
-    # The weights are each channel's as _weights gives them: an inverted channel a's (epsilon
-    # > kappa) are swapped here, and a channel with no rates (0/0) writes NaN in every row
+    # The weights are each channel's as solver._channel gives them: an inverted channel a's
+    # (epsilon > kappa) are swapped here, and a channel with no rates (NaN) writes NaN in every row
     import numpy as np
     if a_inverted:
         fa, ga = ga, fa

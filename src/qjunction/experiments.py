@@ -2,14 +2,14 @@
 and the entanglement sudden-death threshold.
 
 A single point (:func:`solve_point`) runs the float closed forms in turn
-(``solver.transport_kernel``, ``solver._weights``, ``correlations._measures``),
-building only its row, importing no numpy. A grid is solved on numpy arrays of
-``_CHUNK`` values, into the one read-only float64 array its rows are read from,
-both channels at once: :func:`run_sweep` by the same forms, each chunk unchecked,
-a failing grid's point named from that array once, and :func:`rectification_scan` by
-``solver._channel_current`` alone, on one occupation block per chunk
-(``baths._occupation``) that both baths read under both biases: a current needs
-no rates. The sudden-death threshold is a closed form, valid at any equilibrium.
+(``solver.transport_kernel``, then ``correlations._measures``), building only
+its row, importing no numpy. A grid is solved on numpy arrays of ``_CHUNK``
+values, into the one read-only float64 array its rows are read from, both
+channels at once: :func:`run_sweep` by the same forms (``solver._channel``,
+``correlations._states``), each chunk unchecked, a failing grid's point named
+from that array once, and :func:`rectification_scan` by the current alone, from
+one E = expm1(omega/T) block per chunk that both baths read under both biases.
+The sudden-death threshold is a closed form, valid at any equilibrium.
 """
 
 import enum
@@ -19,11 +19,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .baths import _FLOATS, BathKind, _arrays, _occupation
+from .baths import _FLOATS, BathKind, _arrays
 from .correlations import _measures, _states
 from .model import DegeneratePhysicsError, SystemParams
-from .solver import (NonUniqueSteadyStateError, _channel, _channel_current, _check_populations,
-                     _current_not_finite, _gaps, _near_top, _weights, transport_kernel)
+from .solver import (NonUniqueSteadyStateError, _channel, _check_populations, _couplings,
+                     _current, _current_not_finite, _difference, _gaps, _near_top, _overflows,
+                     transport_kernel)
 
 
 class SweepVariable(enum.Enum):
@@ -144,17 +145,13 @@ def solve_point(
     """Full steady-state solution for a single pair of bath temperatures.
 
     Raises ``ValueError`` when the heat current is not finite, which it is
-    not wherever the rates overflow, as ``run_sweep`` does on a grid.
+    not wherever a boson rate overflows, as ``run_sweep`` does on a grid.
     """
-    (lda, lua, rda, rua, ldb, lub, rdb, rub), current = transport_kernel(
+    (fa, ga, fb, gb), current = transport_kernel(
         params, kind, gamma_left, gamma_right, t_left, t_right)
-    try:
-        (fa, ga), (fb, gb) = _weights(lda, lua, rda, rua), _weights(ldb, lub, rdb, rub)
-    except ZeroDivisionError:  # of float couplings; a numpy scalar's 0/0 gives NaN
+    if math.isnan(ga) or math.isnan(gb):
         raise NonUniqueSteadyStateError(
-            "a channel carries no rates; the stationary state is not unique") from None
-    if params.epsilon > params.kappa:  # channel a's down rates lead into |2>
-        fa, ga = ga, fa
+            "a channel carries no rates; the stationary state is not unique")
     p1, p2, p3, p4 = fa * fb, ga * fb, fa * gb, ga * gb
     _check_populations((p1, p2, p3, p4))
     conc, mi, ccl, disc = _measures(_FLOATS, fa, ga, fb, gb)
@@ -219,16 +216,15 @@ def run_sweep(spec: SweepSpec) -> Sequence[SweepRow]:
         for start in range(0, spec.count, step):
             part = slice(start, start + step)
             t_left = out[0, part]
-            rates, j = _channel(ops, spec.kind, *couplings, gaps, t_left,
-                                t_left if common else out[1, part], near_top)
+            (f, g), j = _channel(ops, spec.kind, *couplings, gaps, t_left,
+                                 t_left if common else out[1, part], near_top)
             np.add(0.0, j[0], out=out[6, part])  # 0.0 + j_a + j_b
             out[6, part] += j[1]
-            (fa, fb), (ga, gb) = _weights(*rates)  # both channels' (2, n) blocks at once
-            del rates, j  # before the measures are formed
-            _states(inverted, fa, ga, fb, gb, out[:, part])
-            del fa, fb, ga, gb  # before the next chunk's rates are formed
+            del j  # before the measures are formed
+            _states(inverted, f[0], g[0], f[1], g[1], out[:, part])
+            del f, g  # before the next chunk's are formed
     if not np.isfinite(out[2:]).all():
-        # where the current is finite so are the rates: a state that is not is a channel's 0/0
+        # where the current is finite, a state that is not is a channel without rates
         _check_current(out[6], out[0], out[1])
         raise _no_rates(spec.variable, int(np.argmin(np.isfinite(out[2:]).all(axis=0))))
     return _Table(SweepRow, out)
@@ -282,21 +278,26 @@ def rectification_scan(
         raise ValueError(f"T_a + dT overflows at T_a = {t_avg}, dT = {hi}")
     out = np.empty((3, dts.size))
     out[0], out[1:] = dts, 0.0  # calloc's zeros fault in more pages per call here
-    # per chunk, one occupation at each gap over (T_a + dT, T_a - dT) for both baths (x if
-    # neither is coupled); _channel's test is decided once, at the hottest side
-    gaps, sides = np.array(_gaps(params))[:, None, None], np.array([[1.0], [-1.0]])
-    near_top = _near_top(gamma_left, gamma_right, t_avg + hi, float(gaps[0, 0, 0]))
+    # per chunk, one E at each side (T_a + dT, T_a - dT) and gap, which both baths read (an
+    # uncoupled one as y = 1, at T = 0): the forward bias has the left bath hot, the reversed one
+    # the sides swapped and (y_R - y_L)/2 negated
+    gaps, sides = np.array(_gaps(params))[:, None], np.array([1.0, -1.0])[:, None, None]
+    near_top = _near_top(gamma_left, gamma_right, t_avg + hi, float(gaps[0, 0]))
+    ops, (left_big, small, _, ratio) = _arrays(), _couplings(gamma_left, gamma_right)
     with np.errstate(all="ignore"):
         for start in range(0, dts.size, _CHUNK // 4):
             part = slice(start, start + _CHUNK // 4)
-            x = gaps / (t_avg + sides * dts[part])
-            occ, base = _occupation(kind, x) if gamma_left or gamma_right else (x, x)
-            terms = _channel_current(_arrays(), kind, gaps, gamma_left, gamma_right, occ, base,
-                                     occ[:, ::-1], base[:, ::-1], near_top)  # sides swapped
-            del x, occ, base
-            for term in terms:  # a's, then b's
-                out[1:, part] += term  # numpy skips the copy back onto the same view
-            del terms, term  # before the next chunk's are formed
+            e = ops.expm1(gaps / (t_avg + sides * dts[part]))  # (side, gap, bias), hot first
+            over = _overflows(kind, gamma_left, e, gamma_right, e[::-1]) if near_top else None
+            d, y_hot, y_cold = _difference(ops, kind, e[0], e[1])
+            del e  # before the currents are formed
+            for row, d, y_l, y_r in ((1, d, y_hot, y_cold), (2, -d, y_cold, y_hot)):
+                y_l, y_r = y_l if gamma_left else 1.0, y_r if gamma_right else 1.0
+                j = _current(ops, kind, gaps, small, ratio, d, *((y_l, y_r) if left_big else
+                             (y_r, y_l)), over if over is None else over[row - 1])[1]
+                out[row, part] += j[0]  # 0.0 + j_a + j_b; numpy skips the copy back
+                out[row, part] += j[1]
+            del d, y_hot, y_cold, y_l, y_r, j  # before the next chunk's are formed
         if not np.isfinite(out[1:]).all():  # named as one call on the forward, then reversed grid
             signed = np.concatenate((dts, -dts))
             _check_current(out[1:].reshape(-1), t_avg + signed, t_avg - signed)

@@ -1,13 +1,15 @@
-"""Interleaved timing of ``run_sweep`` in two checkouts, in one process.
+"""Interleaved timing of ``run_sweep`` and ``rectification_scan`` in two checkouts, in one process.
 
 Loads the ``src/qjunction`` of two checkouts of this repository, "before" and
 "after", each under its own package name, and calls their ``run_sweep`` turn
-about on the same sweeps: per round, each side once, the side that goes first
-alternating. Separate processes on a shared machine drift by tens of percent
-between runs; calls interleaved in one process see the same machine, so the
-median ratio resolves a few percent. Prints, per sweep variable and grid
-size, the median after/before time ratio, its quartiles and both medians,
-and whether the two tables are identical to the bit.
+about on the same sweeps, then their ``rectification_scan`` on the same bias
+grids (shaped as perfbench's ``transport`` ones: T_a = 1, biases from 0.02 to
+0.9): per round, each side once, the side that goes first alternating.
+Separate processes on a shared machine drift by tens of percent between runs;
+calls interleaved in one process see the same machine, so the median ratio
+resolves a few percent. Prints, per sweep variable (``rect`` for a scan) and
+grid size, the median after/before time ratio, its quartiles and both
+medians, and whether the two tables are identical to the bit.
 
 Run from the root of the "after" checkout, with the "before" checkout made
 for example by ``git archive``:
@@ -53,6 +55,12 @@ def sweep(package, kind, variable, lo, hi, fixed, count):
         t_avg=fixed if variable == "DELTA_T" else None)
 
 
+def scan(package, kind, count):
+    """One timed scan's arguments in ``package``: epsilon 0.2, kappa 1, couplings 1 and 0.3."""
+    return (package.SystemParams(0.2, 1.0), package.BathKind(kind), 1.0, 0.3, 1.0,
+            np.linspace(0.02, 0.9, count))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before", required=True, help="root of the checkout to compare against")
@@ -64,15 +72,21 @@ def main(argv=None):
     sides = load(args.before, "qjunction_before"), load(args.after, "qjunction_after")
     print(f"{'variable':<9} {'n':>6} {'after/before':>12} {'quartiles':>13} "
           f"{'before us':>10} {'after us':>9}  identical")
-    for variable, lo, hi, fixed in SWEEPS:
+    for variable, lo, hi, fixed in SWEEPS + (("rect", None, None, None),):
         for count in (int(size) for size in args.sizes.split(",")):
-            specs = [sweep(side, args.kind, variable, lo, hi, fixed, count) for side in sides]
-            tables = [np.asarray(side.run_sweep(spec)) for side, spec in zip(sides, specs)]
+            if variable == "rect":
+                calls = [lambda side=side, grid=scan(side, args.kind, count):
+                         side.rectification_scan(*grid) for side in sides]
+            else:
+                calls = [lambda side=side, spec=sweep(side, args.kind, variable, lo, hi, fixed,
+                                                      count): side.run_sweep(spec)
+                         for side in sides]
+            tables = [np.asarray(call()) for call in calls]
             times = ([], [])
             for r in range(args.rounds):
                 for k in (0, 1) if r % 2 == 0 else (1, 0):
                     start = time.perf_counter_ns()
-                    sides[k].run_sweep(specs[k])
+                    calls[k]()
                     times[k].append(time.perf_counter_ns() - start)
             ratios = [after / before for before, after in zip(*times)]
             q1, median, q3 = statistics.quantiles(ratios, n=4)

@@ -46,20 +46,21 @@ def corpus():
     1e-2..1e2. "wide biases": T_L and T_R each log-uniform in 10^-1.5..10^2;
     "biases 1e-12..1e-2": T_L = T_R (1 +- delta), delta log-uniform;
     "biases up to 25%": T_L = T_R (1 + u), u uniform in (-0.25, 0.25);
-    "T 1e2..1e8": T_R log-uniform in 1e2..1e8, T_L = T_R (1 +- delta), delta
-    log-uniform in 1e-3..0.5.
+    "T 1e2..1e8" and "T 1e8..1e12": T_R log-uniform in that range, T_L = T_R
+    (1 +- delta), delta log-uniform in 1e-3..0.5.
     """
     import numpy as np
     rng = np.random.default_rng(SEED)
     points = []
-    for regime in ("wide biases", "biases 1e-12..1e-2", "biases up to 25%", "T 1e2..1e8"):
+    hot = {"T 1e2..1e8": (2.0, 8.0), "T 1e8..1e12": (8.0, 12.0)}
+    for regime in ("wide biases", "biases 1e-12..1e-2", "biases up to 25%", *hot):
         for i in range(DRAWS):
             kind = "boson" if i % 2 == 0 else "spin"
             eps, kap = (float(v) for v in rng.uniform(0.01, 3.0, 2))
             gl, gr = (float(v) for v in 10.0 ** rng.uniform(-2.0, 2.0, 2))
             sign = float(rng.choice([-1.0, 1.0]))
-            if regime == "T 1e2..1e8":
-                tr = float(10.0 ** rng.uniform(2.0, 8.0))
+            if regime in hot:
+                tr = float(10.0 ** rng.uniform(*hot[regime]))
             else:
                 tr = float(10.0 ** rng.uniform(-1.5, 2.0))
             if regime == "wide biases":
@@ -80,14 +81,16 @@ def evaluate(points):
     import numpy as np
     from qjunction import BathKind, SystemParams, solve_point
     from qjunction.baths import _arrays
-    from qjunction.solver import _channel, _gaps
+    from qjunction.solver import _channel, _gaps, _near_top
     out = []
     for _, eps, kap, kind, gl, gr, tl, tr in points:
         params, bath = SystemParams(eps, kap), BathKind(kind)
         j_point = solve_point(params, bath, gl, gr, tl, tr).heat_current
+        gaps = _gaps(params)
+        near_top = _near_top(gl, gr, max(tl, tr), gaps[0])
         with np.errstate(all="ignore"):  # both channels at once, at the column of gaps
-            _, j = _channel(_arrays(), bath, gl, gr, np.array(_gaps(params))[:, np.newaxis],
-                            np.array([tl]), np.array([tr]))
+            _, j = _channel(_arrays(), bath, gl, gr, np.array(gaps)[:, np.newaxis],
+                            np.array([tl]), np.array([tr]), near_top)
         out.append((repr(j_point), repr(float(0.0 + j[0, 0] + j[1, 0]))))
     return out
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import exact_point
-from qjunction import BathKind, SystemParams, baths, correlations, solve_point, solver
+from qjunction import BathKind, SystemParams, baths, correlations, solve_point
 from qjunction.solver import transport_kernel
 
 
@@ -52,14 +52,6 @@ def measures(fa, ga, fb, gb) -> Measures:
                                             float(fb), float(gb)))
 
 
-def steady_weights(a_inverted, rates):
-    """(fa, ga, fb, gb) of a junction's eight rates, as ``transport_kernel`` returns them,
-    by ``solver._weights`` on each channel; an inverted channel a's down rates lead into
-    the side ga weighs."""
-    (fa, ga), (fb, gb) = solver._weights(*rates[:4]), solver._weights(*rates[4:])
-    return (ga, fa, fb, gb) if a_inverted else (fa, ga, fb, gb)
-
-
 def populations(fa, ga, fb, gb):
     """P1..P4 of the channel weights: (fa fb, ga fb, fa gb, ga gb)."""
     return fa * fb, ga * fb, fa * gb, ga * gb
@@ -81,19 +73,19 @@ def random_weights(rng, count):
 def gaps(params: SystemParams):
     """(omega_a, omega_b, inverted) of the junction as the solver takes them.
 
-    The gaps are the frequencies ``transport_kernel`` evaluates the rates at,
-    channel a first; channel a is inverted when the junction relaxes into
-    state |2> at T = 0.
+    The gaps are the frequencies ``transport_kernel`` evaluates each bath's
+    omega/T at, channel a first; channel a is inverted when the junction
+    relaxes into state |2> at T = 0.
     """
     omegas = []
-    float_occupation = baths._FLOATS.occupation
+    float_exponent = baths._FLOATS.exponent
 
-    def occupation(kind, gamma, omega, temperature):
+    def exponent(kind, gamma, omega, temperature):
         omegas.append(omega)
-        return float_occupation(kind, gamma, omega, temperature)
+        return float_exponent(kind, gamma, omega, temperature)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(baths._FLOATS, "occupation", occupation)
-        transport_kernel(params, BathKind.BOSON, 1.0, 1.0, 1.0, 1.0)
+        patch.setattr(baths._FLOATS, "exponent", exponent)
+        transport_kernel(params, BathKind.BOSON, 1.0, 1.0, 1.0, 2.0)
     ground = solve_point(params, BathKind.BOSON, 1.0, 1.0, 0.0, 0.0)
     return omegas[0], omegas[2], ground.p2 == 1.0

@@ -287,8 +287,8 @@ class TestTinyCouplings:
 
 
 class TestHugeCouplings:
-    # Gamma_L = Gamma_R = 1e300: J is linear in the coupling scale, but
-    # products of two rates overflow unless the channel is rescaled first
+    # Gamma_L = Gamma_R = 1e300: J is linear in the coupling scale, where
+    # products of two rates would overflow
     COUPLINGS = ("--gl", "1e300", "--gr", "1e300")
 
     def test_point_matches_exact_evaluation(self, capsys):

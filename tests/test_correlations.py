@@ -4,8 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import (channel_weights, gibbs_populations, measures, populations, random_weights,
-                      steady_weights)
+from conftest import channel_weights, gibbs_populations, measures, populations, random_weights
 from oracles import (classical_correlation_grid, classical_correlation_refined,
                      conditional_entropies, density_matrix_uncoupled, exact_point,
                      wootters_concurrence, x_state_measures)
@@ -259,8 +258,8 @@ class TestReportAndInvariants:
         # a solved row carries the measures of its own state
         params = SystemParams(0.2, 1.0)
         row = solve_point(params, BathKind.BOSON, 1.0, 1.0, 1.5, 0.5)
-        rates, _ = transport_kernel(params, BathKind.BOSON, 1.0, 1.0, 1.5, 0.5)
-        rep = measures(*steady_weights(params.epsilon > params.kappa, rates))
+        weights, _ = transport_kernel(params, BathKind.BOSON, 1.0, 1.0, 1.5, 0.5)
+        rep = measures(*weights)
         assert (row.concurrence, row.mutual_information, row.classical_correlation,
                 row.discord) == tuple(rep)
 

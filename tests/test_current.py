@@ -1,13 +1,15 @@
 """The heat current on every route: its sign, its zero, and its accuracy.
 
-Each channel carries J_c = (omega_c/2) Gamma_L Gamma_R (n_L - n_R) / S_c
-(``solver._channel_current``). Its sign is that of n_L - n_R, and the
-occupation n grows with the temperature, so J never has the sign opposite
-to T_L - T_R, and it is exactly 0.0 wherever T_L == T_R: the entropy
-production J (1/T_R - 1/T_L) is never negative (Spohn, J. Math. Phys. 19,
-1227 (1978)). Nothing cancels in n_L - n_R of a hot boson bath beyond the
-bias itself. The references are ``oracles.exact_point``, at 80 digits or
-more.
+Each channel carries J_c = (omega_c/4) Gamma_min (y_R - y_L) / D
+(``solver._current``), with y = tanh(omega_c/2T) per bath, which is
+(omega_c/2) Gamma_L Gamma_R (n_L - n_R) / S_c. Its sign is that of y_R - y_L,
+and y falls as the temperature grows, so J never has the sign opposite to
+T_L - T_R, and it is exactly 0.0 wherever T_L == T_R: the entropy production
+J (1/T_R - 1/T_L) is never negative (Spohn, J. Math. Phys. 19, 1227 (1978)).
+y_R - y_L is formed from E = expm1(omega/T) per bath, as 2 (E_R - E_L)/(E_L +
+2)/(E_R + 2), so nothing cancels for hot baths of either kind beyond the bias
+itself, where two spin occupations near 1/2 once did. The references are
+``oracles.exact_point``, at 80 digits or more.
 """
 
 import math
@@ -92,20 +94,22 @@ def test_a_bias_of_one_ulp_gives_no_current_against_it():
     assert row.heat_current <= 0.0
 
 
-def _hot_boson_points():
+def _hot_points():
     """(params, Gamma_L, Gamma_R, T_L, T_R): 1e6 against 0.999e6, then 24 seeded
-    points with T_R from 1e2 to 1e8 and |T_L - T_R| from 1e-3 T_R to T_R/2."""
+    points with T_R from 1e2 to 1e12 and |T_L - T_R| from 1e-3 T_R to T_R/2."""
     yield SystemParams(0.2, 1.0), 1.0, 1.0, 1e6, 0.999e6
     rng = np.random.default_rng(2402)
-    for params, _, gl, gr, tr in _systems(2403, 24, 2.0, 8.0):
+    for params, _, gl, gr, tr in _systems(2403, 24, 2.0, 12.0):
         bias = float(rng.choice([-1.0, 1.0])) * float(10.0 ** rng.uniform(-3.0, math.log10(0.5)))
         yield params, gl, gr, tr * (1.0 + bias), tr
 
 
-@pytest.mark.parametrize("params, gl, gr, tl, tr", list(_hot_boson_points()))
-def test_hot_boson_current_is_accurate_on_every_route(params, gl, gr, tl, tr):
-    # the two products of rates cancelled to 2.9e-8 relative at 1e6 against 0.999e6
-    args = (params, BathKind.BOSON, gl, gr)
+@pytest.mark.parametrize("kind", list(BathKind))
+@pytest.mark.parametrize("params, gl, gr, tl, tr", list(_hot_points()))
+def test_hot_current_is_accurate_on_every_route(kind, params, gl, gr, tl, tr):
+    # two products of boson rates cancelled to 2.9e-8 relative at 1e6 against 0.999e6,
+    # and n_L - n_R of two spin baths, both near 1/2, to 4e-2 at T near 1e12
+    args = (params, kind, gl, gr)
     exact = _exact_j(*args, tl, tr)
     assert solve_point(*args, tl, tr).heat_current == pytest.approx(exact, rel=TOL, abs=0.0)
     first = run_sweep(SweepSpec(*args, SweepVariable.T_RIGHT, tr, 2.0 * tr, 2, t_left=tl))[0]
@@ -124,8 +128,9 @@ def _not_finite(tl, tr):
 
 # (kind, epsilon, kappa, Gamma_L, Gamma_R, T_L, T_R, the error or None) of single points
 # near the float ceiling: a boson rate that overflows on its own fails the point, as it
-# always has; otherwise J is accurate, although a channel's rates or its S pass 2**1020,
-# with one uncoupled bath, and with a bath at T = 0
+# always has; otherwise J is accurate, although a channel's rates or its S would pass
+# 2**1020, with one uncoupled bath, with a bath at T = 0, and for hot spin baths whose
+# occupations n_L and n_R both round to 1/2
 B, S = BathKind.BOSON, BathKind.SPIN
 CEILING_POINTS = [
     (B, 0.2, 1.0, 1e-2, 1e-2, 1e308, 0.0, None),
@@ -149,6 +154,8 @@ CEILING_POINTS = [
     (B, 0.2, 1.0, 0.0, 1e300, 1.5e8, 0.5e8, None),
     (S, 0.2, 1.0, 1e308, 1e308, 1.5, 0.5, None),
     (S, 0.2, 1.0, 1e308, 1e-2, 0.0, 2.0, None),
+    (S, 0.2, 1.0, 1e300, 1e300, 1e300, 2e300, None),  # exact J -0.065
+    (S, 0.2, 1.0, 1.0, 1.0, 1e20, 2e20, None),  # exact J -6.5e-22
 ]
 
 # (kind, epsilon, kappa, Gamma_L, Gamma_R, T_a, biases, the error or None) of scans

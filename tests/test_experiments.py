@@ -162,9 +162,10 @@ class TestRunSweep:
         assume(eps != kap and lo + span < math.inf)
         temperatures = np.linspace(lo, lo + span, 50)
         gaps = np.array(solver._gaps(SystemParams(eps, kap)))[:, np.newaxis]
+        near_top = solver._near_top(gl, gr, lo + span, float(gaps[0, 0]))
         with np.errstate(all="ignore"):
             _, j = solver._channel(baths._arrays(), BathKind.SPIN, gl, gr, gaps, temperatures,
-                                   temperatures[::-1].copy())
+                                   temperatures[::-1].copy(), near_top)
             j = 0.0 + j[0] + j[1]
         assert np.isfinite(j).all() or not np.isfinite(j).any()
 

@@ -47,8 +47,8 @@ CASES = {
     "death_spin_inverted": ["death", "--bath", "spin", "--epsilon", "1.5", "--kappa", "0.07",
                             "--gl", "0.76", "--gr", "8.5"],
     "death_one_sided": ["death", "--kappa", "2.0", "--gl", "0"],
-    # domain edges: omega/T underflows beside an uncoupled bath; rates past the
-    # rescaling ceiling; couplings and temperatures 600 decades apart
+    # domain edges: omega/T underflows beside an uncoupled bath; a bath at T = 1e308,
+    # whose rates would sum past 2**1020; couplings and temperatures 600 decades apart
     "sweep_tr_uncoupled_to_ceiling": ["sweep", "--var", "tr", "--epsilon", "0.99",
                                       "--kappa", "1.0", "--tl", "0.5", "--lo", "0",
                                       "--hi", "1e308", "--n", "5", "--gr", "0"],

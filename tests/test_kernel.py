@@ -1,15 +1,14 @@
 """The kernels behind solve_point, run_sweep and rectification_scan, point against grid.
 
 A single point runs the closed forms on Python floats (``solver.transport_kernel``,
-which runs ``solver._channel`` at each gap, then ``solver._weights`` and
-``correlations._measures``); a grid runs the same ones on numpy arrays
-(``solver._channel`` at the column of both gaps, ``solver._weights`` and
-``correlations._states``). The point route is the reference here. On a grid the
-channel weights and populations are sums, products and quotients of the
-rates, which numpy rounds exactly as floats do, so given the same rates the
-two routes agree bit for bit. Everything else on a grid is asserted to
-1e-12: the rates go through exp and expm1 and the entropies through log2,
-and numpy may round those differently from the math module by an ulp.
+which runs ``solver._channel`` at each gap, then ``correlations._measures``); a
+grid runs the same ones on numpy arrays (``solver._channel`` at the column of both
+gaps, then ``correlations._states``). The point route is the reference here. On a
+grid the populations are products of the channel weights, which numpy rounds
+exactly as floats do, so given the same weights the two routes agree bit for
+bit. Everything else on a grid is asserted to 1e-12: each bath's E goes through
+expm1 and the entropies through log2, and numpy may round those differently
+from the math module by an ulp.
 
 A grid comes back as a read-only table over the kernel's columns. The tests
 after ``test_empty_bias_grid`` pin that it builds no row until one is read,
@@ -37,7 +36,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qjunction
-from conftest import exact_boson, steady_weights
+from conftest import exact_boson
 from qjunction import (
     BathKind,
     RectificationPoint,
@@ -125,15 +124,15 @@ def test_run_sweep_matches_solve_point_row_by_row():
 
 
 def test_kernel_populations_equal_steady_populations_exactly():
-    # the grid's forms, _weights and _states, given the eight rates of each point as
-    # the point route forms them, give solve_point's populations bit for bit
+    # the grid's form, _states, given the four weights of each point as the point route
+    # forms them (channel a's already swapped where it is inverted), gives solve_point's
+    # populations bit for bit
     for spec in CASES:
         args = (spec.params, spec.kind, spec.gamma_left, spec.gamma_right)
         temperatures = [(row.t_left, row.t_right) for row in run_sweep(spec)]
-        rates = np.array([solver.transport_kernel(*args, *ts)[0] for ts in temperatures]).T
+        weights = np.array([solver.transport_kernel(*args, *ts)[0] for ts in temperatures]).T
         grid = np.empty((11, len(temperatures)))
-        correlations._states(spec.params.epsilon > spec.params.kappa,
-                             *solver._weights(*rates[:4]), *solver._weights(*rates[4:]), grid)
+        correlations._states(False, *weights, grid)
         assert grid[2:6].T.tolist() == [list(solve_point(*args, *ts)[2:6])
                                         for ts in temperatures]
 
@@ -148,9 +147,9 @@ def test_states_write_into_the_rows_they_are_given():
         gaps = np.array(solver._gaps(params))[:, np.newaxis]
         for kind in BathKind:
             with np.errstate(all="ignore"):
-                rates, _ = solver._channel(baths._arrays(), kind, 1.3, 0.4, gaps, temperatures,
-                                           temperatures[::-1].copy())
-            (fa, fb), (ga, gb) = solver._weights(*rates)
+                ((fa, fb), (ga, gb)), _ = solver._channel(
+                    baths._arrays(), kind, 1.3, 0.4, gaps, temperatures,
+                    temperatures[::-1].copy(), False)
             table = np.full((11, temperatures.size + 3), np.nan)
             rows = table[:, 1:-2]
             correlations._states(inverted, fa, ga, fb, gb, rows)
@@ -181,21 +180,23 @@ def test_measures_leave_the_weights_they_are_given_untouched():
 
 def _unstacked_sweep(spec):
     """run_sweep's table from one pass over the whole grid, one channel at a time:
-    ``solver._channel`` at each gap, then ``solver._weights`` and ``correlations._measures``."""
+    ``solver._channel`` at each gap, then ``correlations._measures``."""
     grid = np.linspace(spec.lo, spec.hi, spec.count)
     if spec.variable is SweepVariable.DELTA_T:
         t_left, t_right = spec.t_avg + grid, spec.t_avg - grid
     elif spec.variable is SweepVariable.T_RIGHT:
         t_left, t_right = np.full(spec.count, float(spec.t_left)), grid
-    else:  # each bath forms its own occupation
+    else:  # each bath forms its own E
         t_left, t_right = grid, grid.copy()
-    ops, table = baths._arrays(), np.empty((11, spec.count))
+    ops, table, gaps = baths._arrays(), np.empty((11, spec.count)), solver._gaps(spec.params)
+    near_top = solver._near_top(spec.gamma_left, spec.gamma_right,
+                                float(max(t_left.max(), t_right.max())), gaps[0])
     with np.errstate(all="ignore"):
-        (rates_a, j_a), (rates_b, j_b) = (
+        ((fa, ga), j_a), ((fb, gb), j_b) = (
             solver._channel(ops, spec.kind, spec.gamma_left, spec.gamma_right, omega,
-                            t_left, t_right) for omega in solver._gaps(spec.params))
-        fa, ga, fb, gb = steady_weights(spec.params.epsilon > spec.params.kappa,
-                                        rates_a + rates_b)
+                            t_left, t_right, near_top) for omega in gaps)
+        if spec.params.epsilon > spec.params.kappa:
+            fa, ga = ga, fa
         conc, mi, ccl, disc = correlations._measures(ops, fa, ga, fb, gb)
     table[:] = (t_left, t_right, fa * fb, ga * fb, fa * gb, ga * gb, 0.0 + j_a + j_b,
                 conc, disc, mi, ccl)
@@ -212,9 +213,9 @@ SWEEP_SEAM_SIZES = [experiments._CHUNK // 2 - 1, experiments._CHUNK // 2,
 @pytest.mark.parametrize("n", SWEEP_SEAM_SIZES)
 def test_run_sweep_equals_one_unstacked_whole_grid_pass_bit_for_bit(n):
     # a sweep solves both channels of a chunk at once, at a column of gaps, decides the
-    # near-top test once per call, reads one occupation for both coupled baths of a
+    # overflow test's bound once per call, reads one E for both coupled baths of a
     # T_COMMON grid and writes the states into its table; the bits are those of each
-    # channel solved alone over the whole grid, each bath's occupation its own
+    # channel solved alone over the whole grid, each bath's E its own
     fixed = {SweepVariable.T_COMMON: {}, SweepVariable.T_RIGHT: {"t_left": 1.7},
              SweepVariable.DELTA_T: {"t_avg": 3.0}}
     specs = [SweepSpec(params, kind, gl, gr, variable,
@@ -223,7 +224,7 @@ def test_run_sweep_equals_one_unstacked_whole_grid_pass_bit_for_bit(n):
              for params in (SystemParams(0.2, 1.0), SystemParams(1.0, 0.2))
              for kind, variable in itertools.product(BathKind, SweepVariable)
              for gl, gr in ((1.3, 0.4), (0.0, 0.4), (1.3, 0.0))]
-    # the golden sweep_tr_rescaled_over_sum: rates rescaled by a power of two
+    # the golden sweep_tr_rescaled_over_sum: a bath at T = 1e308, near the float ceiling
     rescaled = [SweepSpec(SystemParams(6.8145, 1.6143), kind, 0.2039, 10.58,
                           SweepVariable.T_RIGHT, 0.5, 4.0, n, t_left=1e308) for kind in BathKind]
     # where both channels' terms of the current are -0.0, J is 0.0
@@ -265,9 +266,10 @@ def _whole_grid_scan(params, kind, gamma_left, gamma_right, t_avg, dts):
     at the column of both gaps, the first that is not finite named by ``_check_current``."""
     signed = np.concatenate((dts, -dts))
     t_left, t_right, gaps = t_avg + signed, t_avg - signed, np.array(solver._gaps(params))
+    near_top = solver._near_top(gamma_left, gamma_right, float(t_left.max()), float(gaps[0]))
     with np.errstate(all="ignore"):
         _, j = solver._channel(baths._arrays(), kind, gamma_left, gamma_right,
-                               gaps[:, np.newaxis], t_left, t_right)
+                               gaps[:, np.newaxis], t_left, t_right, near_top)
         j = 0.0 + j[0] + j[1]
     experiments._check_current(j, t_left, t_right)
     return j
@@ -285,17 +287,18 @@ SEAM_SIZES = [experiments._CHUNK // 4 - 1, experiments._CHUNK // 4,
 
 @pytest.mark.parametrize("n", SEAM_SIZES)
 def test_rectification_scan_equals_one_whole_grid_call_bit_for_bit(n):
-    # a scan forms one occupation per gap and side (T_a + dT, T_a - dT) that both baths
-    # read, the right one with the sides swapped, solves both channels in one pass and
-    # sums their terms into its own rows; the bits are those of both channels solved
-    # at once over the whole forward-then-reversed grid
+    # a scan forms one E per gap and side (T_a + dT, T_a - dT) that both baths read, the
+    # right one with the sides swapped, negates the forward y_R - y_L for the reversed
+    # bias, solves both channels in one pass and sums their terms into its own rows; the
+    # bits are those of both channels solved at once over the whole forward-then-reversed
+    # grid
     scans = [((params, kind, gl, gr), 1.7, np.linspace(1e-3, 1.69, n))
              for params in (SystemParams(0.2, 1.0), SystemParams(1.0, 0.2))
              for kind in BathKind for gl, gr in ((0.3, 2.1), (0.0, 2.1), (0.3, 0.0))]
-    # the golden rect_spin_huge_couplings: rates rescaled by a power of two
+    # the golden rect_spin_huge_couplings: couplings near the float ceiling
     scans.append(((SystemParams(0.2, 1.0), BathKind.SPIN, 1e300, 1e300), 1.0,
                   np.linspace(0.1, 0.9, n)))
-    # the left bath's up rates vanish (omega/T_L past 709.78) under most reversed biases, where
+    # the left bath's ybar vanishes (omega/T_L past 709.78) under most reversed biases, where
     # both channels' terms are -0.0 and J is 0.0
     scans += [((SystemParams(0.2, 1.0), kind, 1e-300, 1e308), 1.5e-3,
                np.linspace(1e-4, 1.4e-3, n)) for kind in BathKind]
@@ -359,11 +362,11 @@ def _held_above_result(call):
 def test_a_grid_call_holds_a_bounded_working_set(kind):
     params, dts = SystemParams(0.2, 1.0), np.linspace(1e-3, 0.99, 9410)
     # a scan holds a quarter of a chunk's biases, forward and reversed, of both channels:
-    # their occupations while each channel's current is formed from them; 5.1 arrays
+    # each side's y and (y_R - y_L)/2 while a bias's currents are formed from them; 4.1 arrays
     assert _held_above_result(
         lambda: rectification_scan(params, kind, 1.0, 0.3, 1.0, dts)) <= 6 * CHUNK_ARRAY
-    # a sweep holds half a chunk's points of both channels: its rates and current while
-    # its weights are formed; 8.0 arrays
+    # a sweep holds half a chunk's points of both channels: each bath's C, C + 2 and ybar
+    # while its weights and current are formed, then its states; 8.1 arrays
     spec = SweepSpec(params, kind, 1.0, 0.3, SweepVariable.DELTA_T, -0.9, 0.9, 9410, t_avg=1.0)
     assert _held_above_result(lambda: run_sweep(spec)) <= 10 * CHUNK_ARRAY
 
@@ -587,15 +590,15 @@ def test_tiny_couplings_match_exact_evaluation_on_every_route(gl, gr):
 
 def test_cold_points_give_an_exact_zero_current():
     # at T = 0, or where omega/T passes 709.78 and e^x overflows, both
-    # occupations are 0, so n_L - n_R and J are 0.0
+    # baths have y = 1, so y_R - y_L and J are 0.0
     for kind in BathKind:
         for tl, tr in ((0.0, 0.0), (1e-3, 0.0), (0.0, 1e-3), (1e-3, 1e-3)):
             row = solve_point(SystemParams(0.2, 1.0), kind, 1.0, 0.5, tl, tr)
             assert row.heat_current == 0.0
 
 
-# (epsilon, kappa, Gamma_L, Gamma_R, T_L, T_R) of single points that take the
-# rescaling, tiny couplings, T = 0 and Gamma = 0
+# (epsilon, kappa, Gamma_L, Gamma_R, T_L, T_R) of single points near the float
+# ceiling, with tiny couplings, T = 0 and Gamma = 0
 SINGLE_POINTS = ([(eps, kap, gl, gr, 1e308, tr) for eps, kap, gl, gr, tr in NEAR_CEILING]
                  + EXTREME_RATIOS
                  + [(0.2, 1.0, gl, gr, 1.5, 0.5) for gl, gr in TINY_COUPLINGS]
@@ -658,8 +661,8 @@ SMALL_GRIDS = [
 def test_points_small_grids_and_death_never_import_numpy():
     # with numpy blocked: the CLI's point and death, SMALL_GRIDS, every grid golden file byte
     # for byte (so those files do not depend on numpy's SIMD dispatch), every SINGLE_POINTS
-    # point (rescaling, tiny couplings, T = 0, Gamma = 0), the sudden-death threshold and the
-    # rates of a point
+    # point (near the float ceiling, tiny couplings, T = 0, Gamma = 0), the sudden-death
+    # threshold and the weights of a point
     golden = [(argv, (GOLDEN / f"{name}.csv").read_text(encoding="ascii"))
               for name, argv in GOLDEN_CASES.items() if argv[0] in ("sweep", "rect")]
     assert len(golden) == 9
@@ -708,9 +711,8 @@ ERROR_EDGES = [
 
 def test_error_edges_raise_each_kind_of_check():
     # every edge raises for one bath kind or both, a ValueError naming what
-    # failed; finite rates give populations in [0, 1], and rates that
-    # overflow give a current that is not finite, which is checked first, so
-    # the populations check never fires
+    # failed; the weights give populations in [0, 1] wherever they are not
+    # NaN, and a boson rate that overflows gives a current that is not finite
     errors = set()
     for eps, kap, gl, gr, tl, tr in ERROR_EDGES:
         raised = 0
@@ -743,12 +745,13 @@ def test_single_points_are_finite_and_normalized(eps, kap, kind, gl, gr, tl, tr,
     except ValueError:  # any other error fails the test
         return
     assert all(type(value) is float and math.isfinite(value) for value in row)
+    assert all(0.0 <= p <= 1.0 for p in row[2:6])
     assert abs(row.p1 + row.p2 + row.p3 + row.p4 - 1.0) <= 1e-9
 
 
 def test_huge_couplings_match_exact_evaluation_on_every_route():
-    # J is linear in the coupling scale, but products of two rates near 1e300
-    # overflow unless the channel is first divided by a power of two
+    # J is linear in the coupling scale, where products of two rates near 1e300
+    # would overflow
     params, gamma = SystemParams(0.2, 1.0), 1e300
     args = (params, BathKind.BOSON, gamma, gamma)
     pops, current = exact_boson(0.2, 1.0, gamma, gamma, 1.5, 0.5)

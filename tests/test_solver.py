@@ -42,10 +42,16 @@ def gibbs_reference(eps, kap, temperature):
         return [w / z for w in weights], max(2 * (mp.sinh(k / t) - 1) / z, 0)
 
 
-def rates_at(params, kind, gl, gr, tl, tr):
-    """Channel a's and channel b's (left_down, left_up, right_down, right_up)."""
-    rates, _ = transport_kernel(params, kind, gl, gr, tl, tr)
-    return rates[:4], rates[4:]
+def weights_at(params, kind, gl, gr, tl, tr):
+    """The steady state's channel weights (fa, ga, fb, gb), as ``transport_kernel`` gives them."""
+    weights, _ = transport_kernel(params, kind, gl, gr, tl, tr)
+    return weights
+
+
+def up_weight(n_left, n_right):
+    """A channel's up weight between two unit-coupled boson baths of occupations n_L and n_R:
+    the up rates' share, (n_L + n_R)/((2 n_L + 1) + (2 n_R + 1))."""
+    return (n_left + n_right) / (2 * n_left + 2 * n_right + 2)
 
 
 def pops_at(params, kind, gl, gr, tl, tr):
@@ -56,13 +62,12 @@ def current_at(params, kind, gl, gr, tl, tr):
     return solve_point(params, kind, gl, gr, tl, tr).heat_current
 
 
-class TestChannelRates:
-    def test_nonequilibrium_excitation_rates(self):
-        a, b = rates_at(PARAMS, BathKind.BOSON, 1.0, 1.0, 1.5, 0.5)
-        assert a[1] == pytest.approx(K_UP_A_L, rel=1e-13)
-        assert a[3] == pytest.approx(K_UP_A_R, rel=1e-13)
-        assert b[1] == pytest.approx(K_UP_B_L, rel=1e-13)
-        assert b[3] == pytest.approx(K_UP_B_R, rel=1e-13)
+class TestChannelWeights:
+    def test_nonequilibrium_weights(self):
+        fa, ga, fb, gb = weights_at(PARAMS, BathKind.BOSON, 1.0, 1.0, 1.5, 0.5)
+        assert ga == pytest.approx(up_weight(K_UP_A_L, K_UP_A_R), rel=1e-13)
+        assert gb == pytest.approx(up_weight(K_UP_B_L, K_UP_B_R), rel=1e-13)
+        assert fa + ga == pytest.approx(1.0, abs=1e-16) and fb + gb == pytest.approx(1.0, abs=1e-16)
         omega_a, omega_b, inverted = gaps(PARAMS)
         assert omega_a == pytest.approx(0.8, abs=0)
         assert omega_b == pytest.approx(1.2, abs=0)
@@ -70,37 +75,38 @@ class TestChannelRates:
 
     def test_runtime_high_precision_cross_check(self):
         mp.mp.dps = 40
-        a, b = rates_at(PARAMS, BathKind.BOSON, 1.0, 1.0, 1.5, 0.5)
-        for omega, got in ((0.8, a[1]), (1.2, b[1])):
-            expect = float(1 / mp.expm1(mp.mpf(omega) / mp.mpf("1.5")))
-            assert got == pytest.approx(expect, rel=1e-14)
+        _, ga, _, gb = weights_at(PARAMS, BathKind.BOSON, 1.0, 1.0, 1.5, 0.5)
+        for omega, got in ((0.8, ga), (1.2, gb)):
+            n_l, n_r = (1 / mp.expm1(mp.mpf(omega) / mp.mpf(t)) for t in ("1.5", "0.5"))
+            assert got == pytest.approx(float(up_weight(n_l, n_r)), rel=1e-14)
 
-    def test_equal_temperature_detailed_balance(self):
-        for (ld, lu, rd, ru), omega in zip(
-                rates_at(PARAMS, BathKind.BOSON, 1.0, 1.0, 0.5, 0.5), (0.8, 1.2)):
-            assert (ld + rd) / (lu + ru) == pytest.approx(math.exp(omega / 0.5), rel=1e-12)
+    def test_equal_temperature_gibbs_weights(self):
+        # detailed balance: at T_L = T_R each channel's sides weigh in the ratio e^{omega/T}
+        for kind in BathKind:
+            fa, ga, fb, gb = weights_at(PARAMS, kind, 1.0, 0.3, 0.5, 0.5)
+            assert fa / ga == pytest.approx(math.exp(0.8 / 0.5), rel=1e-12)
+            assert fb / gb == pytest.approx(math.exp(1.2 / 0.5), rel=1e-12)
 
     def test_decoupled_right_bath(self):
-        solo = rates_at(PARAMS, BathKind.BOSON, 1.0, 0.0, 1.5, 0.5)
-        paired = rates_at(PARAMS, BathKind.BOSON, 1.0, 1.0, 1.5, 0.5)
-        for channel, coupled in zip(solo, paired):
-            assert channel[:2] == coupled[:2]
-            assert channel[2:] == (0.0, 0.0)
+        # an uncoupled bath stands in as one at T = 0 and adds nothing: the left bath's
+        # Gibbs weights at any T_R, and no current
+        alone = weights_at(PARAMS, BathKind.BOSON, 1.0, 1.0, 1.5, 1.5)
+        for tr in (0.0, 0.5, 1e300):
+            weights, current = transport_kernel(PARAMS, BathKind.BOSON, 1.0, 0.0, 1.5, tr)
+            assert weights == pytest.approx(alone, rel=1e-15) and current == 0.0
 
     def test_inverted_channel_orientation(self):
-        # epsilon > kappa: the rate 2 -> 1 is an excitation across gap 0.8
+        # epsilon > kappa: channel a relaxes into |2>, so ga outweighs fa by e^{0.8/T}
         inv = SystemParams(1.0, 0.2)
         assert gaps(inv)[2]
-        ld, lu, rd, ru = rates_at(inv, BathKind.BOSON, 1.0, 1.0, 0.5, 0.5)[0]
-        w21 = ld + rd  # 1 -> 2 relaxes to the ground state |2>
-        w12 = lu + ru
-        assert w21 / w12 == pytest.approx(math.exp(0.8 / 0.5), rel=1e-12)
+        fa, ga, _, _ = weights_at(inv, BathKind.BOSON, 1.0, 1.0, 0.5, 0.5)
+        assert ga / fa == pytest.approx(math.exp(0.8 / 0.5), rel=1e-12)
         p1, p2, _, _ = pops_at(inv, BathKind.BOSON, 1.0, 1.0, 0.5, 0.5)
         assert p2 / p1 == pytest.approx(math.exp(0.8 / 0.5), rel=1e-12)
 
     def test_degenerate_gap_propagates(self):
         with pytest.raises(ValueError):
-            rates_at(SystemParams(0.5, 0.5), BathKind.BOSON, 1.0, 1.0, 1.0, 1.0)
+            weights_at(SystemParams(0.5, 0.5), BathKind.BOSON, 1.0, 1.0, 1.0, 1.0)
 
 
 class TestSteadyPopulations:
@@ -237,7 +243,7 @@ class TestHeatCurrent:
 
 
 class TestTransportKernel:
-    # the float entry point to a point's rates and current checks what solve_point checks
+    # the float entry point to a point's weights and current checks what solve_point checks
 
     @pytest.mark.parametrize("gl, gr, tl, tr", [
         (-1.0, 1.0, 1.0, 1.0), (math.inf, 1.0, 1.0, 1.0), (1.0, math.nan, 1.0, 1.0),
@@ -252,10 +258,40 @@ class TestTransportKernel:
         assert (type(kernel.value), str(kernel.value)) == (type(point.value), str(point.value))
 
     @pytest.mark.parametrize("kind", list(BathKind))
-    def test_gives_solve_points_current_as_floats(self, kind):
-        rates, current = transport_kernel(PARAMS, kind, 1.3, 0.4, 1.5, 0.5)
-        assert len(rates) == 8 and all(type(rate) is float for rate in rates)
-        assert current == solve_point(PARAMS, kind, 1.3, 0.4, 1.5, 0.5).heat_current
+    def test_gives_solve_points_weights_and_current_as_floats(self, kind):
+        for params in (PARAMS, SystemParams(1.0, 0.2)):
+            (fa, ga, fb, gb), current = transport_kernel(params, kind, 1.3, 0.4, 1.5, 0.5)
+            assert all(type(value) is float for value in (fa, ga, fb, gb, current))
+            row = solve_point(params, kind, 1.3, 0.4, 1.5, 0.5)
+            assert (fa * fb, ga * fb, fa * gb, ga * gb, current) == tuple(row[2:7])
+
+    @pytest.mark.parametrize("position, name", enumerate(["gamma_left", "gamma_right", "t_left",
+                                                          "t_right"]))
+    @pytest.mark.parametrize("size", [1, 5])
+    def test_rejects_an_array_by_name(self, position, name, size):
+        args = [1.3, 0.4, 1.5, 0.5]
+        args[position] = np.linspace(0.5, 1.5, size)
+        for call in (transport_kernel, solve_point):
+            with pytest.raises(ValueError, match=f"^{name} must be a single number, got an "
+                                                 rf"array of shape \({size},\)$"):
+                call(PARAMS, BathKind.BOSON, *args)
+
+    @pytest.mark.parametrize("kind", list(BathKind))
+    def test_one_temperature_object_for_both_baths_gives_the_same_bits(self, kind):
+        # both baths then read one E; the result must not depend on the objects' identity
+        for t in (0.0, 1e-3, 0.125, 0.5, 1.5, 3.0, 1e8, 1e300):
+            twin = float(repr(t))
+            assert twin is not t
+            same = solve_point(PARAMS, kind, 1.3, 0.4, t, t)
+            assert [repr(v) for v in same] == \
+                [repr(v) for v in solve_point(PARAMS, kind, 1.3, 0.4, t, twin)]
+
+    def test_accepts_numpy_scalars(self):
+        args = [1.3, 0.4, 1.5, 0.5]
+        row = solve_point(PARAMS, BathKind.SPIN, *map(np.float64, args))
+        assert row == solve_point(PARAMS, BathKind.SPIN, *args)
+        assert transport_kernel(PARAMS, BathKind.SPIN, *map(np.float64, args)) == \
+            transport_kernel(PARAMS, BathKind.SPIN, *args)
 
 
 class TestPopulationsType:

@@ -33,7 +33,7 @@ def test_public_names():
 
 def test_modules_define_no_public_function_but_their_entry_points():
     # the four drivers the package root exports, the CLI's main and the documented float
-    # entry point to a point's rates, solver.transport_kernel; nothing else is public
+    # entry point to a point's weights and current, solver.transport_kernel; nothing else is public
     entry_points = {"cli": ["main"], "solver": ["transport_kernel"], "experiments": [
         "rectification_scan", "run_sweep", "solve_point", "sudden_death_temperature"]}
     sources = sorted(Path(qjunction.__file__).parent.glob("*.py"))
@@ -54,7 +54,7 @@ def test_float_and_array_namespaces_offer_the_same_operations():
 def test_shared_forms_call_no_numpy_and_pass_no_out_argument():
     # the forms that run on floats and arrays alike work in place on a grid by
     # augmented assignment alone, so nothing that needs numpy reaches the point route
-    forms = {baths: ["_rates"], solver: ["_rescaled", "_channel_current", "_weights"],
+    forms = {solver: ["_difference", "_overflows", "_current", "_stalled", "_channel"],
              correlations: ["_measures"]}
     for module, names in forms.items():
         tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
