@@ -27,8 +27,10 @@ _BOSON = BathKind.BOSON
 
 
 def _check_bath(side, gamma, temperature):
-    # one bath's coupling and temperature; side ("left" or "right") names an array given for one
-    if getattr(gamma, "shape", ()) or getattr(temperature, "shape", ()):
+    # one bath's coupling and temperature; side ("left" or "right") names an array given for one,
+    # which only a value that is not exactly a float can be
+    if (type(gamma) is not float or type(temperature) is not float) and (
+            getattr(gamma, "shape", ()) or getattr(temperature, "shape", ())):
         name, value = ((f"gamma_{side}", gamma) if getattr(gamma, "shape", ())
                        else (f"t_{side}", temperature))
         raise ValueError(f"{name} must be a single number, got an array of shape {value.shape}")

@@ -16,12 +16,11 @@ import enum
 import math
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .baths import _FLOATS, BathKind, _arrays
 from .correlations import _measures, _states
-from .model import DegeneratePhysicsError, SystemParams
+from .model import DegeneratePhysicsError, SystemParams, _Record, _set
 from .solver import (NonUniqueSteadyStateError, _channel, _check_populations, _couplings,
                      _current, _current_not_finite, _difference, _gaps, _near_top, _overflows,
                      transport_kernel)
@@ -33,8 +32,7 @@ class SweepVariable(enum.Enum):
     DELTA_T = "delta_t"    # T_L = T_a + dT, T_R = T_a - dT at fixed T_a
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Record):
     """One sweep: system, reservoir kind and couplings, grid definition.
 
     ``t_left`` fixes T_L for T_RIGHT sweeps; ``t_avg`` fixes T_a for DELTA_T
@@ -43,41 +41,35 @@ class SweepSpec:
     (-T_a, T_a) so both temperatures remain positive.
     """
 
-    params: SystemParams
-    kind: BathKind
-    gamma_left: float
-    gamma_right: float
-    variable: SweepVariable
-    lo: float
-    hi: float
-    count: int
-    t_left: float | None = None
-    t_avg: float | None = None
+    __slots__ = __match_args__ = ("params", "kind", "gamma_left", "gamma_right", "variable",
+                                  "lo", "hi", "count", "t_left", "t_avg")
 
-    def __post_init__(self):
-        if not math.isfinite(self.lo) or not math.isfinite(self.hi):
-            raise ValueError(f"grid ends must be finite, got [{self.lo}, {self.hi}]")
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if self.count < 2:
-            raise ValueError(f"need at least 2 grid points, got {self.count}")
-        _check_couplings(self.gamma_left, self.gamma_right)
-        if self.variable is SweepVariable.DELTA_T:
-            if self.t_avg is None or not 0.0 < self.t_avg < math.inf:
+    def __init__(self, params: SystemParams, kind: BathKind, gamma_left: float,
+                 gamma_right: float, variable: SweepVariable, lo: float, hi: float, count: int,
+                 t_left: float | None = None, t_avg: float | None = None):
+        if not math.isfinite(lo) or not math.isfinite(hi):
+            raise ValueError(f"grid ends must be finite, got [{lo}, {hi}]")
+        if not lo < hi:
+            raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+        if count < 2:
+            raise ValueError(f"need at least 2 grid points, got {count}")
+        _check_couplings(gamma_left, gamma_right)
+        if variable is SweepVariable.DELTA_T:
+            if t_avg is None or not 0.0 < t_avg < math.inf:
                 raise ValueError("DELTA_T sweeps need a positive, finite t_avg")
-            if self.lo <= -self.t_avg or self.hi >= self.t_avg:
-                raise ValueError(
-                    f"bias grid [{self.lo}, {self.hi}] leaves (-T_a, T_a) "
-                    f"for T_a = {self.t_avg}"
-                )
-            if self.t_avg + max(self.hi, -self.lo) == math.inf:
-                raise ValueError(f"T_a + |dT| overflows for T_a = {self.t_avg}")
+            if lo <= -t_avg or hi >= t_avg:
+                raise ValueError(f"bias grid [{lo}, {hi}] leaves (-T_a, T_a) for T_a = {t_avg}")
+            if t_avg + max(hi, -lo) == math.inf:
+                raise ValueError(f"T_a + |dT| overflows for T_a = {t_avg}")
         else:
-            if self.variable is SweepVariable.T_RIGHT and (
-                    self.t_left is None or not 0.0 <= self.t_left < math.inf):
+            if variable is SweepVariable.T_RIGHT and (
+                    t_left is None or not 0.0 <= t_left < math.inf):
                 raise ValueError("T_RIGHT sweeps need a nonnegative, finite t_left")
-            if self.lo < 0.0:
+            if lo < 0.0:
                 raise ValueError("temperatures must be nonnegative")
+        for name, value in zip(self.__slots__, (params, kind, gamma_left, gamma_right, variable,
+                                                lo, hi, count, t_left, t_avg)):
+            _set(self, name, value)
 
 
 def _check_couplings(gamma_left, gamma_right):

@@ -22,18 +22,53 @@ the transition rates). The pairs 1<->4 and 2<->3 are never connected.
 Since E_2 - E_1 = E_4 - E_3 = kappa - epsilon and E_3 - E_1 = E_4 - E_2 =
 kappa + epsilon, the junction has exactly two transition frequencies,
 |kappa - epsilon| and kappa + epsilon.
+
+``SystemParams`` and ``experiments.SweepSpec`` are immutable records on the
+small base ``_Record`` below: the standard library's record decorator imports
+``inspect`` and ``ast``, about 8 ms of each CLI process. A record's fields are
+its ``__slots__``, set once by its ``__init__``, which validates them.
 """
 
 import math
-from dataclasses import dataclass
 
 
 class DegeneratePhysicsError(ValueError):
     """Raised for configurations whose steady state is ill-defined."""
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class _Record:
+    # an immutable record whose fields are the subclass's __slots__ (also its __match_args__)
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+_set = object.__setattr__  # how a record's __init__ sets its fields
+
+
+class SystemParams(_Record):
     """Junction parameters: qubit splitting ``epsilon`` and XY coupling ``kappa``.
 
     Both must be positive and finite, and distinct: at epsilon == kappa the
@@ -41,15 +76,14 @@ class SystemParams:
     diverges.
     """
 
-    epsilon: float
-    kappa: float
+    __slots__ = __match_args__ = ("epsilon", "kappa")
 
-    def __post_init__(self):
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        if not 0.0 < self.kappa < math.inf:
-            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
-        if self.epsilon == self.kappa:
-            raise DegeneratePhysicsError(
-                f"degenerate spectrum: epsilon == kappa == {self.kappa}"
-            )
+    def __init__(self, epsilon: float, kappa: float):
+        if not 0.0 < epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+        if not 0.0 < kappa < math.inf:
+            raise ValueError(f"kappa must be positive and finite, got {kappa}")
+        if epsilon == kappa:
+            raise DegeneratePhysicsError(f"degenerate spectrum: epsilon == kappa == {kappa}")
+        _set(self, "epsilon", epsilon)
+        _set(self, "kappa", kappa)

@@ -3,12 +3,13 @@
 Runs the CLI of two checkouts of this repository, "before" and "after", as
 ``python -m qjunction.cli`` with each checkout's ``src`` on ``PYTHONPATH``,
 turn about on the same invocations: per round, each side once, the side that
-goes first alternating. Covers ``point``, ``death``, and ``sweep`` and
-``rect`` at each grid size (by default 2, 100, 1,024, 1,025 and 6,000
-points, either side of the CLI's bound on point-by-point grids). Prints, per
-invocation, each side's median wall time and quartiles in ms, the median
-after/before ratio, whether each side printed the same stdout every time, and
-whether the two sides' stdout is identical.
+goes first alternating. Covers ``import`` (``python -c "import qjunction.cli"``,
+which shows the start-up share of each command apart from its work),
+``point``, ``death``, and ``sweep`` and ``rect`` at each grid size (by default
+2, 100, 1,024, 1,025 and 6,000 points, either side of the CLI's bound on
+point-by-point grids). Prints, per invocation, each side's median wall time
+and quartiles in ms, the median after/before ratio, whether each side printed
+the same stdout every time, and whether the two sides' stdout is identical.
 
 Run from the root of the "after" checkout, with the "before" checkout made
 for example by ``git archive``:
@@ -33,22 +34,23 @@ SYSTEM = ["--epsilon", "0.2", "--kappa", "1.0", "--gl", "1.0", "--gr", "0.3"]
 
 
 def invocations(sizes):
-    """(label, argv) of each timed invocation."""
-    yield "point", ["point", "--tl", "1.5", "--tr", "0.5", *SYSTEM]
-    yield "death", ["death", *SYSTEM]
+    """(label, interpreter argv) of each timed invocation."""
+    cli = ["-m", "qjunction.cli"]
+    yield "import", ["-c", "import qjunction.cli"]
+    yield "point", [*cli, "point", "--tl", "1.5", "--tr", "0.5", *SYSTEM]
+    yield "death", [*cli, "death", *SYSTEM]
     for n in sizes:
-        yield f"sweep ta n={n}", ["sweep", "--var", "ta", "--lo", "0.05", "--hi", "3",
+        yield f"sweep ta n={n}", [*cli, "sweep", "--var", "ta", "--lo", "0.05", "--hi", "3",
                                   "--n", str(n), *SYSTEM]
-        yield f"rect n={n}", ["rect", "--ta", "1", "--lo", "0.01", "--hi", "0.9",
+        yield f"rect n={n}", [*cli, "rect", "--ta", "1", "--lo", "0.01", "--hi", "0.9",
                               "--n", str(n), *SYSTEM]
 
 
 def run(root, argv):
-    """(wall ns, stdout bytes) of one CLI process of the checkout at root."""
+    """(wall ns, stdout bytes) of one interpreter process with the checkout at root."""
     env = dict(os.environ, PYTHONPATH=str(Path(root).resolve() / "src"))
     start = time.perf_counter_ns()
-    proc = subprocess.run([sys.executable, "-m", "qjunction.cli", *argv], env=env,
-                          capture_output=True, check=True)
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, check=True)
     return time.perf_counter_ns() - start, proc.stdout
 
 
@@ -63,11 +65,11 @@ def main(argv=None):
     roots = args.before, args.after
     print(f"{'invocation':<16} {'before ms (q1-q3)':>22} {'after ms (q1-q3)':>22} "
           f"{'after/before':>12}  repeatable  identical")
-    for label, cli_argv in invocations(int(size) for size in args.sizes.split(",")):
+    for label, python_argv in invocations(int(size) for size in args.sizes.split(",")):
         times, outputs = ([], []), ([], [])
         for r in range(args.rounds):
             for k in (0, 1) if r % 2 == 0 else (1, 0):
-                ns, out = run(roots[k], cli_argv)
+                ns, out = run(roots[k], python_argv)
                 times[k].append(ns / 1e6)
                 outputs[k].append(out)
         cells = []

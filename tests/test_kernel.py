@@ -15,9 +15,9 @@ after ``test_empty_bias_grid`` pin that it builds no row until one is read,
 that ``np.asarray`` of it is that array, and that it indexes like a list.
 
 numpy is imported by the first grid, never by a point, nor by a CLI grid of
-up to ``cli._POINTWISE_MAX`` points, which runs the point route. This
-process has numpy loaded already, so the tests that pin this run a fresh
-interpreter.
+up to ``cli._POINTWISE_MAX`` points, which runs the point route; nor is
+``dataclasses`` or ``inspect``, by the CLI's point and death. This process has
+numpy loaded already, so the tests that pin this run a fresh interpreter.
 """
 
 import itertools
@@ -671,6 +671,26 @@ def test_points_small_grids_and_death_never_import_numpy():
     out = _fresh_python(_WITHOUT_NUMPY, json.dumps(SINGLE_POINTS), json.dumps(SMALL_GRIDS),
                         json.dumps(golden))
     assert out.splitlines()[-1].startswith("T_death,")
+
+
+# dataclasses and what it imports: the package's records are written out so as not to load them
+_HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+_LOADED = "import sys; print(' '.join(name for name in sys.argv[1:] if name in sys.modules))"
+_LOADED_AFTER_CLI = '''
+import contextlib, io, sys
+import qjunction.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert qjunction.cli.main(["point", "--tl", "1.5", "--tr", "0.5"]) == 0
+    assert qjunction.cli.main(["death"]) == 0
+print(" ".join(name for name in sys.argv[1:] if name in sys.modules))
+'''
+
+
+def test_point_and_death_never_import_dataclasses_or_inspect():
+    # a point and a death threshold load none of _HEAVY beyond what a bare interpreter in this
+    # environment has already loaded (a site .pth file may import some of them)
+    bare = set(_fresh_python(_LOADED, *_HEAVY).split())
+    assert set(_fresh_python(_LOADED_AFTER_CLI, *_HEAVY).split()) <= bare
 
 
 _NUMPY_AFTER = '''
