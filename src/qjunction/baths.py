@@ -8,7 +8,8 @@ n_B = 1/(e^x - 1); a spin bath at Gamma / (e^{-x} + 1) and Gamma n_S, n_S =
 tanh(x/2) and ybar = 1 - y: down - up is Gamma (boson) or Gamma y (spin), and
 down + up is Gamma/y or Gamma. A bath is read as E = expm1(x), y = E/(E + 2)
 and ybar = 2/(E + 2); at T = 0, and where e^x overflows (x past 709.78), E is
-inf, y = 1 and ybar = 0. Couplings and temperatures must be finite and >= 0.
+inf, y = 1 and ybar = 0, and where x underflows to 0, E = y = 0 and ybar = 1.
+Couplings and temperatures must be finite and >= 0.
 """
 
 import enum
@@ -49,14 +50,11 @@ def _check_bath(side, gamma, temperature):
 # discards; grid callers run under np.errstate(all="ignore").
 
 
-def _float_exponent(kind, gamma, omega, temperature):
+def _float_exponent(gamma, omega, temperature):
     # one bath's x = omega/T at a gap omega > 0, inf at T = 0, as for an uncoupled bath
     if gamma == 0.0 or temperature == 0.0:
         return math.inf
-    x = omega / temperature
-    if x == 0.0 and kind is _BOSON:
-        raise ValueError(f"omega/T underflows to 0 at omega = {omega}, T = {temperature}")
-    return x
+    return omega / temperature
 
 
 def _float_expm1(x):
@@ -67,7 +65,7 @@ def _float_expm1(x):
 
 
 _FLOATS = SimpleNamespace(
-    sqrt=math.sqrt, exp=math.exp, expm1=_float_expm1,
+    sqrt=math.sqrt, expm1=_float_expm1,
     # max and min of two with the builtins' choice: the first unless the second is greater (less)
     maximum=lambda a, b: b if b > a else a, minimum=lambda a, b: b if b < a else a,
     exponent=_float_exponent,
@@ -94,7 +92,7 @@ def _arrays():
         np.copyto(if_false, if_true, where=cond)
         return if_false
 
-    def exponent(kind, gamma, omega, temperature):
+    def exponent(gamma, omega, temperature):
         # _float_exponent over an array of temperatures, at a gap or a column of them
         x = omega / temperature
         if not gamma:
@@ -102,7 +100,7 @@ def _arrays():
         return x
 
     ops = SimpleNamespace(
-        sqrt=np.sqrt, exp=np.exp,
+        sqrt=np.sqrt,
         expm1=lambda x: np.expm1(x, out=x),  # in x's memory, which only the caller holds
         maximum=np.maximum, minimum=np.minimum,
         exponent=exponent,

@@ -7,8 +7,10 @@ use the shortest round-trip decimal representation, so identical
 invocations produce byte-identical output. ``sweep`` and ``rect`` grids of
 up to 1,024 points run ``solve_point`` (``rect``: ``solver.transport_kernel``)
 per point and import no numpy (the point route stays faster than the import up
-to 6,000-10,000 points for ``rect`` and 16,000-25,000 for ``sweep``); a failing
-grid reruns on arrays.
+to 6,000-10,000 points for ``rect`` and 16,000-25,000 for ``sweep``). A small
+grid fails on floats where it fails on arrays (``tests/test_cli_routes.py``
+checks 400 edge grids), and reruns there for the library's error text, which
+names the grid point.
 """
 
 import argparse
@@ -171,6 +173,7 @@ def _pointwise_scan(bath, t_avg, delta_ts) -> list[tuple]:
 
 def _grid_rows(count, pointwise, array_route):
     # pointwise() if count allows and it does not raise, else array_route(numpy), or its error
+    # (pointwise raises where array_route does, with solve_point's text)
     if count <= _POINTWISE_MAX:
         try:
             return pointwise()

@@ -21,9 +21,8 @@ from typing import NamedTuple
 from .baths import _FLOATS, BathKind, _arrays
 from .correlations import _measures, _states
 from .model import DegeneratePhysicsError, SystemParams, _Record, _set
-from .solver import (NonUniqueSteadyStateError, _channel, _check_populations, _couplings,
-                     _current, _current_not_finite, _difference, _gaps, _near_top, _overflows,
-                     transport_kernel)
+from .solver import (NonUniqueSteadyStateError, _channel, _couplings, _current,
+                     _current_not_finite, _difference, _gaps, transport_kernel)
 
 
 class SweepVariable(enum.Enum):
@@ -136,8 +135,9 @@ def solve_point(
 ) -> SweepRow:
     """Full steady-state solution for a single pair of bath temperatures.
 
-    Raises ``ValueError`` when the heat current is not finite, which it is
-    not wherever a boson rate overflows, as ``run_sweep`` does on a grid.
+    Raises ``ValueError`` where the heat current is not finite, as
+    ``run_sweep`` does on a grid, and ``NonUniqueSteadyStateError`` where
+    no bath is coupled.
     """
     (fa, ga, fb, gb), current = transport_kernel(
         params, kind, gamma_left, gamma_right, t_left, t_right)
@@ -145,7 +145,6 @@ def solve_point(
         raise NonUniqueSteadyStateError(
             "a channel carries no rates; the stationary state is not unique")
     p1, p2, p3, p4 = fa * fb, ga * fb, fa * gb, ga * gb
-    _check_populations((p1, p2, p3, p4))
     conc, mi, ccl, disc = _measures(_FLOATS, fa, ga, fb, gb)
     return SweepRow(float(t_left), float(t_right), p1, p2, p3, p4, current,
                     conc, disc, mi, ccl)
@@ -183,9 +182,9 @@ def run_sweep(spec: SweepSpec) -> Sequence[SweepRow]:
     """Evaluate the sweep grid in ascending order of the sweep variable.
 
     ``np.asarray`` of the result is the (count, 11) array; it equals only itself.
-    A failing grid raises ``ValueError`` at its first point whose heat current is
-    not finite, as ``solve_point`` does, and otherwise ``DegeneratePhysicsError`` at
-    its first point at which a channel carries no rates.
+    A failing grid raises ``DegeneratePhysicsError`` at point 0 where no bath is
+    coupled, and otherwise ``ValueError`` at its first point whose heat current is
+    not finite, as ``solve_point`` does; a finite current has finite weights.
     """
     couplings, (gap_a, gap_b) = (spec.gamma_left, spec.gamma_right), _gaps(spec.params)
     if not any(couplings) and gap_b < math.inf:  # no rates anywhere, and a current of 0.0
@@ -195,30 +194,26 @@ def run_sweep(spec: SweepSpec) -> Sequence[SweepRow]:
     _fill_grid(out[1], spec.lo, spec.hi)
     common = spec.variable is SweepVariable.T_COMMON
     if common:
-        out[0], t_max = out[1], spec.hi
+        out[0] = out[1]
     elif spec.variable is SweepVariable.T_RIGHT:
-        out[0], t_max = float(spec.t_left), max(spec.t_left, spec.hi)
+        out[0] = float(spec.t_left)
     else:
         out[0], out[1] = spec.t_avg + out[1], spec.t_avg - out[1]
-        t_max = spec.t_avg + max(spec.hi, -spec.lo)
-    near_top, gaps = _near_top(*couplings, t_max, gap_a), np.array([[gap_a], [gap_b]])
-    inverted, ops, step = spec.params.epsilon > spec.params.kappa, _arrays(), _CHUNK // 2
+    gaps, inverted = np.array([[gap_a], [gap_b]]), spec.params.epsilon > spec.params.kappa
+    ops, step = _arrays(), _CHUNK // 2
     with np.errstate(all="ignore"):
         # per chunk, unchecked: J into row 6, the states into rows 2-5 and 7-10
         for start in range(0, spec.count, step):
             part = slice(start, start + step)
             t_left = out[0, part]
             (f, g), j = _channel(ops, spec.kind, *couplings, gaps, t_left,
-                                 t_left if common else out[1, part], near_top)
+                                 t_left if common else out[1, part])
             np.add(0.0, j[0], out=out[6, part])  # 0.0 + j_a + j_b
             out[6, part] += j[1]
             del j  # before the measures are formed
             _states(inverted, f[0], g[0], f[1], g[1], out[:, part])
             del f, g  # before the next chunk's are formed
-    if not np.isfinite(out[2:]).all():
-        # where the current is finite, a state that is not is a channel without rates
-        _check_current(out[6], out[0], out[1])
-        raise _no_rates(spec.variable, int(np.argmin(np.isfinite(out[2:]).all(axis=0))))
+    _check_current(out[6], out[0], out[1])
     return _Table(SweepRow, out)
 
 
@@ -274,19 +269,17 @@ def rectification_scan(
     # uncoupled one as y = 1, at T = 0): the forward bias has the left bath hot, the reversed one
     # the sides swapped and (y_R - y_L)/2 negated
     gaps, sides = np.array(_gaps(params))[:, None], np.array([1.0, -1.0])[:, None, None]
-    near_top = _near_top(gamma_left, gamma_right, t_avg + hi, float(gaps[0, 0]))
     ops, (left_big, small, _, ratio) = _arrays(), _couplings(gamma_left, gamma_right)
     with np.errstate(all="ignore"):
         for start in range(0, dts.size, _CHUNK // 4):
             part = slice(start, start + _CHUNK // 4)
             e = ops.expm1(gaps / (t_avg + sides * dts[part]))  # (side, gap, bias), hot first
-            over = _overflows(kind, gamma_left, e, gamma_right, e[::-1]) if near_top else None
             d, y_hot, y_cold = _difference(ops, kind, e[0], e[1])
             del e  # before the currents are formed
             for row, d, y_l, y_r in ((1, d, y_hot, y_cold), (2, -d, y_cold, y_hot)):
                 y_l, y_r = y_l if gamma_left else 1.0, y_r if gamma_right else 1.0
-                j = _current(ops, kind, gaps, small, ratio, d, *((y_l, y_r) if left_big else
-                             (y_r, y_l)), over if over is None else over[row - 1])[1]
+                j = _current(kind, gaps, small, ratio, d,
+                             *((y_l, y_r) if left_big else (y_r, y_l)))[1]
                 out[row, part] += j[0]  # 0.0 + j_a + j_b; numpy skips the copy back
                 out[row, part] += j[1]
             del d, y_hot, y_cold, y_l, y_r, j  # before the next chunk's are formed

@@ -80,9 +80,9 @@ def gaps(params: SystemParams):
     omegas = []
     float_exponent = baths._FLOATS.exponent
 
-    def exponent(kind, gamma, omega, temperature):
+    def exponent(gamma, omega, temperature):
         omegas.append(omega)
-        return float_exponent(kind, gamma, omega, temperature)
+        return float_exponent(gamma, omega, temperature)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(baths._FLOATS, "exponent", exponent)

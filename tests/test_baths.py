@@ -27,7 +27,7 @@ G_08_15 = 0.36973977708224867
 def weights(kind, gamma, omega, temperature, ops=_FLOATS, other=0.0, t_other=0.0):
     """(f, g) of a channel of gap omega whose left bath has coupling gamma at the
     temperature, beside a right bath of coupling ``other`` at ``t_other``."""
-    (f, g), _ = _channel(ops, kind, gamma, other, omega, temperature, t_other, False)
+    (f, g), _ = _channel(ops, kind, gamma, other, omega, temperature, t_other)
     return f, g
 
 
@@ -79,9 +79,9 @@ class TestBath:
         for kind in BathKind:
             alone = weights(kind, 1.3, 0.7, 1.0)
             for t_other in (0.0, 0.4, 1e300):
-                (f, g), j = _channel(_FLOATS, kind, 1.3, 0.0, 0.7, 1.0, t_other, False)
+                (f, g), j = _channel(_FLOATS, kind, 1.3, 0.0, 0.7, 1.0, t_other)
                 assert (f, g) == alone and j == 0.0
-                (f, g), j = _channel(_FLOATS, kind, 0.0, 1.3, 0.7, t_other, 1.0, False)
+                (f, g), j = _channel(_FLOATS, kind, 0.0, 1.3, 0.7, t_other, 1.0)
                 assert (f, g) == alone and j == 0.0
 
     def test_equal_temperatures_give_gibbs_weights(self):

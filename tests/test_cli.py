@@ -3,6 +3,7 @@ import math
 import pytest
 
 from conftest import exact_boson
+from oracles import exact_point
 from qjunction import BathKind, SystemParams, cli, solve_point
 from qjunction.cli import main
 
@@ -10,6 +11,25 @@ POINT_HEADER = (
     "T_L,T_R,gamma_L,gamma_R,bath,epsilon,kappa,"
     "P1,P2,P3,P4,J_L,concurrence,discord,mutual_info,classical_corr"
 )
+
+
+# Gamma_L = Gamma_R = 1e308 at gaps near 100, one bath at T = 0 or both far apart: J
+# near -5e309, past the float range
+HUGE_CURRENTS = [
+    ("point", "--tl", "0", "--tr", "1e6", "--gl", "1e308", "--gr", "1e308", "--kappa", "100"),
+    ("sweep", "--var", "tr", "--lo", "1e6", "--hi", "2e6", "--n", "5", "--tl", "0",
+     "--gl", "1e308", "--gr", "1e308", "--kappa", "100"),
+    ("rect", "--ta", "5e5", "--lo", "4e5", "--hi", "4.9e5", "--n", "3", "--gl", "1e308",
+     "--gr", "1e308", "--kappa", "100"),
+]
+# a bath at T = 1e308 coupled at Gamma = 1e10 or 1e200
+HOT_STRONG = [
+    ("point", "--tl", "1e308", "--tr", "0.5", "--gl", "1e200"),
+    ("point", "--tl", "1e308", "--tr", "0.1", "--gl", "1e10"),
+    ("sweep", "--var", "tr", "--lo", "0.1", "--hi", "1.0", "--n", "5", "--tl", "1e308",
+     "--gl", "1e10"),
+    ("rect", "--ta", "1e306", "--lo", "1e305", "--hi", "9e305", "--n", "5", "--gl", "1e10"),
+]
 
 
 def run_cli(capsys, *argv):
@@ -202,13 +222,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ("point", "--tl", "inf", "--tr", "0.5"),
-        ("point", "--tl", "1e308", "--tr", "0.5", "--gl", "1e200"),
-        # Gamma T / omega overflows: the rates themselves are not finite
-        ("sweep", "--var", "tr", "--lo", "0.1", "--hi", "1.0", "--n", "5",
-         "--tl", "1e308", "--gl", "1e10"),
+        # the current itself passes the float range, on a point, a sweep and a rect grid
+        *HUGE_CURRENTS,
         ("sweep", "--var", "ta", "--lo", "0.1", "--hi", "inf", "--n", "5"),
-        ("rect", "--ta", "1e308", "--lo", "1e300", "--hi", "1e301", "--n", "5",
-         "--gl", "1e10"),
         ("death", "--kappa", "inf"),
         ("point", "--tl", "1.0", "--tr", "0.5", "--epsilon", "inf"),
         ("death", "--kappa", "1.7e308"),  # kappa / asinh(1) overflows
@@ -240,16 +256,32 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == f"qjunction: {flag} out of domain: inf\n"
 
-    @pytest.mark.parametrize("argv", [
-        ("point", "--tl", "1e308", "--tr", "0.1", "--gl", "1e10"),
-        ("sweep", "--var", "tr", "--lo", "0.1", "--hi", "1.0", "--n", "5", "--tl", "1e308",
-         "--gl", "1e10"),
-    ])
-    def test_overflowing_rates_give_one_message_on_a_point_and_a_grid(self, capsys, argv):
-        # Gamma T / omega overflows the rates, whose populations are NaN too
+    @pytest.mark.parametrize("argv", HUGE_CURRENTS[:2])
+    def test_a_current_past_the_float_range_gives_one_message_on_a_point_and_a_grid(
+            self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
-        assert err == "qjunction: heat current is not finite at T_L = 1e+308, T_R = 0.1\n"
+        assert err == "qjunction: heat current is not finite at T_L = 0.0, T_R = 1000000.0\n"
+
+    @pytest.mark.parametrize("argv", HOT_STRONG)
+    def test_a_hot_strongly_coupled_bath_gives_the_exact_current(self, capsys, argv):
+        # Gamma T / omega past the float range, where a boson rate Gamma (n + 1) would
+        # overflow: J itself is finite, and every row carries it within 1e-12
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        args = cli._build_parser().parse_args(list(argv))
+        for line in out.splitlines()[1:]:
+            fields = line.split(",")
+            if argv[0] == "rect":
+                dt, forward, reverse = map(float, fields)
+                pairs = ((args.ta + dt, args.ta - dt, forward),
+                         (args.ta - dt, args.ta + dt, reverse))
+            else:
+                pairs = ((float(fields[0]), float(fields[1]), float(fields[11])),)
+            for t_l, t_r, j in pairs:
+                exact = float(exact_point(args.epsilon, args.kappa, args.bath, args.gl, args.gr,
+                                          t_l, t_r).heat_current)
+                assert j == pytest.approx(exact, rel=1e-12, abs=0.0), (t_l, t_r)
 
     def test_empty_rect_grid_rejected(self, capsys):
         code, out, err = run_cli(capsys, "rect", "--ta", "1.0", "--lo", "0.1",

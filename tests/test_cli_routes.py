@@ -7,11 +7,12 @@ at each of its temperature pairs, so that the process never imports numpy
 small one at which a point raises, runs ``run_sweep`` or
 ``rectification_scan``. These tests pin both routes to the
 bit, the array route to the golden grids within a few ulps, the float grid to
-``np.linspace``, and every failing small grid to the error that the library
-raises on the same spec.
+``np.linspace``, every failing small grid to the error that the library
+raises on the same spec, and both routes to fail on the same edge grids.
 """
 
 import math
+import random
 import sys
 
 import numpy as np
@@ -19,12 +20,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qjunction import (BathKind, DegeneratePhysicsError, SweepSpec, SystemParams, cli,
-                       rectification_scan, run_sweep, solve_point)
+from qjunction import (BathKind, DegeneratePhysicsError, SweepSpec, SweepVariable, SystemParams,
+                       cli, rectification_scan, run_sweep, solve_point)
 from qjunction.cli import _POINTWISE_MAX, _pointwise_sweep
 from qjunction.experiments import _fill_grid, _float_grid
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import GOLDEN
+from test_sweep_errors import BIASES, SYSTEMS, T_AVGS, T_LEFTS
+from test_sweep_errors import GRIDS as T_GRIDS
 
 
 def _run(capsys, argv):
@@ -84,7 +87,27 @@ def _cases(counts, systems=6):
                     yield (*grid, "--n", str(n), *side, *couplings, "--bath", bath)
 
 
-@pytest.mark.parametrize("argv", [*_cases((1, 2, 17)), *_cases((_POINTWISE_MAX,), systems=2)])
+# small grids at the edges of the domain that answer: a gap of 2**-52 beside a bath at
+# T = 1e308, where one bath's y is 0; a bath at T = 1e308 coupled at 1e10, where a boson
+# rate Gamma (n + 1) would overflow; spin couplings of 5e-324, whose spin rates
+# Gamma / (e^{-x} + 1) would round to 0 from T about 4.8e15 on
+EDGES = [
+    ("sweep", "--var", "tr", "--epsilon", "1.0", "--kappa", "1.0000000000000002", "--tl", "0.5",
+     "--lo", "1e308", "--hi", "1.5e308", "--n", "3"),
+    ("sweep", "--var", "tr", "--epsilon", "1.0", "--kappa", "1.0000000000000002", "--tl", "0.5",
+     "--lo", "1e307", "--hi", "1e308", "--n", "4"),
+    ("sweep", "--var", "tr", "--lo", "0.1", "--hi", "1.0", "--n", "5", "--tl", "1e308",
+     "--gl", "1e10"),
+    ("rect", "--ta", "1e308", "--lo", "1e300", "--hi", "1e301", "--n", "5", "--gl", "1e10"),
+    ("sweep", "--var", "ta", "--bath", "spin", "--gl", "5e-324", "--gr", "5e-324", "--lo", "1",
+     "--hi", "8.5e15", "--n", "100"),
+    ("sweep", "--var", "ta", "--bath", "spin", "--gl", "5e-324", "--gr", "5e-324", "--lo",
+     "4.81e15", "--hi", "5.1e15", "--n", "50"),
+]
+
+
+@pytest.mark.parametrize("argv", [*_cases((1, 2, 17)), *_cases((_POINTWISE_MAX,), systems=2),
+                                  *EDGES])
 def test_small_grid_rows_are_solve_points_rows(capsys, argv):
     # every row to the bit: the temperatures are np.linspace's grid, mapped as
     # run_sweep maps it, and each result field is solve_point's at them
@@ -169,16 +192,22 @@ def test_an_uncoupled_small_scan_prints_its_zeros_from_the_float_route(capsys):
     assert [row[1:] for row in _rows(_run(capsys, argv)[1])] == [["0.0", "0.0"]] * 5
 
 
-def test_where_only_a_point_stalls_a_small_grid_gives_the_array_routes_answer(capsys):
-    # a spin down rate of Gamma = 5e-324 is 0 where e^{-x} + 1 rounds to 2: math.exp
-    # gets there at T = 4.80e15 (omega = 0.8), numpy's exp at 5.12e15 under its
-    # AVX-512 dispatch, so the array route answers where solve_point stalls, and at
-    # 4.80e15 under others, so both raise; either way the CLI gives the library's answer
-    argv = ("sweep", "--var", "ta", "--bath", "spin", "--gl", "5e-324", "--gr", "5e-324",
-            "--lo", "4.81e15", "--hi", "5.1e15", "--n", "50")
-    with pytest.raises(DegeneratePhysicsError):
-        _pointwise_sweep(SweepSpec(*_library(argv)[1]))
-    _prints_the_array_route(capsys, argv)
+@pytest.mark.parametrize("kind", list(BathKind))
+def test_an_uncoupled_scan_at_the_float_ceiling_carries_no_current(capsys, kind):
+    # both uncoupled baths read y = 1.0, a float, not an array, on each side of the
+    # scan, so a boson D is a float too; on both routes the scan carries no current
+    dts = [1e307, 5e307]
+    scan = rectification_scan(SystemParams(0.2, 1.0), kind, 0.0, 0.0, 1e308, dts)
+    assert np.asarray(scan).tolist() == [[dt, 0.0, 0.0] for dt in dts]
+    grids = {}
+    for n in (3, _POINTWISE_MAX + 6):
+        code, out, err = _run(capsys, ("rect", "--ta", "1e308", "--lo", "1e307", "--hi", "5e307",
+                                       "--n", str(n), "--gl", "0", "--gr", "0", "--bath",
+                                       kind.value))
+        assert code == 0 and err == ""
+        grids[n] = _rows(out)
+    for n, rows in grids.items():
+        assert rows == [[repr(dt), "0.0", "0.0"] for dt in _float_grid(1e307, 5e307, n)]
 
 
 _ENDS = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e-320, 1e-320), st.floats(-1e307, 1e307))
@@ -213,24 +242,16 @@ FAILING = [
     ("sweep", "--var", "ta", "--lo", "0.5", "--hi", "1", "--n", "3", "--gl", "0", "--gr", "0"),
     ("sweep", "--var", "tr", "--tl", "1", "--lo", "0.5", "--hi", "1", "--n", "3", "--gl", "0",
      "--gr", "0", "--bath", "spin"),
-    # a boson omega/T that underflows to 0 at a gap of 2**-52: solve_point names the
-    # underflow, the array route a current that is not finite, and the CLI prints the latter
-    ("sweep", "--var", "tr", "--epsilon", "1.0", "--kappa", "1.0000000000000002", "--tl", "0.5",
-     "--lo", "1e308", "--hi", "1.5e308", "--n", "3"),
-    # boson occupations 1/(e^x - 1) past the float range at that gap, before omega/T underflows
-    ("sweep", "--var", "tr", "--epsilon", "1.0", "--kappa", "1.0000000000000002", "--tl", "0.5",
-     "--lo", "1e307", "--hi", "1e308", "--n", "4"),
+    # a gap of 2**-52: both boson baths' y round to 0 from T about 3.0e307 on, so D = 0
     ("sweep", "--var", "ta", "--epsilon", "1.0", "--kappa", "1.0000000000000002", "--lo", "1",
      "--hi", "1e308", "--n", "3"),
     ("rect", "--epsilon", "1.0", "--kappa", "1.0000000000000002", "--ta", "1e308", "--lo", "1e306",
      "--hi", "1e307", "--n", "3"),
-    # Gamma_L = 1e10 at T_L = 1e308: a rate, so the current, overflows
-    ("sweep", "--var", "tr", "--lo", "0.1", "--hi", "1.0", "--n", "5", "--tl", "1e308",
-     "--gl", "1e10"),
-    ("rect", "--ta", "1e308", "--lo", "1e300", "--hi", "1e301", "--n", "5", "--gl", "1e10"),
-    # spin rates of Gamma = 5e-324 round to 0 from some temperature on
-    ("sweep", "--var", "ta", "--bath", "spin", "--gl", "5e-324", "--gr", "5e-324", "--lo", "1",
-     "--hi", "8.5e15", "--n", "100"),
+    # Gamma_L = Gamma_R = 1e308 at gaps near 100: the current itself passes the float range
+    ("sweep", "--var", "tr", "--tl", "0", "--lo", "1e6", "--hi", "2e6", "--n", "5",
+     "--gl", "1e308", "--gr", "1e308", "--kappa", "100"),
+    ("rect", "--ta", "5e5", "--lo", "4e5", "--hi", "4.9e5", "--n", "3", "--gl", "1e308",
+     "--gr", "1e308", "--kappa", "100"),
     # biases outside (0, T_a): a zero bias, one at or past T_a, descending grids, one point
     ("rect", "--ta", "1", "--lo", "0", "--hi", "0.5", "--n", "3"),
     ("rect", "--ta", "1", "--lo", "0.5", "--hi", "1", "--n", "3"),
@@ -260,8 +281,74 @@ def test_a_failing_small_grid_prints_the_librarys_error(capsys, argv):
     assert _prints_the_array_route(capsys, argv) == "error"
 
 
-def test_a_small_grid_prints_the_array_routes_error_not_solve_points(capsys):
-    argv = FAILING[2]  # where omega/T underflows
-    with pytest.raises(ValueError, match="omega/T underflows to 0"):
+def test_a_small_grid_prints_the_librarys_error_text_not_solve_points(capsys):
+    # the float route raises where the array route raises, with solve_point's text; the
+    # CLI reruns the grid on arrays for the library's, which names the grid point
+    argv = FAILING[0]  # both couplings 0
+    with pytest.raises(DegeneratePhysicsError, match="^a channel carries no rates;"):
         _pointwise_sweep(SweepSpec(*_library(argv)[1]))
-    assert _run(capsys, argv)[2].startswith("qjunction: heat current is not finite at T_L = 0.5,")
+    assert _run(capsys, argv) == (3, "", "qjunction: degenerate physics: sweep aborted on the "
+                                  "t_common grid: a channel carries no rates at grid point 0; "
+                                  "the stationary state is not unique\n")
+
+
+def _edge_grids(seed=30, count=400):
+    """(what, library arguments) of small edge sweeps and scans: the systems of the sweep
+    error corpus and a gap of 2**-52, couplings from 0 to 1e308, temperatures up to 1.7e308."""
+    rng = random.Random(seed)
+    systems = [SystemParams(*system) for system in SYSTEMS + [(1.0, 1.0 + 2.0 ** -52)]]
+    couplings = [0.0, 5e-324, 1.0, 1e10, 1e300, 1e308]
+    for i in range(count):
+        bath = (rng.choice(systems), rng.choice(list(BathKind)), rng.choice(couplings),
+                rng.choice(couplings))
+        n = rng.choice([2, 3, 17, 100, _POINTWISE_MAX])
+        if i % 2:
+            t_avg = rng.choice(T_AVGS)
+            lo, hi = rng.choice([(0.01, 0.99), (1e-8, 1e-6), (0.5, 0.9)])
+            yield "rect", (bath, t_avg, _float_grid(lo * t_avg, hi * t_avg, n))
+            continue
+        variable = rng.choice(list(SweepVariable))
+        if variable is SweepVariable.DELTA_T:
+            t_avg = rng.choice(T_AVGS)
+            lo, hi = rng.choice(BIASES)
+            spec = (variable, lo * t_avg, hi * t_avg, n, None, t_avg)
+        else:
+            spec = (variable, *rng.choice(T_GRIDS), n, rng.choice(T_LEFTS), None)
+            if variable is SweepVariable.T_COMMON:
+                spec = spec[:4] + (None, None)
+        yield "sweep", (*bath, *spec)
+
+
+def _raises(route, *args):
+    # the class of the library error a route raises: DegeneratePhysicsError, ValueError or None
+    try:
+        route(*args)
+    except DegeneratePhysicsError:
+        return DegeneratePhysicsError
+    except ValueError:
+        return ValueError
+    return None
+
+
+def test_the_two_grid_routes_fail_at_the_same_grids():
+    # the CLI prints a small grid from the float route where it does not raise, and
+    # reruns it on arrays only for the library's error text: so wherever one route
+    # raises, the other must raise too, with an error of the same class
+    outcomes = []
+    for what, args in _edge_grids():
+        if what == "sweep":
+            try:
+                spec = SweepSpec(*args)
+            except ValueError:
+                continue
+            pair = _raises(_pointwise_sweep, spec), _raises(run_sweep, spec)
+        else:
+            bath, t_avg, dts = args
+            pair = (_raises(cli._pointwise_scan, bath, t_avg, dts),
+                    _raises(rectification_scan, *bath, t_avg, dts))
+        assert pair[0] is pair[1], (what, args if what == "sweep" else (*args[:2], args[2][:2]))
+        outcomes.append((what, pair[0]))
+    # both kinds of grid reach both kinds of error, and answers
+    assert {(what, error) for what, error in outcomes} >= {
+        ("sweep", None), ("sweep", ValueError), ("sweep", DegeneratePhysicsError),
+        ("rect", None), ("rect", ValueError)}

@@ -149,7 +149,7 @@ def test_states_write_into_the_rows_they_are_given():
             with np.errstate(all="ignore"):
                 ((fa, fb), (ga, gb)), _ = solver._channel(
                     baths._arrays(), kind, 1.3, 0.4, gaps, temperatures,
-                    temperatures[::-1].copy(), False)
+                    temperatures[::-1].copy())
             table = np.full((11, temperatures.size + 3), np.nan)
             rows = table[:, 1:-2]
             correlations._states(inverted, fa, ga, fb, gb, rows)
@@ -189,12 +189,10 @@ def _unstacked_sweep(spec):
     else:  # each bath forms its own E
         t_left, t_right = grid, grid.copy()
     ops, table, gaps = baths._arrays(), np.empty((11, spec.count)), solver._gaps(spec.params)
-    near_top = solver._near_top(spec.gamma_left, spec.gamma_right,
-                                float(max(t_left.max(), t_right.max())), gaps[0])
     with np.errstate(all="ignore"):
         ((fa, ga), j_a), ((fb, gb), j_b) = (
             solver._channel(ops, spec.kind, spec.gamma_left, spec.gamma_right, omega,
-                            t_left, t_right, near_top) for omega in gaps)
+                            t_left, t_right) for omega in gaps)
         if spec.params.epsilon > spec.params.kappa:
             fa, ga = ga, fa
         conc, mi, ccl, disc = correlations._measures(ops, fa, ga, fb, gb)
@@ -266,10 +264,9 @@ def _whole_grid_scan(params, kind, gamma_left, gamma_right, t_avg, dts):
     at the column of both gaps, the first that is not finite named by ``_check_current``."""
     signed = np.concatenate((dts, -dts))
     t_left, t_right, gaps = t_avg + signed, t_avg - signed, np.array(solver._gaps(params))
-    near_top = solver._near_top(gamma_left, gamma_right, float(t_left.max()), float(gaps[0]))
     with np.errstate(all="ignore"):
         _, j = solver._channel(baths._arrays(), kind, gamma_left, gamma_right,
-                               gaps[:, np.newaxis], t_left, t_right, near_top)
+                               gaps[:, np.newaxis], t_left, t_right)
         j = 0.0 + j[0] + j[1]
     experiments._check_current(j, t_left, t_right)
     return j
@@ -310,9 +307,11 @@ def test_rectification_scan_equals_one_whole_grid_call_bit_for_bit(n):
 
 @pytest.mark.parametrize("n", [experiments._CHUNK // 2 + 1, 3 * experiments._CHUNK // 2 + 7])
 def test_rectification_scan_names_a_reversed_non_finite_current_as_one_call_would(n):
-    # boson rates of a 1e300 right coupling overflow once T_R passes some 1.4e8,
-    # which only the reversed biases reach, where the right bath is the hot one
-    args = (SystemParams(0.2, 1.0), BathKind.BOSON, 1.0, 1e300, 1e8, np.linspace(1e6, 9.9e7, n))
+    # at a gap of 2**-52 a boson bath's y rounds to 0 from T about 3.0e307 on, and with
+    # couplings 1e308 and 5e-324, whose ratio is 0, a channel's D is the right bath's y:
+    # D is 0 where the right bath passes 3.0e307, which only the reversed biases reach
+    args = (SystemParams(1.0, 1.0 + 2.0 ** -52), BathKind.BOSON, 1e308, 5e-324, 2e307,
+            np.linspace(1e305, 1.9e307, n))
     with pytest.raises(ValueError) as whole:
         _whole_grid_scan(*args)
     with pytest.raises(ValueError) as scan:
@@ -325,19 +324,19 @@ def test_rectification_scan_names_a_reversed_non_finite_current_as_one_call_woul
 
 @pytest.mark.parametrize("n", [experiments._CHUNK // 4 + 1, 3 * experiments._CHUNK // 4 + 7])
 def test_rectification_scan_names_a_forward_failure_in_a_later_chunk_first(n):
-    # with T_a = 1e8, a 1e300 right coupling overflows the reversed currents from
-    # dT ~ 4.4e7 on, and a 8e299 left one the forward currents from dT ~ 8.0e7 on.
-    # The first chunk holds a reversed failure only and the last chunk a forward
-    # one; one call on the forward-then-reversed grid names the forward one
-    dts = np.full(n, 1e6)
-    dts[3], dts[-1] = 6e7, 9e7
-    args = (SystemParams(0.2, 1.0), BathKind.BOSON, 8e299, 1e300, 1e8, dts)
+    # as above, D is 0 wherever the right bath passes T about 3.0e307: with T_a = 8e307,
+    # at every reversed bias, and at dT = 1e307 forward too, but not at dT = 7.9e307. So
+    # every chunk holds reversed failures, and the last alone a forward one; one call on
+    # the forward-then-reversed grid names the forward one
+    dts = np.full(n, 7.9e307)
+    dts[-1] = 1e307
+    args = (SystemParams(1.0, 1.0 + 2.0 ** -52), BathKind.BOSON, 1e308, 5e-324, 8e307, dts)
     with pytest.raises(ValueError) as whole:
         _whole_grid_scan(*args)
     with pytest.raises(ValueError) as scan:
         rectification_scan(*args)
     assert str(scan.value) == str(whole.value)
-    assert str(scan.value) == "heat current is not finite at T_L = 190000000.0, T_R = 10000000.0"
+    assert str(scan.value) == "heat current is not finite at T_L = 9e+307, T_R = 7e+307"
 
 
 # Memory a grid call allocates above what its result keeps, counted by tracemalloc
@@ -497,9 +496,10 @@ class TestNonFinite:
         with pytest.raises(ValueError, match="temperature must be finite"):
             solve_point(self.PARAMS, BathKind.BOSON, 1.0, 1.0, math.inf, 1.0)
 
-    def test_huge_temperature_is_a_typed_error(self):
-        with pytest.raises(ValueError):
-            solve_point(self.PARAMS, BathKind.BOSON, 1e200, 1.0, 1e308, 0.5)
+    def test_a_current_past_the_float_range_is_a_typed_error(self):
+        # couplings of 1e308 at gaps near 100, between baths at T = 0 and 1e6: J near -5e309
+        with pytest.raises(ValueError, match="^heat current is not finite at T_L = 0.0,"):
+            solve_point(SystemParams(0.2, 100.0), BathKind.BOSON, 1e308, 1e308, 0.0, 1e6)
 
 
 # (epsilon, kappa, Gamma_L, Gamma_R, T_R) of boson points at T_L = 1e308. In the
@@ -713,14 +713,14 @@ def test_a_grid_past_the_bound_imports_numpy(sub):
 
 
 # single points whose solve_point raises (for one bath kind or both): no
-# rates, overflowing boson rates (so a current that is not finite), a current
-# past the float ceiling beside finite populations, omega/T underflow on a
-# boson bath, and each kind of invalid bath value
+# rates, a current past the float ceiling beside finite populations, a boson D
+# of 0 (both baths' y round to 0 at a gap of 2**-52), and each kind of invalid
+# bath value
 ERROR_EDGES = [
     (0.2, 1.0, 0.0, 0.0, 1.5, 0.5),
-    (0.2, 1.0, 1e200, 1.0, 1e308, 0.5),
+    (0.2, 100.0, 1e308, 1e308, 0.0, 1e6),
     (0.2, 1e300, 1e300, 1e300, 1e300, 5e299),
-    (1.0, 1.0 + 2.0 ** -52, 1.0, 1.0, 1e308, 1.0),
+    (1.0, 1.0 + 2.0 ** -52, 1.0, 1.0, 1e308, 1e308),
     (0.2, 1.0, -1.0, 1.0, 1.0, 1.0),
     (0.2, 1.0, math.inf, 1.0, 1.0, 1.0),
     (0.2, 1.0, 1.0, math.nan, 1.0, 1.0),
@@ -730,9 +730,7 @@ ERROR_EDGES = [
 
 
 def test_error_edges_raise_each_kind_of_check():
-    # every edge raises for one bath kind or both, a ValueError naming what
-    # failed; the weights give populations in [0, 1] wherever they are not
-    # NaN, and a boson rate that overflows gives a current that is not finite
+    # every edge raises for one bath kind or both, a ValueError naming what failed
     errors = set()
     for eps, kap, gl, gr, tl, tr in ERROR_EDGES:
         raised = 0
@@ -743,7 +741,7 @@ def test_error_edges_raise_each_kind_of_check():
                 errors.add(str(exc).split(" ")[0])
                 raised += 1
         assert raised, (eps, kap, gl, gr, tl, tr)
-    assert errors == {"a", "heat", "omega/T", "gamma", "temperature"}
+    assert errors == {"a", "heat", "gamma", "temperature"}
 
 
 _LOG_TEMPERATURE = st.floats(-3.0, 308.0).map(lambda e: 10.0 ** e)

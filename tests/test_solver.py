@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from conftest import gaps, gibbs_populations, random_system
 from oracles import hamiltonian_route
 from qjunction import BathKind, NonUniqueSteadyStateError, SystemParams, solve_point
-from qjunction.solver import _check_populations, transport_kernel
+from qjunction.solver import transport_kernel
 
 PARAMS = SystemParams(epsilon=0.2, kappa=1.0)
 
@@ -165,13 +165,15 @@ class TestSteadyPopulations:
         with pytest.raises(NonUniqueSteadyStateError):
             pops_at(PARAMS, BathKind.BOSON, 0.0, 0.0, 1.0, 1.0)
 
-    def test_stalled_channel_of_numpy_couplings_is_an_error(self):
-        # spin rates of couplings 5e-324 at T = 1e308 round to 0 on both channels,
-        # and the current is a finite 0; numpy scalars must not turn the 0/0 of
-        # the weights into NaN populations
-        g = np.float64(5e-324)
+    def test_numpy_couplings_give_the_floats_answer(self):
+        # couplings of 5e-324 at T = 1e308, where spin rates Gamma / (e^{-x} + 1) would
+        # round to 0, give the Gibbs state; no coupling at all, no unique state
+        g, zero = np.float64(5e-324), np.float64(0.0)
+        row = solve_point(PARAMS, BathKind.SPIN, g, g, 1e308, 1e308)
+        assert row == solve_point(PARAMS, BathKind.SPIN, 5e-324, 5e-324, 1e308, 1e308)
+        assert_allclose(row[2:6], gibbs_populations(PARAMS, 1e308), rtol=1e-15)
         with pytest.raises(NonUniqueSteadyStateError):
-            solve_point(PARAMS, BathKind.SPIN, g, g, 1e308, 1e308)
+            solve_point(PARAMS, BathKind.SPIN, zero, zero, 1.0, 1.0)
 
 
 class TestRateMatrix:
@@ -245,16 +247,21 @@ class TestHeatCurrent:
 class TestTransportKernel:
     # the float entry point to a point's weights and current checks what solve_point checks
 
-    @pytest.mark.parametrize("gl, gr, tl, tr", [
-        (-1.0, 1.0, 1.0, 1.0), (math.inf, 1.0, 1.0, 1.0), (1.0, math.nan, 1.0, 1.0),
-        (1.0, 1.0, -0.5, 1.0), (1.0, 1.0, 1.0, math.inf),
-        (1e200, 1.0, 1e308, 0.5),  # boson rates overflow, so the current is not finite
+    @pytest.mark.parametrize("params, gl, gr, tl, tr", [
+        (PARAMS, -1.0, 1.0, 1.0, 1.0), (PARAMS, math.inf, 1.0, 1.0, 1.0),
+        (PARAMS, 1.0, math.nan, 1.0, 1.0), (PARAMS, 1.0, 1.0, -0.5, 1.0),
+        (PARAMS, 1.0, 1.0, 1.0, math.inf),
+        # the current passes the float range: J near -5e309
+        (SystemParams(0.2, 100.0), 1e308, 1e308, 0.0, 1e6),
+        # a D of 0, a division by zero on floats: both baths' y round to 0 at a gap of 2**-52
+        (SystemParams(1.0, 1.0 + 2.0 ** -52), 1.0, 1.0, 1e308, 1e308),
+        (SystemParams(1.0, 1.0 + 2.0 ** -52), 1e308, 5e-324, 1.0, 1e308),
     ])
-    def test_raises_what_solve_point_raises(self, gl, gr, tl, tr):
+    def test_raises_what_solve_point_raises(self, params, gl, gr, tl, tr):
         with pytest.raises(ValueError) as kernel:
-            transport_kernel(PARAMS, BathKind.BOSON, gl, gr, tl, tr)
+            transport_kernel(params, BathKind.BOSON, gl, gr, tl, tr)
         with pytest.raises(ValueError) as point:
-            solve_point(PARAMS, BathKind.BOSON, gl, gr, tl, tr)
+            solve_point(params, BathKind.BOSON, gl, gr, tl, tr)
         assert (type(kernel.value), str(kernel.value)) == (type(point.value), str(point.value))
 
     @pytest.mark.parametrize("kind", list(BathKind))
@@ -293,22 +300,3 @@ class TestTransportKernel:
         assert transport_kernel(PARAMS, BathKind.SPIN, *map(np.float64, args)) == \
             transport_kernel(PARAMS, BathKind.SPIN, *args)
 
-
-class TestPopulationsType:
-    # the check a single point's populations pass before its measures are formed
-
-    def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError, match="outside"):
-            _check_populations((-0.1, 0.5, 0.3, 0.3))
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="do not sum to 1"):
-            _check_populations((0.5, 0.5, 0.5, 0.5))
-
-    @pytest.mark.parametrize("position", range(4))
-    def test_rejects_nan_in_any_position(self, position):
-        # NaN compares false both ways, so it fails the range test
-        pops = [0.25] * 4
-        pops[position] = math.nan
-        with pytest.raises(ValueError, match="outside"):
-            _check_populations(tuple(pops))

@@ -2,13 +2,13 @@
 
 A failing sweep names its failure from its own table (``experiments.run_sweep``).
 ``sweep_errors.json`` holds the exception type and full text of every sweep of the
-corpus below that fails, written before that rule, when a sweep solved its first
-failing chunk again through checked kernels; a sweep not listed there returns its rows. The corpus
-is derandomized (``random.Random(SEED)``, whose draws do not change across Python
-versions) and reaches the edges of the domain: couplings 0, 5e-324, 1e300 and 1e308,
-temperatures up to 1.7e308, kappa + epsilon past the float range, spin couplings of
-5e-324 whose down rates round to 0 from some temperature on, every sweep variable,
-and grids at a sweep chunk's seams up to three chunks.
+corpus below that fails; a sweep not listed there returns its rows. A sweep fails
+only where no bath is coupled or its current is not finite. The corpus is derandomized
+(``random.Random(SEED)``, whose draws do not change across Python versions) and
+reaches the edges of the domain: couplings 0, 5e-324, 1e300 and 1e308, temperatures
+up to 1.7e308, kappa + epsilon past the float range, spin couplings of 5e-324 whose
+spin rates would round to 0 from some temperature on, every sweep variable, and
+grids at a sweep chunk's seams up to three chunks.
 
 Regenerate the pinned file only for a change that means to move an error, and say
 so where the change is recorded:
@@ -35,9 +35,9 @@ SYSTEMS = [(0.2, 1.0), (1.0, 0.2), (1e308, 1.7e308), (1e-300, 3e-300), (0.3, 1e3
 SIZES = [2, 3, 50, _CHUNK // 2 - 1, _CHUNK // 2, _CHUNK // 2 + 1, _CHUNK, _CHUNK + 1,
          3 * _CHUNK // 2 + 7, 3 * _CHUNK]
 # temperature grids of T_COMMON and T_RIGHT sweeps, from T = 0 and subnormal
-# temperatures to the top of the float range. 5e-324 spin down rates round to 0
-# from T about 5e15 on (at a gap of 0.8), where numpy's exp decides by its SIMD
-# dispatch: the grid (1, 1e20) steps over those temperatures at every size
+# temperatures to the top of the float range. 5e-324 spin rates Gamma / (e^{-x} + 1)
+# would round to 0 from T about 5e15 on (at a gap of 0.8): the grid (1, 1e20) steps
+# over those temperatures at every size
 GRIDS = [(0.0, 3.0), (0.0, 1.7e308), (1e300, 1.7e308), (1.0, 2e8), (1.0, 1e20),
          (5e-324, 1e-300), (1e-3, 1e300)]
 T_LEFTS = [0.0, 1.5, 1e8, 1.7e308]
